@@ -1,5 +1,6 @@
 """Exact certification of the dimension of loci of plane curves through
-star configurations, with an experimental extension to P^n."""
+star configurations, with an experimental extension to P^n; the plane is
+the n = 2 case of one star-configuration core."""
 
 from .fields import DEFAULT_PRIME, PrimeField, QQ, RationalField
 from .formulas import (TheoremValue, closed_form_dimension, min_upper_bound,
@@ -7,11 +8,11 @@ from .formulas import (TheoremValue, closed_form_dimension, min_upper_bound,
 from .matrices import ExactMatrix
 from .polynomials import (HomogeneousPoly, monomials_of_degree, parse_poly,
                           perturbation_coefficient)
-from .pnstar import (PnStarConfiguration, build_pn_star, conjecture_row,
-                     pn_tangent_lower_bound)
+from .pnstar import conjecture_row
 from .starconfig import (GenericityError, LinearForm, ProjectivePoint,
                          StarConfiguration, build_star, hilbert_function,
-                         intersection_point, is_general, random_general_forms)
+                         intersection_point, random_general_forms,
+                         random_star)
 from .tangent import (DimensionCertificate, TangentProblem, build_q_forms,
                       certify, ideal_component_dim, lower_bound_dim_S,
                       evaluation_submatrix_rank, tangent_dim_direct,
@@ -26,11 +27,10 @@ __all__ = [
     "ExactMatrix",
     "HomogeneousPoly", "monomials_of_degree", "parse_poly",
     "perturbation_coefficient",
-    "PnStarConfiguration", "build_pn_star", "conjecture_row",
-    "pn_tangent_lower_bound",
+    "conjecture_row",
     "GenericityError", "LinearForm", "ProjectivePoint", "StarConfiguration",
-    "build_star", "hilbert_function", "intersection_point", "is_general",
-    "random_general_forms",
+    "build_star", "hilbert_function", "intersection_point",
+    "random_general_forms", "random_star",
     "DimensionCertificate", "TangentProblem", "build_q_forms", "certify",
     "ideal_component_dim", "lower_bound_dim_S", "evaluation_submatrix_rank",
     "tangent_dim_direct", "tangent_dim_points", "structured_multipliers",

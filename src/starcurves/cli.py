@@ -15,17 +15,16 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .fields import DEFAULT_PRIME, PrimeField, QQ, Field, is_prime
-from .formulas import closed_form_dimension, min_upper_bound
+from .formulas import min_upper_bound
 from .polynomials import HomogeneousPoly
 from .pnstar import conjecture_row
 from .reference_cases import (block_matrix_rank, five_line_forms,
                               luroth_case_dimension, six_line_forms,
                               six_line_matrix_rank)
-from .starconfig import build_star, hilbert_function, random_general_forms
-from .tangent import certify, lower_bound_dim_S
+from .starconfig import hilbert_function, random_star
+from .tangent import certify
 
 log = logging.getLogger("starcurves")
 
@@ -137,15 +136,8 @@ def cmd_sweep(args) -> int:
     if not cases:
         raise SystemExit("error: empty sweep range")
 
-    def work(case):
-        d, l = case
-        return run_one(d, l, fld, args.trials, args.seed, False)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, cases))
-    else:
-        results = [work(c) for c in cases]
+    results = [run_one(d, l, fld, args.trials, args.seed, False)
+               for d, l in cases]
     rows = [r for r, _ in results]
     verdicts = [v for _, v in results]
     emit_rows(rows, args.format, args.output)
@@ -213,7 +205,7 @@ def cmd_pn(args) -> int:
 def cmd_hilbert(args) -> int:
     fld = field_from_args(args)
     from math import comb
-    star = build_star(random_general_forms(args.l, args.seed, fld))
+    star = random_star(args.l, args.seed, fld)
     print(f"{'t':>3}  {'rank':>5}  {'formula':>7}")
     ok = True
     for t in range(args.tmax + 1):
@@ -256,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verify every pair in a range")
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--include-empty", action="store_true",
                    help="also report the d < l - 1 rows")
     add_common_flags(p)

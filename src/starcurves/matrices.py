@@ -3,7 +3,8 @@
 Rank over the rationals uses fraction-free (Bareiss) elimination on an
 integer matrix obtained by clearing denominators row by row; intermediate
 entries stay bounded by minors of the scaled matrix.  Rank over a prime
-field uses ordinary Gaussian elimination mod p.
+field uses ordinary Gaussian elimination mod p.  Small determinants (the
+minors behind intersection points) use cofactor expansion.
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
+
+
+def det(field: Field, rows: Sequence[Sequence[Element]]) -> Element:
+    """Exact determinant of a small square matrix by cofactor expansion
+    along the first row; division-free, so it works over any field."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = field.zero()
+    for j, a in enumerate(rows[0]):
+        if field.is_zero(a):
+            continue
+        term = field.mul(a, det(field, [r[:j] + r[j + 1:] for r in rows[1:]]))
+        total = field.add(total, term) if j % 2 == 0 else field.sub(total, term)
+    return total
 
 
 def _clear_denominators(row: Sequence[Fraction]) -> list[int]:

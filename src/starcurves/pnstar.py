@@ -1,176 +1,21 @@
 """Experimental extension: star configurations of points in P^n cut out by
 l general hyperplanes.
 
-Each n-subset of the hyperplanes meets in one point; products of the
-forms over complements of (n-1)-subsets generate the ideal of the point
-set.  The natural parametrization sends (L_1..L_l, {M_T}) to
-sum_T M_T * prod_{j not in T} L_j, and its first-order perturbations span
-the tangent space whose dimension gives a semicontinuity lower bound on
-the locus of degree-d hypersurfaces containing such a configuration.
-The conjectured equality with the closed-form upper bound is reported,
-never asserted.
+The configuration, its generators and the tangent span are the same code
+as in the plane (`starconfig`, `tangent`), with n taken from the forms.
+The tangent dimension gives a semicontinuity lower bound on the locus of
+degree-d hypersurfaces containing such a configuration.  The conjectured
+equality with the closed-form upper bound is reported, never asserted: a
+lower bound from random data can confirm the formula but not refute it.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .fields import Field
 from .formulas import pn_upper_bound
-from .matrices import ExactMatrix
-from .polynomials import (HomogeneousPoly, monomials_of_degree,
-                          perturbation_coefficient, poly_product, poly_sum)
-from .starconfig import (GenericityError, LinearForm, ProjectivePoint,
-                         random_general_forms)
-from .tangent import trial_seed
-
-
-def _det(fld: Field, rows: list[list]) -> object:
-    """Exact determinant by fraction elimination (small matrices only)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = fld.one()
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not fld.is_zero(m[r][col])),
-                   None)
-        if piv is None:
-            return fld.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = fld.neg(det)
-        pval = m[col][col]
-        det = fld.mul(det, pval)
-        inv = fld.inv(pval)
-        for r in range(col + 1, n):
-            f = fld.mul(m[r][col], inv)
-            if not fld.is_zero(f):
-                for c in range(col, n):
-                    m[r][c] = fld.sub(m[r][c], fld.mul(f, m[col][c]))
-    return det
-
-
-def _null_point(fld: Field, forms: Sequence[LinearForm]) -> ProjectivePoint:
-    """Common zero of n independent hyperplanes in P^n: the generalized
-    cross product (signed maximal minors) of the n x (n+1) matrix."""
-    n = len(forms)
-    coords = []
-    for k in range(n + 1):
-        minor = [[f.coefficients[c] for c in range(n + 1) if c != k]
-                 for f in forms]
-        d = _det(fld, minor)
-        coords.append(d if k % 2 == 0 else fld.neg(d))
-    return ProjectivePoint(fld, coords)
-
-
-class PnStarConfiguration:
-    """l general hyperplanes in P^n with their C(l,n) intersection points."""
-
-    def __init__(self, n: int, forms: Sequence[LinearForm]):
-        if n < 2:
-            raise ValueError("ambient dimension must be at least 2")
-        l = len(forms)
-        if l < n:
-            raise ValueError("need at least n hyperplanes")
-        fld = forms[0].field
-        for f in forms:
-            if f.nvars != n + 1:
-                raise ValueError("hyperplane has wrong number of variables")
-        bad = _degenerate_subset(fld, forms, n + 1)
-        if bad is not None:
-            labels = ", ".join(f"L{i + 1}" for i in bad)
-            raise GenericityError(f"hyperplanes {labels} are linearly dependent")
-        self.n = n
-        self.l = l
-        self.field = fld
-        self.hyperplanes = list(forms)
-        self.points = {}
-        for subset in itertools.combinations(range(1, l + 1), n):
-            self.points[subset] = _null_point(
-                fld, [forms[i - 1] for i in subset])
-        self.generators = {}
-        for t in itertools.combinations(range(1, l + 1), n - 1):
-            self.generators[t] = poly_product(
-                [forms[j - 1].poly() for j in range(1, l + 1) if j not in t],
-                fld, n + 1)
-
-    def point_list(self) -> list[ProjectivePoint]:
-        return [self.points[k] for k in sorted(self.points)]
-
-    def generator_keys(self) -> list[tuple]:
-        return sorted(self.generators)
-
-    def __repr__(self):
-        return f"PnStarConfiguration(n={self.n}, l={self.l})"
-
-
-def _degenerate_subset(fld: Field, forms: Sequence[LinearForm], k: int):
-    size = min(k, len(forms))
-    for subset in itertools.combinations(range(len(forms)), size):
-        m = ExactMatrix(fld, [forms[i].coefficients for i in subset])
-        if m.rank() < size:
-            return subset
-    return None
-
-
-def build_pn_star(n: int, forms: Sequence[LinearForm]) -> PnStarConfiguration:
-    return PnStarConfiguration(n, forms)
-
-
-def pn_tangent_dimension(config: PnStarConfiguration, d: int,
-                         multipliers: dict[tuple, HomogeneousPoly]) -> int:
-    """Dimension of the tangent span in degree d for given multipliers.
-
-    The span contains every S_{mdeg}-multiple of every generator (the
-    multiplier directions) plus, for each hyperplane i and variable k,
-    the first-order term of the product perturbation L_i -> L_i + t*x_k,
-    computed through the product rule so no hand-derived formula enters.
-    """
-    n, l, fld = config.n, config.l, config.field
-    nvars = n + 1
-    gen_degree = l - n + 1
-    mdeg = d - gen_degree
-    if mdeg < 0:
-        raise ValueError(f"need d >= {gen_degree}")
-    basis = monomials_of_degree(nvars, d)
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
-
-    def add_poly(poly: HomogeneousPoly):
-        if poly.is_zero():
-            return
-        row = [fld.zero()] * len(basis)
-        for mono, c in poly.terms.items():
-            row[index[mono]] = c
-        rows.append(row)
-
-    for t in config.generator_keys():
-        gen = config.generators[t]
-        for mono in monomials_of_degree(nvars, mdeg):
-            shifted = {tuple(a + b for a, b in zip(mono, gm)): c
-                       for gm, c in gen.terms.items()}
-            add_poly(HomogeneousPoly(fld, nvars, d, shifted))
-
-    zero1 = HomogeneousPoly.zero(fld, nvars, 1)
-    for i in range(1, l + 1):
-        for k in range(nvars):
-            xk = HomogeneousPoly.variable(fld, nvars, k)
-            parts = []
-            for t in config.generator_keys():
-                if i in t:
-                    continue
-                factors = [(config.hyperplanes[j - 1].poly(),
-                            xk if j == i else zero1)
-                           for j in range(1, l + 1) if j not in t]
-                pert = perturbation_coefficient(factors)
-                parts.append(multipliers[t] * pert)
-            add_poly(poly_sum(parts, fld, nvars, d))
-
-    if not rows:
-        return 0
-    return ExactMatrix(fld, rows, ncols=len(basis)).rank()
+from .tangent import lower_bound_dim_S
 
 
 @dataclass
@@ -180,42 +25,17 @@ class PnSweepRow:
     l: int
     lower_bound: int
     formula_min: int
-    status: str       # CONFIRMED | REFUTED
-
-
-def pn_tangent_lower_bound(n: int, d: int, l: int, fld: Field,
-                           trials: int = 3, seed: int = 0) -> int:
-    """Max over random trials of the tangent-span dimension, minus one."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    gen_degree = l - n + 1
-    if d < gen_degree:
-        raise ValueError(f"need d >= l - n + 1 = {gen_degree}")
-    nvars = n + 1
-    mdeg = d - gen_degree
-    best = 0
-    for t in range(trials):
-        ts = trial_seed(seed, t)
-        forms = random_general_forms(l, ts, fld, nvars=nvars,
-                                     independence=nvars)
-        config = build_pn_star(n, forms)
-        rng = random.Random(ts ^ 0x5EED)
-        mbasis = monomials_of_degree(nvars, mdeg)
-        multipliers = {
-            key: HomogeneousPoly(fld, nvars, mdeg,
-                                 {m: fld.random(rng) for m in mbasis})
-            for key in config.generator_keys()}
-        best = max(best, pn_tangent_dimension(config, d, multipliers))
-    return best - 1
+    status: str       # CONFIRMED | OPEN
 
 
 def conjecture_row(n: int, d: int, l: int, fld: Field, trials: int = 3,
                    seed: int = 0) -> PnSweepRow:
-    lower = pn_tangent_lower_bound(n, d, l, fld, trials=trials, seed=seed)
+    lower = lower_bound_dim_S(d, l, fld, trials=trials, seed=seed,
+                              n=n).lower_bound
     formula = pn_upper_bound(n, d, l)
     if lower > formula:
         raise AssertionError(
             f"lower bound {lower} exceeds the upper bound {formula} "
             f"at (n,d,l)=({n},{d},{l}); this should be impossible")
-    status = "CONFIRMED" if lower == formula else "REFUTED"
+    status = "CONFIRMED" if lower == formula else "OPEN"
     return PnSweepRow(n, d, l, lower, formula, status)

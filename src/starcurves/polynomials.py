@@ -303,7 +303,8 @@ def perturbation_coefficient(
     """First-order term of prod(base_i + t*direction_i) in t.
 
     By the product rule this is sum_j direction_j * prod_{i != j} base_i.
-    Each pair must have base and direction of equal degree.
+    Each pair must have base and direction of equal degree.  The tests use
+    it as the independent oracle for the tangent forms of `tangent`.
     """
     if not factors:
         raise ValueError("empty factor list")

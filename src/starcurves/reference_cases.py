@@ -12,7 +12,8 @@ import random
 
 from .fields import Field
 from .polynomials import HomogeneousPoly
-from .starconfig import (LinearForm, StarConfiguration, build_star, is_general)
+from .starconfig import (GenericityError, LinearForm, StarConfiguration,
+                         build_star)
 from .tangent import (TangentProblem, _avoiding_linear_form,
                       evaluation_submatrix_rank, tangent_dim_direct,
                       structured_multipliers)
@@ -75,8 +76,10 @@ def extended_forms(fld: Field, l: int) -> list[LinearForm]:
         # dual plane, so small search suffices; genericity still checked
         trial = LinearForm(fld, [fld.from_int(1), fld.from_int(candidate),
                                  fld.from_int(candidate * candidate)])
-        if is_general(forms + [trial]):
-            forms.append(trial)
+        try:
+            forms = build_star(forms + [trial]).forms
+        except GenericityError:
+            pass
         candidate += 1
         if candidate > 1000:
             raise RuntimeError("could not extend the fixed configuration")

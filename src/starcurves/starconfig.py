@@ -1,9 +1,13 @@
-"""Star configurations of points from general lines in the projective plane.
+"""Star configurations of points from general hyperplanes in P^n.
 
-A configuration X(l) is built from l linear forms, any three of which are
-linearly independent.  It carries the C(l,2) pairwise intersection points
-and the l "hat products" (product of all forms but one) that generate the
-ideal of the point set.
+A configuration is built from l linear forms in n + 1 variables, any
+n + 1 of which are linearly independent.  It carries the C(l,n) points
+where n of the hyperplanes meet, and the products of the forms outside
+each (n-1)-subset, which generate the ideal of the point set
+(Geramita-Harbourne-Migliore, "Star configurations in P^n", J. Algebra
+376, 2013).  The paper's plane configuration X(l) is the case n = 2: the
+C(l,2) pairwise intersections of l lines, with the l hat products
+(product of all forms but one) as generators.
 """
 
 from __future__ import annotations
@@ -11,10 +15,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from functools import cached_property
 from typing import Sequence
 
-from .fields import Element, Field, check_same_field
-from .matrices import ExactMatrix
+from .fields import Element, Field, PrimeField, check_same_field
+from .matrices import ExactMatrix, det
 from .polynomials import HomogeneousPoly, monomials_of_degree, parse_poly, poly_product
 
 RETRY_BUDGET = 100
@@ -95,158 +100,160 @@ class ProjectivePoint:
         return "(" + " : ".join(str(c) for c in self.coordinates) + ")"
 
 
-def det3(field: Field, rows: Sequence[Sequence[Element]]) -> Element:
-    (a, b, c), (d, e, f_), (g, h, i) = rows
-    m = field.mul
-    pos = field.add(field.add(m(a, m(e, i)), m(b, m(f_, g))), m(c, m(d, h)))
-    neg = field.add(field.add(m(c, m(e, g)), m(a, m(f_, h))), m(b, m(d, i)))
-    return field.sub(pos, neg)
-
-
-def is_general(forms: Sequence[LinearForm]) -> bool:
-    """True iff every 3-subset of coefficient vectors is independent.
-
-    With exactly two forms this degenerates to pairwise independence.
-    """
-    return _find_degenerate_triple(forms) is None
-
-
-def _cross(field: Field, a: Sequence[Element], b: Sequence[Element]) -> list[Element]:
-    m, s = field.mul, field.sub
-    return [s(m(a[1], b[2]), m(a[2], b[1])),
-            s(m(a[2], b[0]), m(a[0], b[2])),
-            s(m(a[0], b[1]), m(a[1], b[0]))]
-
-
-def _find_degenerate_triple(forms: Sequence[LinearForm]):
-    if len(forms) < 2:
-        raise ValueError("need at least two forms")
+def intersection_point(*forms: LinearForm) -> ProjectivePoint:
+    """The common zero of n independent forms in n + 1 variables: the
+    signed maximal minors of their coefficient matrix (for two lines in
+    the plane, the cross product of the coefficient vectors)."""
     field = forms[0].field
-    for g in forms[1:]:
-        check_same_field(field, g.field)
-    if len(forms) == 2:
-        cross = _cross(field, forms[0].coefficients, forms[1].coefficients)
-        return None if any(not field.is_zero(c) for c in cross) else (0, 1)
-    for i, j, k in itertools.combinations(range(len(forms)), 3):
-        d = det3(field, [forms[i].coefficients, forms[j].coefficients,
-                         forms[k].coefficients])
-        if field.is_zero(d):
-            return (i, j, k)
-    return None
-
-
-def intersection_point(a: LinearForm, b: LinearForm) -> ProjectivePoint:
-    """The point of the two lines: cross product of coefficient vectors."""
-    check_same_field(a.field, b.field)
-    cross = _cross(a.field, a.coefficients, b.coefficients)
-    if all(a.field.is_zero(c) for c in cross):
+    for f in forms[1:]:
+        check_same_field(field, f.field)
+    if any(f.nvars != len(forms) + 1 for f in forms):
+        raise ValueError("need n forms in n + 1 variables")
+    coords = []
+    for k in range(len(forms) + 1):
+        minor = det(field, [f.coefficients[:k] + f.coefficients[k + 1:]
+                            for f in forms])
+        coords.append(field.neg(minor) if k % 2 else minor)
+    if all(field.is_zero(c) for c in coords):
         raise GenericityError("forms are linearly dependent")
-    return ProjectivePoint(a.field, cross)
+    return ProjectivePoint(field, coords)
 
 
 class StarConfiguration:
-    """l general lines, their C(l,2) intersection points, and the hat
-    products generating the ideal of the point set."""
+    """l hyperplanes in general position in P^n (lines when n = 2), their
+    C(l,n) intersection points, and the ideal generators: the products of
+    the forms outside each (n-1)-subset (the hat products Lhat_i when
+    n = 2).
 
-    def __init__(self, forms: Sequence[LinearForm],
-                 points: dict[tuple[int, int], ProjectivePoint],
-                 hat_products: list[HomogeneousPoly]):
+    n is the number of variables minus one.  Points are keyed by sorted
+    1-based n-subsets, generators by sorted (n-1)-subsets; generators are
+    built on first use.
+    """
+
+    def __init__(self, forms: Sequence[LinearForm]):
+        if len(forms) < 2:
+            raise ValueError("need at least two forms")
         self.forms = list(forms)
         self.l = len(forms)
         self.field = forms[0].field
-        self.points = points          # keyed by 1-based (i, j), i < j
-        self.hat_products = hat_products
+        self.n = forms[0].nvars - 1
+        for f in forms:
+            check_same_field(self.field, f.field)
+            if f.nvars != self.n + 1:
+                raise ValueError("forms have different numbers of variables")
+        if self.n < 2:
+            raise ValueError("ambient dimension must be at least 2")
+        if self.l < self.n:
+            raise ValueError(f"need at least n = {self.n} forms")
+        labels = range(1, self.l + 1)
+        self.points = {}
+        for s in itertools.combinations(labels, self.n):
+            try:
+                self.points[s] = intersection_point(
+                    *(forms[i - 1] for i in s))
+            except GenericityError:
+                self.points[s] = None
+        # General position: every n + 1 forms are independent.  Expanding
+        # that determinant along its last row gives L_k(p_s) up to sign,
+        # so each point must exist and lie on no other form.
+        subsets = (itertools.combinations(labels, self.n + 1)
+                   if self.l > self.n else [tuple(labels)])
+        for c in subsets:
+            p = self.points[c[:self.n]]
+            if p is None or (len(c) > self.n and self.field.is_zero(
+                    forms[c[-1] - 1].evaluate(p))):
+                raise GenericityError(
+                    f"forms {', '.join(f'L{i}' for i in c)} are linearly "
+                    "dependent")
+
+    @property
+    def generator_degree(self) -> int:
+        return self.l - self.n + 1
 
     def point_list(self) -> list[ProjectivePoint]:
-        """Points in deterministic (i, j) order."""
+        """Points in deterministic (sorted key) order."""
         return [self.points[key] for key in sorted(self.points)]
 
-    def point_keys(self) -> list[tuple[int, int]]:
+    def point_keys(self) -> list[tuple[int, ...]]:
         return sorted(self.points)
+
+    def generator_keys(self) -> list[tuple[int, ...]]:
+        return list(itertools.combinations(range(1, self.l + 1), self.n - 1))
+
+    @cached_property
+    def generators(self) -> list[HomogeneousPoly]:
+        """The ideal generators in generator-key order, built on first use."""
+        return [self.hat_product_without(*key) for key in self.generator_keys()]
 
     def hat_product_without(self, *skip: int) -> HomogeneousPoly:
         """Product of all forms L_h with 1-based h outside `skip`."""
-        field = self.field
         factors = [f.poly() for h, f in enumerate(self.forms, start=1)
                    if h not in skip]
-        return poly_product(factors, field, 3)
+        return poly_product(factors, self.field, self.n + 1)
 
     def to_json(self) -> dict:
         return {
             **self.field.descriptor(),
             "l": self.l,
             "forms": [[str(c) for c in f.coefficients] for f in self.forms],
-            "points": {f"{i},{j}": [str(c) for c in p.coordinates]
-                       for (i, j), p in sorted(self.points.items())},
+            "points": {",".join(map(str, key)): [str(c) for c in p.coordinates]
+                       for key, p in sorted(self.points.items())},
         }
 
     def __repr__(self):
-        return f"StarConfiguration(l={self.l}, field={self.field!r})"
+        return (f"StarConfiguration(n={self.n}, l={self.l}, "
+                f"field={self.field!r})")
 
 
 def build_star(forms: Sequence[LinearForm]) -> StarConfiguration:
-    """Validate genericity, then compute all points and hat products."""
-    bad = _find_degenerate_triple(forms)
-    if bad is not None:
-        labels = ", ".join(f"L{i + 1}" for i in bad)
-        raise GenericityError(f"forms {labels} are linearly dependent")
-    l = len(forms)
-    points = {}
-    if l == 2:
-        points[(1, 2)] = intersection_point(forms[0], forms[1])
-    else:
-        for i, j in itertools.combinations(range(1, l + 1), 2):
-            points[(i, j)] = intersection_point(forms[i - 1], forms[j - 1])
-    field = forms[0].field
-    hats = []
-    for i in range(1, l + 1):
-        factors = [f.poly() for h, f in enumerate(forms, start=1) if h != i]
-        hats.append(poly_product(factors, field, 3))
-    return StarConfiguration(forms, points, hats)
+    """Validate general position and compute the points."""
+    return StarConfiguration(forms)
 
 
-def random_general_forms(l: int, seed: int, field: Field,
-                         nvars: int = 3,
-                         independence: int = 3) -> list[LinearForm]:
-    """Deterministic-in-seed sample of l forms in general position.
+def arc_bound(n: int, q: int) -> int:
+    """The most hyperplanes of P^n over GF(q) in general position: the
+    largest arc of the dual space.  n - 1 points of an arc lie on q + 1
+    hyperplanes through their span, each holding at most one more point,
+    so an arc has at most q + n points; in the plane Bose's theorem lowers
+    that to q + 1 for odd q (hyperovals reach q + 2 for even q)."""
+    if n == 2 and q % 2:
+        return q + 1
+    return q + n
 
-    `independence` is the subset size required to be linearly independent
-    (3 for lines in the plane, n+1 for hyperplanes in P^n).
-    """
-    if l < 2:
-        raise ValueError("need l >= 2")
+
+def random_star(l: int, seed: int, field: Field,
+                n: int = 2) -> StarConfiguration:
+    """Deterministic-in-seed configuration of l random hyperplanes in
+    general position in P^n; each draw is checked once, by building it."""
+    if l < n:
+        raise ValueError(f"need l >= {n}")
+    if isinstance(field, PrimeField) and l > arc_bound(n, field.p):
+        raise ValueError(
+            f"no l = {l} hyperplanes of P^{n} over GF({field.p}) are in "
+            f"general position (at most {arc_bound(n, field.p)}, the arc "
+            "bound); use a smaller l or a larger prime")
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
         forms = []
         for _ in range(l):
             while True:
-                coeffs = [field.random(rng) for _ in range(nvars)]
+                coeffs = [field.random(rng) for _ in range(n + 1)]
                 if any(not field.is_zero(c) for c in coeffs):
                     break
             forms.append(LinearForm(field, coeffs))
-        if nvars == 3 and independence == 3:
-            ok = is_general(forms)
-        else:
-            ok = _is_general_nd(forms, independence)
-        if ok:
-            return forms
-    raise GenericityError(f"no general forms after {RETRY_BUDGET} draws "
-                          "(generator looks broken)")
+        try:
+            return build_star(forms)
+        except GenericityError:
+            pass
+    raise GenericityError(
+        f"no l = {l} hyperplanes of P^{n} in general position found over "
+        f"{field!r} in {RETRY_BUDGET} draws; try a larger prime")
 
 
-def _is_general_nd(forms: Sequence[LinearForm], k: int) -> bool:
-    """Every k-subset of coefficient vectors has full rank k."""
-    field = forms[0].field
-    if len(forms) < k:
-        subset_sizes = [len(forms)]
-    else:
-        subset_sizes = [k]
-    for size in subset_sizes:
-        for subset in itertools.combinations(forms, size):
-            m = ExactMatrix(field, [f.coefficients for f in subset])
-            if m.rank() < size:
-                return False
-    return True
+def random_general_forms(l: int, seed: int, field: Field,
+                         n: int = 2) -> list[LinearForm]:
+    """The forms of `random_star(l, seed, field, n)`."""
+    return random_star(l, seed, field, n).forms
 
 
 def parse_forms(text: str, field: Field, nvars: int = 3) -> list[LinearForm]:
@@ -267,7 +274,7 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    basis = monomials_of_degree(3, t)
+    basis = monomials_of_degree(star.n + 1, t)
     field = star.field
     rows = []
     for p in star.point_list():

@@ -1,20 +1,22 @@
-"""Tangent-space dimension computations for the curve locus S(d, l).
+"""Tangent-space dimension computations for the locus of degree-d
+hypersurfaces through a star configuration.
 
-The locus is parametrized by (L_1..L_l, M_1..M_l) -> sum M_i * Lhat_i,
-where Lhat_i is the product of all forms but L_i.  Differentiating the
-parametrization gives, besides the hat products themselves, the degree
-d-1 forms
+The locus is parametrized by (L_1..L_l, {M_T}) -> sum_T M_T * Lhat_T, the
+sum over (n-1)-subsets T of the generators Lhat_T = prod_{h not in T} L_h.
+In the plane (n = 2) this is sum_i M_i * Lhat_i.  Differentiating in the
+direction L_i -> L_i + t*x_k gives x_k * Q_i, with the degree d-1 forms
 
-    Q_j = sum_{i != j} M_i * Lhat_{j,i},   Lhat_{j,i} = prod_{h not in {i,j}} L_h,
+    Q_i = sum_{n-subsets s containing i} M_{s - i} * prod_{h not in s} L_h,
 
-and the degree-d component of the ideal (Lhat_1..Lhat_l, Q_1..Q_l) is the
-affine tangent space at the chosen data.  Its dimension minus one is a
-semicontinuity lower bound for dim S(d, l); matching a known upper bound
-certifies the dimension.
+(for n = 2: Q_i = sum_{j != i} M_j * Lhat_{i,j}), and the degree-d
+component of the ideal (Lhat_T, Q_1..Q_l) is the affine tangent space at
+the chosen data.  Its dimension minus one is a semicontinuity lower bound
+for the dimension of the locus; matching a known upper bound certifies it.
 
-Two independent algorithms compute that dimension: a coefficient-matrix
-rank over the degree-d monomial basis, and a point-evaluation rank over
-the configuration points.  They are cross-checked in the test suite.
+Two independent algorithms compute that dimension in the plane: a
+coefficient-matrix rank over the degree-d monomial basis, and a
+point-evaluation rank over the configuration points.  They are
+cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .matrices import ExactMatrix
 from .polynomials import (HomogeneousPoly, monomials_of_degree, poly_product,
                           poly_sum)
 from .starconfig import (GenericityError, LinearForm, ProjectivePoint,
-                         StarConfiguration, build_star, random_general_forms)
+                         StarConfiguration, build_star, random_star)
 
 RETRY_BUDGET = 100
 
@@ -41,8 +43,9 @@ class TangentProblem:
 
     def __init__(self, star: StarConfiguration, d: int,
                  multipliers: Sequence[HomogeneousPoly]):
-        if d < star.l - 1:
-            raise ValueError(f"need d >= l - 1 = {star.l - 1}, got d = {d}")
+        if d < star.generator_degree:
+            raise ValueError(f"need d >= l - n + 1 = {star.generator_degree},"
+                             f" got d = {d}")
         self.star = star
         self.d = d
         self.multipliers = list(multipliers)
@@ -59,25 +62,29 @@ class TangentProblem:
 
 def build_q_forms(star: StarConfiguration,
                   multipliers: Sequence[HomogeneousPoly]) -> list[HomogeneousPoly]:
-    """The l forms Q_j = sum_{i != j} M_i * Lhat_{j,i} of degree d - 1."""
-    l = star.l
-    if len(multipliers) != l:
-        raise ValueError(f"expected {l} multipliers, got {len(multipliers)}")
+    """The l forms Q_i of degree d - 1, from one product of the forms
+    outside each n-subset s, shared by the Q_i with i in s.
+
+    `multipliers` are the M_T in generator-key order.
+    """
+    keys = star.generator_keys()
+    if len(multipliers) != len(keys):
+        raise ValueError(f"expected {len(keys)} multipliers, "
+                         f"got {len(multipliers)}")
     mdeg = multipliers[0].degree
     for m in multipliers:
         check_same_field(m.field, star.field)
         if m.degree != mdeg:
             raise ValueError("multipliers must share one degree")
-    d = mdeg + l - 1
-    q_forms = []
-    for j in range(1, l + 1):
-        parts = []
-        for i in range(1, l + 1):
-            if i == j:
-                continue
-            parts.append(multipliers[i - 1] * star.hat_product_without(i, j))
-        q_forms.append(poly_sum(parts, star.field, 3, d - 1))
-    return q_forms
+    mult = dict(zip(keys, multipliers))
+    parts: list[list[HomogeneousPoly]] = [[] for _ in range(star.l)]
+    for s in star.point_keys():
+        outside = star.hat_product_without(*s)
+        for i in s:
+            rest = tuple(j for j in s if j != i)
+            parts[i - 1].append(mult[rest] * outside)
+    return [poly_sum(p, star.field, star.n + 1, mdeg + star.l - star.n)
+            for p in parts]
 
 
 def ideal_component_dim(generators: Sequence[HomogeneousPoly], d: int) -> int:
@@ -114,7 +121,7 @@ def ideal_component_dim(generators: Sequence[HomogeneousPoly], d: int) -> int:
 
 def tangent_dim_direct(problem: TangentProblem) -> int:
     """dim_k I_d via the coefficient-matrix rank (algorithm A)."""
-    gens = list(problem.star.hat_products) + list(problem.q_forms)
+    gens = problem.star.generators + problem.q_forms
     return ideal_component_dim(gens, problem.d)
 
 
@@ -268,17 +275,16 @@ def structured_multipliers(star: StarConfiguration, d: int,
 
 def random_multipliers(star: StarConfiguration, d: int,
                        rng: random.Random) -> list[HomogeneousPoly]:
-    """Random dense forms of degree d - l + 1, one per line."""
-    mdeg = d - star.l + 1
+    """Random dense forms of degree d - l + n - 1, one per generator, in
+    generator-key order."""
+    mdeg = d - star.generator_degree
     if mdeg < 0:
-        raise ValueError("need d >= l - 1")
-    fld = star.field
-    basis = monomials_of_degree(3, mdeg)
-    out = []
-    for _ in range(star.l):
-        out.append(HomogeneousPoly(fld, 3, mdeg,
-                                   {m: fld.random(rng) for m in basis}))
-    return out
+        raise ValueError("need d >= l - n + 1")
+    fld, nvars = star.field, star.n + 1
+    basis = monomials_of_degree(nvars, mdeg)
+    return [HomogeneousPoly(fld, nvars, mdeg,
+                            {m: fld.random(rng) for m in basis})
+            for _ in star.generator_keys()]
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +306,27 @@ def trial_seed(seed: int, trial: int) -> int:
 def lower_bound_dim_S(d: int, l: int, fld: Field, trials: int = 3,
                       seed: int = 0,
                       forms: Sequence[LinearForm] | None = None,
-                      multipliers: Sequence[HomogeneousPoly] | None = None
-                      ) -> LowerBoundResult:
-    """Semicontinuity lower bound: max over random trials of dim_k I_d - 1.
+                      multipliers: Sequence[HomogeneousPoly] | None = None,
+                      n: int = 2) -> LowerBoundResult:
+    """Semicontinuity lower bound: max over random trials of dim_k I_d - 1,
+    for l hyperplanes in P^n (lines in the plane by default).
 
     Any specific choice of data gives a tangent dimension that can only be
     smaller than the generic one, so the maximum observed dimension minus
-    one certifies a lower bound on dim S(d, l).  Fixed `forms` and/or
-    `multipliers` override the random draws in every trial.
+    one certifies a lower bound on the dimension of the locus.  Fixed
+    `forms` and/or `multipliers` override the random draws in every trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if d < l - 1:
-        raise ValueError("need d >= l - 1")
+    if d < l - n + 1:
+        raise ValueError(f"need d >= l - n + 1 = {l - n + 1}")
     dims = []
     seeds = []
     for t in range(trials):
         ts = trial_seed(seed, t)
         seeds.append(ts)
         star = build_star(forms) if forms is not None else \
-            build_star(random_general_forms(l, ts, fld))
+            random_star(l, ts, fld, n)
         if multipliers is not None:
             mult = list(multipliers)
         else:

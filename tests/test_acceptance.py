@@ -8,7 +8,7 @@ from math import comb
 
 from starcurves.fields import PrimeField, QQ
 from starcurves.formulas import closed_form_dimension, pn_upper_bound
-from starcurves.pnstar import conjecture_row, pn_tangent_lower_bound
+from starcurves.pnstar import conjecture_row
 from starcurves.reference_cases import (block_matrix_rank,
                                         luroth_case_dimension,
                                         six_line_matrix_rank)
@@ -79,7 +79,7 @@ def test_criterion_5_emptiness():
         star = build_star(random_general_forms(l, 100 + l, GF))
         for d in range(0, l - 1):
             cert = certify(d, l, GF)
-            ideal_dim = ideal_component_dim(star.hat_products, d)
+            ideal_dim = ideal_component_dim(star.generators, d)
             if cert.verdict != "EMPTY" or ideal_dim != 0:
                 bad.append((d, l, cert.verdict, ideal_dim))
     report(5, "d < l-1: verdict EMPTY and the configuration ideal is "
@@ -137,7 +137,8 @@ def test_criterion_9_pn_extension():
     mismatch = []
     for l in range(2, 7):
         for d in range(l - 1, 9):
-            a = pn_tangent_lower_bound(2, d, l, GF, trials=1, seed=11)
+            a = lower_bound_dim_S(d, l, GF, trials=1, seed=11,
+                                  n=2).lower_bound
             b = lower_bound_dim_S(d, l, GF, trials=1, seed=11).lower_bound
             if a != b:
                 mismatch.append((d, l, a, b))
@@ -145,7 +146,8 @@ def test_criterion_9_pn_extension():
     rows = []
     for l in range(3, 6):
         for d in range(max(l - 1, l - 3 + 1), 7):
-            lower = pn_tangent_lower_bound(3, d, l, GF, trials=1, seed=13)
+            lower = lower_bound_dim_S(d, l, GF, trials=1, seed=13,
+                                      n=3).lower_bound
             formula = pn_upper_bound(3, d, l)
             if lower > formula:
                 violations.append((d, l, lower, formula))

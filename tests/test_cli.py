@@ -81,14 +81,6 @@ def test_sweep_includes_quartic_row(capsys):
     assert q and q[0]["theorem_value"] == "13"
 
 
-def test_sweep_jobs_matches_serial(capsys):
-    base = ("sweep", "--dmax", "4", "--lmax", "4", "--trials", "1",
-            "--seed", "3", "--format", "csv")
-    _, serial, _ = run_cli(capsys, *base)
-    _, parallel, _ = run_cli(capsys, *base, "--jobs", "4")
-    assert strip_elapsed(serial) == strip_elapsed(parallel)
-
-
 def test_sweep_empty_range_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--dmax", "0", "--lmax", "1"])
@@ -150,3 +142,15 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert target.exists()
     assert "CERTIFIED" in target.read_text()
+
+
+@pytest.mark.parametrize("argv, l, n, q", [
+    (("verify", "--d", "5", "--l", "6", "--prime", "3"), 6, 2, 3),
+    (("verify", "--d", "5", "--l", "5", "--prime", "2"), 5, 2, 2),
+    (("hilbert", "--l", "12", "--prime", "5"), 12, 2, 5),
+])
+def test_lines_past_arc_bound_rejected(capsys, argv, l, n, q):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"l = {l} hyperplanes of P^{n} over GF({q})" in err
+    assert "arc bound" in err

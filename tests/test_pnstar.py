@@ -2,9 +2,9 @@ import pytest
 
 from starcurves.fields import PrimeField
 from starcurves.formulas import pn_upper_bound
-from starcurves.pnstar import (PnStarConfiguration, build_pn_star,
-                               conjecture_row, pn_tangent_lower_bound)
-from starcurves.starconfig import (GenericityError, LinearForm, build_star,
+from starcurves.pnstar import conjecture_row
+from starcurves.starconfig import (GenericityError, LinearForm,
+                                   StarConfiguration, build_star,
                                    random_general_forms)
 from starcurves.tangent import lower_bound_dim_S
 
@@ -19,34 +19,34 @@ def coordinate_hyperplanes(n):
 def test_n2_reproduces_plane_configuration():
     forms = random_general_forms(5, 13, GF)
     plane = build_star(forms)
-    pn = build_pn_star(2, forms)
+    pn = StarConfiguration(forms)
     assert {tuple(k) for k in pn.points} == set(plane.points)
     for key, p in plane.points.items():
         assert pn.points[key] == p
     # generators over singleton complements are exactly the hat products
-    for i, hat in enumerate(plane.hat_products, start=1):
-        assert pn.generators[(i,)] == hat
+    for i, hat in enumerate(plane.generators, start=1):
+        assert pn.generators[i - 1] == hat == plane.hat_product_without(i)
 
 
 def test_p3_coordinate_hyperplanes():
-    config = build_pn_star(3, coordinate_hyperplanes(3))
+    config = build_star(coordinate_hyperplanes(3))
     assert len(config.points) == 4
     coords = {p.coordinates for p in config.point_list()}
     assert coords == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
 
 
 def test_p3_point_count():
-    forms = random_general_forms(5, 3, GF, nvars=4, independence=4)
-    config = build_pn_star(3, forms)
+    forms = random_general_forms(5, 3, GF, n=3)
+    config = build_star(forms)
     assert len(config.points) == 10   # C(5, 3)
-    assert all(g.degree == 3 for g in config.generators.values())
+    assert all(g.degree == 3 for g in config.generators)
 
 
 def test_points_lie_on_their_hyperplanes_only():
-    forms = random_general_forms(5, 21, GF, nvars=4, independence=4)
-    config = build_pn_star(3, forms)
+    forms = random_general_forms(5, 21, GF, n=3)
+    config = build_star(forms)
     for subset, p in config.points.items():
-        for k, form in enumerate(config.hyperplanes, start=1):
+        for k, form in enumerate(config.forms, start=1):
             val = form.evaluate(p)
             if k in subset:
                 assert GF.is_zero(val)
@@ -55,9 +55,9 @@ def test_points_lie_on_their_hyperplanes_only():
 
 
 def test_generators_vanish_on_configuration():
-    forms = random_general_forms(5, 8, GF, nvars=4, independence=4)
-    config = build_pn_star(3, forms)
-    for gen in config.generators.values():
+    forms = random_general_forms(5, 8, GF, n=3)
+    config = build_star(forms)
+    for gen in config.generators:
         for p in config.point_list():
             assert GF.is_zero(gen.evaluate(p.coordinates))
 
@@ -66,13 +66,13 @@ def test_degenerate_hyperplanes_rejected():
     forms = coordinate_hyperplanes(3)
     forms.append(LinearForm(GF, [1, 1, 0, 0]))   # dependent with L1, L2
     with pytest.raises(GenericityError):
-        build_pn_star(3, forms)
+        build_star(forms)
 
 
 def test_n2_agrees_with_plane_lower_bound():
     for l in (3, 4, 5):
         for d in range(l - 1, l + 2):
-            a = pn_tangent_lower_bound(2, d, l, GF, trials=1, seed=6)
+            a = lower_bound_dim_S(d, l, GF, trials=1, seed=6, n=2).lower_bound
             b = lower_bound_dim_S(d, l, GF, trials=1, seed=6).lower_bound
             assert a == b
 
@@ -80,7 +80,8 @@ def test_n2_agrees_with_plane_lower_bound():
 def test_n3_never_exceeds_formula():
     for l in (3, 4):
         for d in range(l - 1, l + 2):
-            lower = pn_tangent_lower_bound(3, d, l, GF, trials=1, seed=2)
+            lower = lower_bound_dim_S(d, l, GF, trials=1, seed=2,
+                                      n=3).lower_bound
             assert lower <= pn_upper_bound(3, d, l)
 
 
@@ -88,12 +89,20 @@ def test_conjecture_row_fields():
     row = conjecture_row(3, 3, 4, GF, trials=1, seed=5)
     assert (row.n, row.d, row.l) == (3, 3, 4)
     assert row.formula_min == 19
-    assert row.status in ("CONFIRMED", "REFUTED")
+    assert row.status in ("CONFIRMED", "OPEN")
     assert row.lower_bound <= row.formula_min
+
+
+def test_conjecture_row_luroth_case_is_open():
+    # the plane formula overshoots the certified Luroth dimension 13 by one;
+    # a lower bound from random data leaves the row open, never refuted
+    row = conjecture_row(2, 4, 5, GF, trials=1, seed=0)
+    assert (row.lower_bound, row.formula_min) == (13, 14)
+    assert row.status == "OPEN"
 
 
 def test_degree_precondition():
     with pytest.raises(ValueError):
-        pn_tangent_lower_bound(3, 1, 4, GF)
+        lower_bound_dim_S(1, 4, GF, n=3)
     with pytest.raises(ValueError):
-        PnStarConfiguration(1, coordinate_hyperplanes(1))
+        StarConfiguration(coordinate_hyperplanes(1))

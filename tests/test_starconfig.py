@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from starcurves import starconfig
 from starcurves.fields import PrimeField, QQ
 from starcurves.polynomials import parse_poly
 from starcurves.reference_cases import five_line_forms, six_line_forms
@@ -12,8 +13,8 @@ from starcurves.starconfig import (GenericityError, LinearForm,
                                    ProjectivePoint, build_star,
                                    configuration_to_json_str,
                                    hilbert_function, intersection_point,
-                                   is_general, parse_forms,
-                                   random_general_forms)
+                                   arc_bound, parse_forms,
+                                   random_general_forms, random_star)
 from starcurves.tangent import ideal_component_dim
 
 GF = PrimeField()
@@ -22,6 +23,15 @@ GF = PrimeField()
 def coordinate_forms(field=QQ):
     return [LinearForm(field, [field.from_int(1 if i == j else 0)
                                for j in range(3)]) for i in range(3)]
+
+
+def is_general(forms):
+    """True iff the forms build a star configuration (every 3 independent)."""
+    try:
+        build_star(forms)
+    except GenericityError:
+        return False
+    return True
 
 
 def test_is_general_coordinate_triangle():
@@ -100,7 +110,7 @@ def test_build_star_counts():
     assert len(build_star(six_line_forms(QQ)).points) == 15
     star5 = build_star(five_line_forms(QQ))
     assert len(star5.points) == 10
-    assert all(h.degree == 4 for h in star5.hat_products)
+    assert all(h.degree == 4 for h in star5.generators)
 
 
 def test_build_star_reports_offending_triple():
@@ -135,7 +145,7 @@ def test_points_on_their_lines_only():
 
 def test_hat_products_vanish_on_configuration():
     star = build_star(random_general_forms(5, 31, GF))
-    for hat in star.hat_products:
+    for hat in star.generators:
         for p in star.point_list():
             assert star.field.is_zero(hat.evaluate(p.coordinates))
     # nonzero at a point off all lines
@@ -144,14 +154,14 @@ def test_hat_products_vanish_on_configuration():
         coords = [GF.random(rng) for _ in range(3)]
         if all(not GF.is_zero(f.poly().evaluate(coords)) for f in star.forms):
             break
-    for hat in star.hat_products:
+    for hat in star.generators:
         assert not GF.is_zero(hat.evaluate(coords))
 
 
 def test_ideal_empty_below_generator_degree():
     star = build_star(random_general_forms(6, 5, GF))
     for d in range(star.l - 1):
-        assert ideal_component_dim(star.hat_products, d) == 0
+        assert ideal_component_dim(star.generators, d) == 0
 
 
 def test_random_general_forms_deterministic():
@@ -165,6 +175,29 @@ def test_random_general_forms_first_draw_success():
     for seed in range(100):
         forms = random_general_forms(8, seed, GF)
         assert is_general(forms)
+
+
+def test_small_prime_accepts_l_at_arc_bound():
+    # an oval of GF(3) (q + 1 lines) and a hyperoval of GF(2) (q + 2)
+    for q, bound in ((3, 4), (2, 4)):
+        assert arc_bound(2, q) == bound
+        forms = random_general_forms(bound, 0, PrimeField(q))
+        assert is_general(forms)
+
+
+def test_small_prime_rejects_l_past_arc_bound():
+    with pytest.raises(ValueError, match=r"l = 5 hyperplanes of P\^2 over "
+                                         r"GF\(3\).*at most 4"):
+        random_general_forms(5, 0, PrimeField(3))
+    with pytest.raises(ValueError, match=r"l = 7 hyperplanes of P\^3 over "
+                                         r"GF\(3\)"):
+        random_general_forms(7, 0, PrimeField(3), n=3)
+
+
+def test_exhausted_draws_suggest_larger_prime(monkeypatch):
+    monkeypatch.setattr(starconfig, "RETRY_BUDGET", 0)
+    with pytest.raises(GenericityError, match="try a larger prime"):
+        random_star(3, 0, PrimeField(5))
 
 
 def test_hilbert_function_examples():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starcurves.fields import PrimeField, QQ
 from starcurves.matrices import ExactMatrix
@@ -74,6 +76,31 @@ def test_q_forms_mixed_degrees_rejected():
         build_q_forms(star, mult)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3]),
+       field=st.sampled_from([GF, PrimeField(11), QQ]),
+       l=st.integers(2, 5), extra=st.integers(0, 2),
+       seed=st.integers(0, 2**20))
+def test_q_forms_match_product_rule(n, field, l, extra, seed):
+    # x_k * Q_i is the first-order term of sum_T M_T * prod_{j not in T} L_j
+    # under L_i -> L_i + t*x_k; here that term comes from the product rule
+    l = max(l, n)
+    star = build_star(random_general_forms(l, seed, field, n=n))
+    d = star.generator_degree + extra
+    mult = random_multipliers(star, d, random.Random(seed))
+    q = build_q_forms(star, mult)
+    nvars = n + 1
+    zero1 = HomogeneousPoly.zero(field, nvars, 1)
+    for i in range(1, l + 1):
+        for k in range(nvars):
+            xk = HomogeneousPoly.variable(field, nvars, k)
+            parts = [m * perturbation_coefficient(
+                         [(star.forms[j - 1].poly(), xk if j == i else zero1)
+                          for j in range(1, l + 1) if j not in key])
+                     for key, m in zip(star.generator_keys(), mult)]
+            assert xk * q[i - 1] == poly_sum(parts, field, nvars, d)
+
+
 # -- graded ideal components ------------------------------------------------
 
 def test_ideal_component_single_variable():
@@ -84,12 +111,12 @@ def test_ideal_component_single_variable():
 def test_ideal_component_five_line_hats():
     star = build_star(five_line_forms(QQ))
     # complement of HF(X(5), 4) = 10 inside dim S_4 = 15
-    assert ideal_component_dim(star.hat_products, 4) == 5
+    assert ideal_component_dim(star.generators, 4) == 5
 
 
 def test_ideal_component_below_degree():
     star = build_star(six_line_forms(QQ))
-    assert ideal_component_dim(star.hat_products, 4) == 0
+    assert ideal_component_dim(star.generators, 4) == 0
 
 
 def test_ideal_component_constant_generator():
@@ -162,7 +189,7 @@ def test_monotonicity_bounds():
         problem = random_problem(l, d, rng.randrange(2**30))
         dim = tangent_dim_direct(problem)
         assert dim <= comb(d + 2, 2)
-        assert dim >= ideal_component_dim(problem.star.hat_products, d)
+        assert dim >= ideal_component_dim(problem.star.generators, d)
 
 
 def test_perturbation_elements_lie_in_tangent_space():
@@ -191,7 +218,7 @@ def test_perturbation_elements_lie_in_tangent_space():
         parts.append(mult[i] * perturbation_coefficient(factors))
     tangent_vector = poly_sum(parts, GF, 3, d)
 
-    gens = list(star.hat_products) + list(problem.q_forms)
+    gens = list(star.generators) + list(problem.q_forms)
     base_rank = ideal_component_dim(gens, d)
     basis = monomials_of_degree(3, d)
     rows = []
