@@ -13,10 +13,11 @@ from .starconfig import (GenericityError, LinearForm, ProjectivePoint,
                          StarConfiguration, build_star, hilbert_function,
                          intersection_point, random_general_forms,
                          random_star)
-from .tangent import (DimensionCertificate, TangentProblem, build_q_forms,
-                      certify, ideal_component_dim, lower_bound_dim_S,
+from .tangent import (DimensionCertificate, build_q_forms, certify,
+                      ideal_component_dim, lower_bound_dim_S,
                       evaluation_submatrix_rank, tangent_dim_direct,
-                      tangent_dim_points, structured_multipliers)
+                      tangent_dim_points, tangent_values,
+                      structured_multipliers)
 
 __version__ = "0.1.0"
 
@@ -31,7 +32,8 @@ __all__ = [
     "GenericityError", "LinearForm", "ProjectivePoint", "StarConfiguration",
     "build_star", "hilbert_function", "intersection_point",
     "random_general_forms", "random_star",
-    "DimensionCertificate", "TangentProblem", "build_q_forms", "certify",
+    "DimensionCertificate", "build_q_forms", "certify",
     "ideal_component_dim", "lower_bound_dim_S", "evaluation_submatrix_rank",
-    "tangent_dim_direct", "tangent_dim_points", "structured_multipliers",
+    "tangent_dim_direct", "tangent_dim_points", "tangent_values",
+    "structured_multipliers",
 ]

@@ -2,7 +2,9 @@
 explicit computations, and run the P^n conjecture experiments.
 
 Exit status: 0 on success (all CERTIFIED/EMPTY, all reference checks
-PASS), 1 when a GAP verdict or a FAIL occurs, 2 on usage errors.
+PASS), 1 when a GAP verdict or a FAIL occurs, 2 on usage errors, 3 when
+`verify`, `sweep` or `pn` finds a lower bound above the least upper bound
+(verdict or status CONTRADICTION).  The worst outcome decides.
 """
 
 from __future__ import annotations
@@ -31,9 +33,15 @@ log = logging.getLogger("starcurves")
 EXIT_OK = 0
 EXIT_GAP = 1
 EXIT_USAGE = 2
+EXIT_CONTRADICTION = 3
 
-CSV_COLUMNS = ["d", "l", "field", "lower_bound", "theorem_value",
-               "min_upper_bound", "verdict", "seed", "elapsed_ms"]
+#: Exit status of the verdicts (certify) and statuses (pn) that are not 0.
+VERDICT_EXIT = {"GAP": EXIT_GAP, "CONTRADICTION": EXIT_CONTRADICTION}
+
+
+def exit_status(verdicts) -> int:
+    return max((VERDICT_EXIT.get(v, EXIT_OK) for v in verdicts),
+               default=EXIT_OK)
 
 
 def field_from_args(args) -> Field:
@@ -52,41 +60,36 @@ def field_label(fld: Field) -> str:
 
 
 def certificate_row(cert, fld, seed, elapsed_ms) -> dict:
-    if cert.verdict == "EMPTY":
-        min_upper = ""
-        lower = ""
-        theorem = "EMPTY"
-    else:
-        min_upper = min_upper_bound(cert.d, cert.l)
-        lower = cert.lower_bound
-        theorem = cert.theorem_value
+    empty = cert.verdict == "EMPTY"
     return {
         "d": cert.d, "l": cert.l, "field": field_label(fld),
-        "lower_bound": lower, "theorem_value": theorem,
-        "min_upper_bound": min_upper, "verdict": cert.verdict,
-        "seed": seed, "elapsed_ms": elapsed_ms,
+        "lower_bound": "" if empty else cert.lower_bound,
+        "theorem_value": "EMPTY" if empty else cert.theorem_value,
+        "min_upper_bound": "" if empty else min_upper_bound(cert.d, cert.l),
+        "verdict": cert.verdict, "seed": seed, "elapsed_ms": elapsed_ms,
     }
 
 
-def emit_rows(rows: list[dict], fmt: str, output: str | None):
+def aligned_table(rows: list[dict]) -> list[str]:
+    """A header line and one line per row, each column padded to its width."""
+    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in rows[0]}
+    return ["  ".join(c.ljust(w) for c, w in widths.items())] + [
+        "  ".join(str(r[c]).ljust(w) for c, w in widths.items()) for r in rows]
+
+
+def emit_rows(rows: list[dict], fmt: str, output: str | None,
+              table=aligned_table):
+    """Write the nonempty `rows` as CSV, JSON or the lines of `table(rows)`."""
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
+        writer.writerows(rows)
         text = buf.getvalue()
     elif fmt == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        widths = {c: max(len(c), *(len(str(r[c])) for r in rows))
-                  for c in CSV_COLUMNS} if rows else {c: len(c)
-                                                     for c in CSV_COLUMNS}
-        lines = ["  ".join(c.ljust(widths[c]) for c in CSV_COLUMNS)]
-        for r in rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c])
-                                   for c in CSV_COLUMNS))
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(table(rows)) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -95,7 +98,7 @@ def emit_rows(rows: list[dict], fmt: str, output: str | None):
 
 
 def run_one(d: int, l: int, fld: Field, trials: int, seed: int,
-            paper_forms: bool) -> tuple[dict, str]:
+            paper_forms: bool) -> dict:
     start = time.monotonic()
     forms = None
     multipliers = None
@@ -114,16 +117,16 @@ def run_one(d: int, l: int, fld: Field, trials: int, seed: int,
     for t, dim in zip(cert.seeds, cert.trial_dims):
         log.debug("(d=%d, l=%d) trial seed %d: tangent dimension %d",
                   d, l, t, dim)
-    return certificate_row(cert, fld, seed, elapsed_ms), cert.verdict
+    return certificate_row(cert, fld, seed, elapsed_ms)
 
 
 def cmd_verify(args) -> int:
     fld = field_from_args(args)
-    row, verdict = run_one(args.d, args.l, fld, args.trials, args.seed,
-                           args.paper_forms)
+    row = run_one(args.d, args.l, fld, args.trials, args.seed,
+                  args.paper_forms)
     emit_rows([row], args.format, args.output)
-    print(f"verdict: {verdict}", file=sys.stderr)
-    return EXIT_OK if verdict in ("CERTIFIED", "EMPTY") else EXIT_GAP
+    print(f"verdict: {row['verdict']}", file=sys.stderr)
+    return exit_status([row["verdict"]])
 
 
 def cmd_sweep(args) -> int:
@@ -136,15 +139,16 @@ def cmd_sweep(args) -> int:
     if not cases:
         raise SystemExit("error: empty sweep range")
 
-    results = [run_one(d, l, fld, args.trials, args.seed, False)
-               for d, l in cases]
-    rows = [r for r, _ in results]
-    verdicts = [v for _, v in results]
+    rows = [run_one(d, l, fld, args.trials, args.seed, False)
+            for d, l in cases]
+    verdicts = [r["verdict"] for r in rows]
     emit_rows(rows, args.format, args.output)
-    counts = {v: verdicts.count(v) for v in ("CERTIFIED", "GAP", "EMPTY")}
-    print(f"summary: {counts['CERTIFIED']} CERTIFIED, {counts['GAP']} GAP, "
-          f"{counts['EMPTY']} EMPTY", file=sys.stderr)
-    return EXIT_OK if counts["GAP"] == 0 else EXIT_GAP
+    summary = ", ".join(f"{verdicts.count(v)} {v}"
+                        for v in ("CERTIFIED", "GAP", "EMPTY"))
+    if "CONTRADICTION" in verdicts:
+        summary += f", {verdicts.count('CONTRADICTION')} CONTRADICTION"
+    print(f"summary: {summary}", file=sys.stderr)
+    return exit_status(verdicts)
 
 
 def cmd_paper_examples(args) -> int:
@@ -173,8 +177,6 @@ def cmd_pn(args) -> int:
     rows = []
     for l in range(max(2, args.n), args.lmax + 1):
         for d in range(l - 1, args.dmax + 1):
-            if d < l - args.n + 1:
-                continue
             r = conjecture_row(args.n, d, l, fld, trials=args.trials,
                                seed=args.seed)
             rows.append({"n": r.n, "d": r.d, "l": r.l,
@@ -182,24 +184,10 @@ def cmd_pn(args) -> int:
                          "formula_min": r.formula_min, "status": r.status})
     if not rows:
         raise SystemExit("error: empty range")
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = "\n".join(
-            f"n={r['n']} d={r['d']} l={r['l']}  lower={r['lower_bound']}  "
-            f"formula={r['formula_min']}  {r['status']}" for r in rows) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    emit_rows(rows, args.format, args.output, table=lambda rows: [
+        f"n={r['n']} d={r['d']} l={r['l']}  lower={r['lower_bound']}  "
+        f"formula={r['formula_min']}  {r['status']}" for r in rows])
+    return exit_status(r["status"] for r in rows)
 
 
 def cmd_hilbert(args) -> int:

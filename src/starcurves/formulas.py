@@ -4,7 +4,8 @@ degree-d plane curves containing a star configuration of l lines.
 The one exceptional pair is (d, l) = (4, 5): quartics through an X(5) are
 the Luroth quartics, a hypersurface, so the dimension drops by one below
 the otherwise-expected value.  That external fact enters as a constant
-with an explicit source tag.
+with an explicit source tag, as does the generation of star-configuration
+ideals that the tangent rank relies on.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from math import comb
 
 LUROTH_BOUND = 13       # dim of the Luroth hypersurface in P^14
 LUROTH_SOURCE = "luroth"
+
+#: The products of the forms outside each (n-1)-subset span the ideal of a
+#: star configuration in P^n in every degree d >= l - n + 1 (Geramita-
+#: Harbourne-Migliore, "Star configurations in P^n", J. Algebra 376, 2013).
+STAR_IDEAL_SOURCE = "star-ideal-generation"
 
 
 @dataclass(frozen=True)

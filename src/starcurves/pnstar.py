@@ -7,6 +7,7 @@ The tangent dimension gives a semicontinuity lower bound on the locus of
 degree-d hypersurfaces containing such a configuration.  The conjectured
 equality with the closed-form upper bound is reported, never asserted: a
 lower bound from random data can confirm the formula but not refute it.
+A lower bound above the upper bound is reported as a CONTRADICTION.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class PnSweepRow:
     l: int
     lower_bound: int
     formula_min: int
-    status: str       # CONFIRMED | OPEN
+    status: str       # CONFIRMED | OPEN | CONTRADICTION
 
 
 def conjecture_row(n: int, d: int, l: int, fld: Field, trials: int = 3,
@@ -34,8 +35,9 @@ def conjecture_row(n: int, d: int, l: int, fld: Field, trials: int = 3,
                               n=n).lower_bound
     formula = pn_upper_bound(n, d, l)
     if lower > formula:
-        raise AssertionError(
-            f"lower bound {lower} exceeds the upper bound {formula} "
-            f"at (n,d,l)=({n},{d},{l}); this should be impossible")
-    status = "CONFIRMED" if lower == formula else "OPEN"
+        status = "CONTRADICTION"
+    elif lower == formula:
+        status = "CONFIRMED"
+    else:
+        status = "OPEN"
     return PnSweepRow(n, d, l, lower, formula, status)

@@ -12,11 +12,9 @@ import random
 
 from .fields import Field
 from .polynomials import HomogeneousPoly
-from .starconfig import (GenericityError, LinearForm, StarConfiguration,
-                         build_star)
-from .tangent import (TangentProblem, _avoiding_linear_form,
-                      evaluation_submatrix_rank, tangent_dim_direct,
-                      structured_multipliers)
+from .starconfig import GenericityError, LinearForm, build_star
+from .tangent import (_avoiding_linear_form, evaluation_submatrix_rank,
+                      tangent_dim_direct, structured_multipliers)
 
 #: Coefficient vectors of the five lines certifying dim S(4,5) = 13.
 FIVE_LINE_COEFFS = [
@@ -87,10 +85,11 @@ def extended_forms(fld: Field, l: int) -> list[LinearForm]:
 
 
 def luroth_case_dimension(fld: Field) -> int:
-    """dim_k I_4 for the five fixed lines with unit multipliers (expect 14)."""
+    """dim_k I_4 for the five fixed lines with unit multipliers (expect 14),
+    by the coefficient-matrix rank, which needs no outside theorem."""
     star = build_star(five_line_forms(fld))
     ones = [HomogeneousPoly.one(fld, 3)] * 5
-    return tangent_dim_direct(TangentProblem(star, 4, ones))
+    return tangent_dim_direct(star, 4, ones)
 
 
 def six_line_matrix_rank(fld: Field, d: int) -> int:
@@ -107,21 +106,13 @@ def six_line_matrix_rank(fld: Field, d: int) -> int:
         mult = [g] * 6
     else:
         mult = structured_multipliers(star, d)
-    problem = TangentProblem(star, d, mult)
-    return evaluation_submatrix_rank(problem, TWELVE_ROWS, TWELVE_COLUMNS)
+    return evaluation_submatrix_rank(star, d, mult, TWELVE_ROWS,
+                                     TWELVE_COLUMNS)
 
 
 def block_matrix_rank(fld: Field, l: int, d: int, seed: int = 0) -> int:
     """Rank of the 2l x 2l block evaluation matrix for l >= 7."""
     star = build_star(extended_forms(fld, l))
     mult = structured_multipliers(star, d, seed=seed)
-    problem = TangentProblem(star, d, mult)
-    return evaluation_submatrix_rank(problem, block_rows(l), block_columns(l))
-
-
-def reference_star(fld: Field, l: int) -> StarConfiguration:
-    if l == 5:
-        return build_star(five_line_forms(fld))
-    if l == 6:
-        return build_star(six_line_forms(fld))
-    return build_star(extended_forms(fld, l))
+    return evaluation_submatrix_rank(star, d, mult, block_rows(l),
+                                     block_columns(l))

@@ -211,14 +211,11 @@ def build_star(forms: Sequence[LinearForm]) -> StarConfiguration:
 
 
 def arc_bound(n: int, q: int) -> int:
-    """The most hyperplanes of P^n over GF(q) in general position: the
-    largest arc of the dual space.  n - 1 points of an arc lie on q + 1
-    hyperplanes through their span, each holding at most one more point,
-    so an arc has at most q + n points; in the plane Bose's theorem lowers
-    that to q + 1 for odd q (hyperovals reach q + 2 for even q)."""
-    if n == 2 and q % 2:
-        return q + 1
-    return q + n
+    """The most hyperplanes of P^n over GF(q), q prime, in general
+    position: the largest arc of the dual space.  That is at most q + 1
+    when q > n (Ball, J. Eur. Math. Soc. 14, 2012) and at most n + 2 when
+    q <= n (Bush, 1952)."""
+    return max(q, n + 1) + 1
 
 
 def random_star(l: int, seed: int, field: Field,

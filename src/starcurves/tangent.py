@@ -13,51 +13,53 @@ component of the ideal (Lhat_T, Q_1..Q_l) is the affine tangent space at
 the chosen data.  Its dimension minus one is a semicontinuity lower bound
 for the dimension of the locus; matching a known upper bound certifies it.
 
-Two independent algorithms compute that dimension in the plane: a
-coefficient-matrix rank over the degree-d monomial basis, and a
-point-evaluation rank over the configuration points.  They are
-cross-checked in the test suite.
+Two independent algorithms compute that dimension for every n.  A ranks
+the coefficient matrix over the degree-d monomial basis; it needs the Q
+forms but no outside theorem.  B needs only scalars: every term of Q_j
+keeps a form L_h with h in s, except the term of s itself when j is in s,
+so Q_i(p_s) = M_{s - i}(p_s) * prod_{h not in s} L_h(p_s) for i in s and
+Q_j(p_s) = 0 otherwise.  As the generators span the ideal of the points in
+every degree d >= l - n + 1 (Geramita-Harbourne-Migliore), dim_k I_d is
+C(d+n,n) - C(l,n) plus the rank of the values of the x_k * Q_i at the
+points.  Certificates use B; the tests cross-check it against A.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Sequence
 
-from .fields import Field, check_same_field
-from .formulas import closed_form_dimension, upper_bounds
+from .fields import Element, Field, check_same_field
+from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
+                       closed_form_dimension, upper_bounds)
 from .matrices import ExactMatrix
 from .polynomials import (HomogeneousPoly, monomials_of_degree, poly_product,
                           poly_sum)
-from .starconfig import (GenericityError, LinearForm, ProjectivePoint,
+from .starconfig import (RETRY_BUDGET, GenericityError, LinearForm,
                          StarConfiguration, build_star, random_star)
 
-RETRY_BUDGET = 100
 
-
-class TangentProblem:
-    """A star configuration with chosen multipliers and the derived Q forms."""
-
-    def __init__(self, star: StarConfiguration, d: int,
-                 multipliers: Sequence[HomogeneousPoly]):
-        if d < star.generator_degree:
-            raise ValueError(f"need d >= l - n + 1 = {star.generator_degree},"
-                             f" got d = {d}")
-        self.star = star
-        self.d = d
-        self.multipliers = list(multipliers)
-        self.q_forms = build_q_forms(star, self.multipliers)
-
-    @property
-    def l(self) -> int:
-        return self.star.l
-
-    @property
-    def field(self) -> Field:
-        return self.star.field
+def _multiplier_degree(star: StarConfiguration,
+                       multipliers: Sequence[HomogeneousPoly],
+                       d: int | None = None) -> int:
+    """The common degree of the multipliers, one per generator key; given
+    d, it must be d - (l - n + 1)."""
+    count = len(star.generator_keys())
+    if len(multipliers) != count:
+        raise ValueError(f"expected {count} multipliers, "
+                         f"got {len(multipliers)}")
+    mdeg = multipliers[0].degree
+    for m in multipliers:
+        check_same_field(m.field, star.field)
+        if m.degree != mdeg:
+            raise ValueError("multipliers must share one degree")
+    if d is not None and mdeg != d - star.generator_degree:
+        raise ValueError(f"need d >= l - n + 1 = {star.generator_degree} and "
+                         f"multipliers of degree d - (l - n + 1), got d = {d}"
+                         f" and degree {mdeg}")
+    return mdeg
 
 
 def build_q_forms(star: StarConfiguration,
@@ -67,16 +69,8 @@ def build_q_forms(star: StarConfiguration,
 
     `multipliers` are the M_T in generator-key order.
     """
-    keys = star.generator_keys()
-    if len(multipliers) != len(keys):
-        raise ValueError(f"expected {len(keys)} multipliers, "
-                         f"got {len(multipliers)}")
-    mdeg = multipliers[0].degree
-    for m in multipliers:
-        check_same_field(m.field, star.field)
-        if m.degree != mdeg:
-            raise ValueError("multipliers must share one degree")
-    mult = dict(zip(keys, multipliers))
+    mdeg = _multiplier_degree(star, multipliers)
+    mult = dict(zip(star.generator_keys(), multipliers))
     parts: list[list[HomogeneousPoly]] = [[] for _ in range(star.l)]
     for s in star.point_keys():
         outside = star.hat_product_without(*s)
@@ -85,6 +79,30 @@ def build_q_forms(star: StarConfiguration,
             parts[i - 1].append(mult[rest] * outside)
     return [poly_sum(p, star.field, star.n + 1, mdeg + star.l - star.n)
             for p in parts]
+
+
+def tangent_values(star: StarConfiguration, d: int,
+                   multipliers: Sequence[HomogeneousPoly]
+                   ) -> dict[tuple[int, ...], dict[int, Element]]:
+    """Q_i(p_s) for every point key s and every i in s, in point-key
+    order; every other Q_j vanishes at p_s.
+
+    `multipliers` are the M_T in generator-key order, of degree
+    d - (l - n + 1).
+    """
+    _multiplier_degree(star, multipliers, d)
+    fld = star.field
+    mult = dict(zip(star.generator_keys(), multipliers))
+    table = {}
+    for s, p in sorted(star.points.items()):
+        outside = fld.one()
+        for h, form in enumerate(star.forms, start=1):
+            if h not in s:
+                outside = fld.mul(outside, form.evaluate(p))
+        table[s] = {i: fld.mul(mult[tuple(j for j in s if j != i)]
+                               .evaluate(p.coordinates), outside)
+                    for i in s}
+    return table
 
 
 def ideal_component_dim(generators: Sequence[HomogeneousPoly], d: int) -> int:
@@ -119,114 +137,104 @@ def ideal_component_dim(generators: Sequence[HomogeneousPoly], d: int) -> int:
     return ExactMatrix(fld, rows, ncols=len(basis)).rank()
 
 
-def tangent_dim_direct(problem: TangentProblem) -> int:
+def tangent_dim_direct(star: StarConfiguration, d: int,
+                       multipliers: Sequence[HomogeneousPoly]) -> int:
     """dim_k I_d via the coefficient-matrix rank (algorithm A)."""
-    gens = problem.star.generators + problem.q_forms
-    return ideal_component_dim(gens, problem.d)
+    _multiplier_degree(star, multipliers, d)
+    gens = star.generators + build_q_forms(star, multipliers)
+    return ideal_component_dim(gens, d)
 
 
-def evaluation_matrix(star: StarConfiguration,
-                      rows: Sequence[ProjectivePoint],
-                      columns: Sequence[HomogeneousPoly]) -> ExactMatrix:
-    data = [[poly.evaluate(p.coordinates) for poly in columns] for p in rows]
-    return ExactMatrix(star.field, data, ncols=len(columns))
-
-
-def tangent_dim_points(problem: TangentProblem) -> int:
+def tangent_dim_points(star: StarConfiguration, d: int,
+                       multipliers: Sequence[HomogeneousPoly]) -> int:
     """dim_k I_d via point evaluation (algorithm B).
 
-    Modulo the ideal of the configuration, degree-d forms are determined
-    by their values at the C(l,2) points (valid once d >= l - 1).  The Q
-    contribution is the rank of the matrix with columns x_k * Q_i, rows
-    the points; adding dim of the configuration ideal in degree d gives
-    dim_k I_d.
+    The rank of the C(l,n) x l(n+1) matrix with entries p_s[k] * Q_i(p_s),
+    rows the points and columns the x_k * Q_i, plus the dimension
+    C(d+n,n) - C(l,n) of the configuration ideal in degree d.
     """
-    star, d, l = problem.star, problem.d, problem.l
-    fld = star.field
-    columns = []
-    for q in problem.q_forms:
-        for k in range(3):
-            columns.append(HomogeneousPoly.variable(fld, 3, k) * q)
-    rank = evaluation_matrix(star, star.point_list(), columns).rank()
-    return rank + comb(d + 2, 2) - comb(l, 2)
+    values = tangent_values(star, d, multipliers)
+    fld, width = star.field, star.n + 1
+    rows = []
+    for s, qs in values.items():
+        coords = star.points[s].coordinates
+        row = [fld.zero()] * (star.l * width)
+        for i, q in qs.items():
+            for k, x in enumerate(coords):
+                row[(i - 1) * width + k] = fld.mul(x, q)
+        rows.append(row)
+    rank = ExactMatrix(fld, rows, ncols=star.l * width).rank()
+    return rank + comb(d + star.n, star.n) - comb(star.l, star.n)
 
 
-def evaluation_submatrix_rank(problem: TangentProblem,
-                              row_points: Sequence[tuple[int, int]],
+def evaluation_submatrix_rank(star: StarConfiguration, d: int,
+                              multipliers: Sequence[HomogeneousPoly],
+                              row_points: Sequence[tuple[int, ...]],
                               columns: Sequence[tuple[int, int]]) -> int:
     """Rank of a hand-picked evaluation sub-matrix.
 
-    `row_points` are 1-based point labels (i, j); `columns` are pairs
-    (r, t) denoting the degree-d product L_r * Q_t.
+    `row_points` are 1-based point labels such as (i, j); `columns` are
+    pairs (r, t) denoting the degree-d product L_r * Q_t, whose value at
+    p_s is L_r(p_s) * Q_t(p_s).
     """
-    star = problem.star
-    pts = []
-    for key in row_points:
-        key = tuple(sorted(key))
+    keys = [tuple(sorted(key)) for key in row_points]
+    for key in keys:
         if key not in star.points:
             raise KeyError(f"unknown point label {key}")
-        pts.append(star.points[key])
-    cols = []
     for r, t in columns:
         if not (1 <= r <= star.l and 1 <= t <= star.l):
             raise KeyError(f"unknown column label ({r}, {t})")
-        cols.append(star.forms[r - 1].poly() * problem.q_forms[t - 1])
-    return evaluation_matrix(star, pts, cols).rank()
+    values = tangent_values(star, d, multipliers)
+    fld = star.field
+    data = [[fld.mul(star.forms[r - 1].evaluate(star.points[s]),
+                     values[s].get(t, fld.zero())) for r, t in columns]
+            for s in keys]
+    return ExactMatrix(fld, data, ncols=len(columns)).rank()
 
 
 # ---------------------------------------------------------------------------
 # structured multipliers for the block-matrix construction (l >= 6)
 
+def _form_missing(fld: Field, coeffs, points) -> LinearForm | None:
+    """The form with these coefficients, if it is nonzero at every point."""
+    if all(fld.is_zero(c) for c in coeffs):
+        return None
+    form = LinearForm(fld, coeffs)
+    if all(not fld.is_zero(form.evaluate(p)) for p in points):
+        return form
+    return None
+
+
 def _linear_form_through(star: StarConfiguration, key: tuple[int, int],
                          rng: random.Random) -> LinearForm:
     """A linear form vanishing at the labelled point and at no other point
-    of the configuration."""
+    of the configuration: random coefficients off the point's last nonzero
+    coordinate (which is 1), and the one there that makes it vanish."""
     fld = star.field
-    target = star.points[key].coordinates
+    coords = star.points[key].coordinates
+    last = max(i for i, c in enumerate(coords) if not fld.is_zero(c))
     others = [p for k, p in star.points.items() if k != key]
-    # random element of the 2-dim space of forms through the target
     for _ in range(RETRY_BUDGET):
-        a = fld.random(rng)
-        b = fld.random(rng)
-        # two independent forms vanishing at target: built from coordinates
-        basis = _vanishing_basis(fld, target)
-        coeffs = [fld.add(fld.mul(a, u), fld.mul(b, v))
-                  for u, v in zip(*basis)]
-        if all(fld.is_zero(c) for c in coeffs):
-            continue
-        form = LinearForm(fld, coeffs)
-        if all(not fld.is_zero(form.evaluate(p)) for p in others):
+        coeffs = [fld.zero() if i == last else fld.random(rng)
+                  for i in range(3)]
+        total = fld.zero()
+        for c, x in zip(coeffs, coords):
+            total = fld.add(total, fld.mul(c, x))
+        coeffs[last] = fld.neg(total)
+        form = _form_missing(fld, coeffs, others)
+        if form is not None:
             return form
     raise GenericityError("no linear form through the point avoiding the rest")
-
-
-def _vanishing_basis(fld: Field, coords):
-    """Two independent linear forms vanishing at the given point."""
-    nz = next(i for i in range(len(coords) - 1, -1, -1)
-              if not fld.is_zero(coords[i]))
-    basis = []
-    for i in range(len(coords)):
-        if i == nz:
-            continue
-        # coords[nz]*x_i - coords[i]*x_nz vanishes at the point
-        vec = [fld.zero()] * len(coords)
-        vec[i] = coords[nz]
-        vec[nz] = fld.neg(coords[i])
-        basis.append(vec)
-    return basis[0], basis[1]
 
 
 def _avoiding_linear_form(star: StarConfiguration,
                           rng: random.Random) -> LinearForm:
     """A linear form nonzero at every point of the configuration."""
     fld = star.field
-    pts = star.point_list()
     for _ in range(RETRY_BUDGET):
-        coeffs = [fld.random(rng) for _ in range(3)]
-        if all(fld.is_zero(c) for c in coeffs):
-            continue
-        form = LinearForm(fld, coeffs)
-        if all(not fld.is_zero(form.evaluate(p)) for p in pts):
+        form = _form_missing(fld, [fld.random(rng) for _ in range(3)],
+                             star.point_list())
+        if form is not None:
             return form
     raise GenericityError("no avoiding linear form found")
 
@@ -313,25 +321,23 @@ def lower_bound_dim_S(d: int, l: int, fld: Field, trials: int = 3,
 
     Any specific choice of data gives a tangent dimension that can only be
     smaller than the generic one, so the maximum observed dimension minus
-    one certifies a lower bound on the dimension of the locus.  Fixed
-    `forms` and/or `multipliers` override the random draws in every trial.
+    one certifies a lower bound on the dimension of the locus.  Each
+    trial takes the point-evaluation rank (algorithm B).  Fixed `forms`
+    and/or `multipliers` override the random draws in every trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if d < l - n + 1:
         raise ValueError(f"need d >= l - n + 1 = {l - n + 1}")
-    dims = []
-    seeds = []
+    dims, seeds = [], []
     for t in range(trials):
         ts = trial_seed(seed, t)
         seeds.append(ts)
         star = build_star(forms) if forms is not None else \
             random_star(l, ts, fld, n)
-        if multipliers is not None:
-            mult = list(multipliers)
-        else:
-            mult = random_multipliers(star, d, random.Random(ts ^ 0x5EED))
-        dims.append(tangent_dim_direct(TangentProblem(star, d, mult)))
+        mult = multipliers if multipliers is not None else \
+            random_multipliers(star, d, random.Random(ts ^ 0x5EED))
+        dims.append(tangent_dim_points(star, d, mult))
     return LowerBoundResult(d, l, max(dims) - 1, dims, seeds)
 
 
@@ -344,8 +350,9 @@ class DimensionCertificate:
     lower_bound: int | None
     theorem_value: int | None
     upper_bounds: list[tuple[str, int]]
-    verdict: str                       # CERTIFIED | GAP | EMPTY
+    verdict: str                       # CERTIFIED | GAP | CONTRADICTION | EMPTY
     trial_dims: list[int] = dc_field(default_factory=list)
+    external_facts: list[str] = dc_field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {
@@ -357,12 +364,10 @@ class DimensionCertificate:
             "theorem_value": self.theorem_value,
             "upper_bounds": [{"source": s, "value": v}
                              for s, v in self.upper_bounds],
+            "external_facts": self.external_facts,
             "verdict": self.verdict,
         }
         return out
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
@@ -371,9 +376,10 @@ def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
             ) -> DimensionCertificate:
     """Full verification of one (d, l) pair.
 
-    EMPTY when d < l - 1; otherwise CERTIFIED when the observed lower
-    bound matches the closed-form value and respects every upper bound,
-    GAP when the trials fall short.
+    EMPTY when d < l - 1; otherwise CONTRADICTION when the observed lower
+    bound exceeds the least upper bound, CERTIFIED when it matches the
+    closed-form value, GAP when the trials fall short.  `external_facts`
+    lists the source tags of the outside theorems the verdict relies on.
     """
     tv = closed_form_dimension(d, l)
     if tv.is_empty:
@@ -382,8 +388,13 @@ def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
     result = lower_bound_dim_S(d, l, fld, trials=trials, seed=seed,
                                forms=forms, multipliers=multipliers)
     bounds = upper_bounds(d, l)
-    min_upper = min(v for _, v in bounds)
-    ok = result.lower_bound == tv.value and tv.value <= min_upper
+    if result.lower_bound > min(v for _, v in bounds):
+        verdict = "CONTRADICTION"
+    elif result.lower_bound == tv.value:
+        verdict = "CERTIFIED"
+    else:
+        verdict = "GAP"
+    facts = [STAR_IDEAL_SOURCE] + [s for s, _ in bounds if s == LUROTH_SOURCE]
     return DimensionCertificate(
         d, l, fld.descriptor(), result.seeds, result.lower_bound, tv.value,
-        bounds, "CERTIFIED" if ok else "GAP", trial_dims=result.trial_dims)
+        bounds, verdict, trial_dims=result.trial_dims, external_facts=facts)

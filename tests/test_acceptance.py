@@ -13,10 +13,9 @@ from starcurves.reference_cases import (block_matrix_rank,
                                         luroth_case_dimension,
                                         six_line_matrix_rank)
 from starcurves.starconfig import build_star, random_general_forms
-from starcurves.tangent import (TangentProblem, certify,
-                                ideal_component_dim, lower_bound_dim_S,
-                                random_multipliers, tangent_dim_direct,
-                                tangent_dim_points)
+from starcurves.tangent import (certify, ideal_component_dim,
+                                lower_bound_dim_S, random_multipliers,
+                                tangent_dim_direct, tangent_dim_points)
 
 GF = PrimeField()
 
@@ -112,9 +111,8 @@ def test_criterion_7_algorithm_cross_check():
         d = rng.randint(l - 1, 9)
         star = build_star(random_general_forms(l, rng.randrange(2**30), GF))
         mult = random_multipliers(star, d, rng)
-        problem = TangentProblem(star, d, mult)
-        a = tangent_dim_direct(problem)
-        b = tangent_dim_points(problem)
+        a = tangent_dim_direct(star, d, mult)
+        b = tangent_dim_points(star, d, mult)
         if a != b:
             mismatches.append((l, d, a, b))
     report(7, "coefficient-matrix and point-evaluation algorithms agree "
@@ -127,7 +125,7 @@ def test_criterion_8_nondominance_stability():
     for trial in range(50):
         star = build_star(random_general_forms(5, 5000 + trial, GF))
         mult = random_multipliers(star, 4, random.Random(9000 + trial))
-        dims.add(tangent_dim_direct(TangentProblem(star, 4, mult)))
+        dims.add(tangent_dim_direct(star, 4, mult))
     report(8, "quartic case tangent dimension is 14 in all 50 trials, "
               "never 15", dims == {14}, f"observed={sorted(dims)}")
 

@@ -148,9 +148,58 @@ def test_output_file(tmp_path, capsys):
     (("verify", "--d", "5", "--l", "6", "--prime", "3"), 6, 2, 3),
     (("verify", "--d", "5", "--l", "5", "--prime", "2"), 5, 2, 2),
     (("hilbert", "--l", "12", "--prime", "5"), 12, 2, 5),
+    (("pn", "--n", "3", "--dmax", "6", "--lmax", "6", "--prime", "3"), 6, 3, 3),
 ])
 def test_lines_past_arc_bound_rejected(capsys, argv, l, n, q):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert f"l = {l} hyperplanes of P^{n} over GF({q})" in err
     assert "arc bound" in err
+
+
+def inflate_lower_bounds(monkeypatch, by):
+    """Make every lower bound `by` above its true value."""
+    import starcurves.pnstar as pnstar
+    import starcurves.tangent as tangent
+
+    real = tangent.lower_bound_dim_S
+
+    def inflated(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.lower_bound += by
+        return result
+
+    monkeypatch.setattr(tangent, "lower_bound_dim_S", inflated)
+    monkeypatch.setattr(pnstar, "lower_bound_dim_S", inflated)
+
+
+def test_verify_contradiction_exit_status(capsys, monkeypatch):
+    inflate_lower_bounds(monkeypatch, 1)
+    code, out, err = run_cli(capsys, "verify", "--d", "5", "--l", "6",
+                             "--trials", "1", "--format", "csv")
+    assert code == 3
+    assert strip_elapsed(out)[0]["verdict"] == "CONTRADICTION"
+    assert "verdict: CONTRADICTION" in err
+
+
+def test_sweep_contradiction_exit_status(capsys, monkeypatch):
+    args = ("sweep", "--dmax", "3", "--lmax", "3", "--trials", "1",
+            "--include-empty", "--format", "csv")
+    code, _, err = run_cli(capsys, *args)
+    assert code == 0
+    assert err == "summary: 5 CERTIFIED, 0 GAP, 3 EMPTY\n"
+    inflate_lower_bounds(monkeypatch, 1)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 3
+    assert err == "summary: 0 CERTIFIED, 0 GAP, 3 EMPTY, 5 CONTRADICTION\n"
+    assert {r["verdict"] for r in strip_elapsed(out)} == \
+        {"EMPTY", "CONTRADICTION"}
+
+
+def test_pn_contradiction_exit_status(capsys, monkeypatch):
+    inflate_lower_bounds(monkeypatch, 1)
+    code, out, _ = run_cli(capsys, "pn", "--n", "3", "--dmax", "4",
+                           "--lmax", "4", "--trials", "1", "--format", "csv")
+    assert code == 3
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows and all(r["status"] == "CONTRADICTION" for r in rows)

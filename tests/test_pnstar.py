@@ -1,12 +1,13 @@
 import pytest
 
+import starcurves.pnstar as pnstar
 from starcurves.fields import PrimeField
 from starcurves.formulas import pn_upper_bound
 from starcurves.pnstar import conjecture_row
 from starcurves.starconfig import (GenericityError, LinearForm,
                                    StarConfiguration, build_star,
                                    random_general_forms)
-from starcurves.tangent import lower_bound_dim_S
+from starcurves.tangent import LowerBoundResult, lower_bound_dim_S
 
 GF = PrimeField()
 
@@ -99,6 +100,16 @@ def test_conjecture_row_luroth_case_is_open():
     row = conjecture_row(2, 4, 5, GF, trials=1, seed=0)
     assert (row.lower_bound, row.formula_min) == (13, 14)
     assert row.status == "OPEN"
+
+
+def test_conjecture_row_contradiction(monkeypatch):
+    # the P^3 bound at (d, l) = (3, 4) is 19; a lower bound of 20 contradicts it
+    monkeypatch.setattr(pnstar, "lower_bound_dim_S",
+                        lambda d, l, *a, **k: LowerBoundResult(d, l, 20, [21],
+                                                               [0]))
+    row = conjecture_row(3, 3, 4, GF, trials=1)
+    assert (row.lower_bound, row.formula_min) == (20, 19)
+    assert row.status == "CONTRADICTION"
 
 
 def test_degree_precondition():

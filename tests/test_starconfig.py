@@ -183,6 +183,16 @@ def test_small_prime_accepts_l_at_arc_bound():
         assert arc_bound(2, q) == bound
         forms = random_general_forms(bound, 0, PrimeField(q))
         assert is_general(forms)
+    # a frame of P^3 over GF(3): n + 2 planes
+    assert is_general(random_general_forms(5, 0, PrimeField(3), n=3))
+
+
+def test_arc_bound_values():
+    # Ball: q + 1 for a prime q > n; Bush: n + 2 for q <= n
+    assert arc_bound(3, 3) == 5
+    assert arc_bound(3, 5) == 6
+    assert arc_bound(3, 2) == 5
+    assert arc_bound(4, 7) == 8
 
 
 def test_small_prime_rejects_l_past_arc_bound():

@@ -3,8 +3,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+
+import starcurves.tangent as tangent_mod
 
 from starcurves.fields import PrimeField, QQ
 from starcurves.matrices import ExactMatrix
@@ -13,13 +15,14 @@ from starcurves.polynomials import (HomogeneousPoly, monomials_of_degree,
                                     poly_sum)
 from starcurves.reference_cases import (TWELVE_COLUMNS, TWELVE_ROWS,
                                         five_line_forms, six_line_forms)
-from starcurves.starconfig import (LinearForm, build_star,
-                                   random_general_forms)
-from starcurves.tangent import (TangentProblem, build_q_forms, certify,
+from starcurves.formulas import LUROTH_SOURCE, STAR_IDEAL_SOURCE
+from starcurves.starconfig import (GenericityError, LinearForm, build_star,
+                                   random_general_forms, random_star)
+from starcurves.tangent import (LowerBoundResult, build_q_forms, certify,
                                 ideal_component_dim, lower_bound_dim_S,
                                 evaluation_submatrix_rank, random_multipliers,
                                 tangent_dim_direct, tangent_dim_points,
-                                structured_multipliers)
+                                tangent_values, structured_multipliers)
 
 GF = PrimeField()
 
@@ -31,7 +34,7 @@ def ones(field, count):
 def random_problem(l, d, seed):
     star = build_star(random_general_forms(l, seed, GF))
     mult = random_multipliers(star, d, random.Random(seed ^ 0xABCD))
-    return TangentProblem(star, d, mult)
+    return star, d, mult
 
 
 # -- Q forms ----------------------------------------------------------------
@@ -128,16 +131,14 @@ def test_ideal_component_constant_generator():
 
 def test_tangent_direct_quartic_case():
     star = build_star(five_line_forms(QQ))
-    problem = TangentProblem(star, 4, ones(QQ, 5))
-    assert tangent_dim_direct(problem) == 14
+    assert tangent_dim_direct(star, 4, ones(QQ, 5)) == 14
 
 
 def test_tangent_direct_six_lines_d5():
     star = build_star(six_line_forms(QQ))
-    problem = TangentProblem(star, 5, ones(QQ, 6))
     # rank-12 evaluation block plus dim of the configuration ideal in
     # degree 5: C(7,2) - C(6,2) = 6
-    assert tangent_dim_direct(problem) == 18
+    assert tangent_dim_direct(star, 5, ones(QQ, 6)) == 18
 
 
 def test_tangent_direct_l2_d1():
@@ -145,31 +146,27 @@ def test_tangent_direct_l2_d1():
     forms = [LinearForm(f, [Fraction(1), Fraction(0), Fraction(0)]),
              LinearForm(f, [Fraction(0), Fraction(1), Fraction(0)])]
     star = build_star(forms)
-    problem = TangentProblem(star, 1, ones(f, 2))
     # the Q forms are nonzero constants, so the degree-1 component is S_1
-    assert tangent_dim_direct(problem) == 3
+    assert tangent_dim_direct(star, 1, ones(f, 2)) == 3
 
 
 def test_tangent_points_quartic_case():
     star = build_star(five_line_forms(QQ))
-    problem = TangentProblem(star, 4, ones(QQ, 5))
-    assert tangent_dim_points(problem) == 14
+    assert tangent_dim_points(star, 4, ones(QQ, 5)) == 14
 
 
 def test_tangent_points_six_lines_d5():
     star = build_star(six_line_forms(QQ))
-    problem = TangentProblem(star, 5, ones(QQ, 6))
-    assert tangent_dim_points(problem) == 18
+    assert tangent_dim_points(star, 5, ones(QQ, 6)) == 18
 
 
 def test_tangent_points_zero_multipliers():
     star = build_star(random_general_forms(5, 9, GF))
     d = 5
     zero = HomogeneousPoly.zero(GF, 3, d - star.l + 1)
-    problem = TangentProblem(star, d, [zero] * 5)
     expected = comb(d + 2, 2) - comb(5, 2)
-    assert tangent_dim_points(problem) == expected
-    assert tangent_dim_direct(problem) == expected
+    assert tangent_dim_points(star, d, [zero] * 5) == expected
+    assert tangent_dim_direct(star, d, [zero] * 5) == expected
 
 
 def test_algorithm_agreement_random():
@@ -178,7 +175,7 @@ def test_algorithm_agreement_random():
         l = rng.randint(2, 7)
         d = rng.randint(l - 1, 9)
         problem = random_problem(l, d, rng.randrange(2**30))
-        assert tangent_dim_direct(problem) == tangent_dim_points(problem)
+        assert tangent_dim_direct(*problem) == tangent_dim_points(*problem)
 
 
 def test_monotonicity_bounds():
@@ -186,10 +183,10 @@ def test_monotonicity_bounds():
     for _ in range(10):
         l = rng.randint(3, 6)
         d = rng.randint(l - 1, 8)
-        problem = random_problem(l, d, rng.randrange(2**30))
-        dim = tangent_dim_direct(problem)
+        star, d, mult = random_problem(l, d, rng.randrange(2**30))
+        dim = tangent_dim_direct(star, d, mult)
         assert dim <= comb(d + 2, 2)
-        assert dim >= ideal_component_dim(problem.star.generators, d)
+        assert dim >= ideal_component_dim(star.generators, d)
 
 
 def test_perturbation_elements_lie_in_tangent_space():
@@ -200,7 +197,6 @@ def test_perturbation_elements_lie_in_tangent_space():
     star = build_star(random_general_forms(5, 51, GF))
     d = 6
     mult = random_multipliers(star, d, rng)
-    problem = TangentProblem(star, d, mult)
     mdeg = d - star.l + 1
     l_dirs = [HomogeneousPoly(GF, 3, 1,
                               {m: GF.random(rng)
@@ -218,7 +214,7 @@ def test_perturbation_elements_lie_in_tangent_space():
         parts.append(mult[i] * perturbation_coefficient(factors))
     tangent_vector = poly_sum(parts, GF, 3, d)
 
-    gens = list(star.generators) + list(problem.q_forms)
+    gens = list(star.generators) + build_q_forms(star, mult)
     base_rank = ideal_component_dim(gens, d)
     basis = monomials_of_degree(3, d)
     rows = []
@@ -231,21 +227,89 @@ def test_perturbation_elements_lie_in_tangent_space():
     assert ExactMatrix(GF, rows, ncols=len(basis)).rank() == base_rank
 
 
+def drawn_problem(n, field, l, extra, seed, kind):
+    """A random configuration in P^n with multipliers that are random, all
+    equal, or zero; rejects the example when a small field runs out of
+    draws."""
+    try:
+        star = random_star(max(l, n), seed, field, n)
+    except GenericityError:
+        reject()
+    d = star.generator_degree + extra
+    mult = random_multipliers(star, d, random.Random(seed))
+    if kind == "equal":
+        mult = [mult[0]] * len(mult)
+    elif kind == "zero":
+        mult = [HomogeneousPoly.zero(field, n + 1, extra)] * len(mult)
+    return star, d, mult
+
+
+problems = st.builds(
+    drawn_problem, n=st.sampled_from([2, 3]),
+    field=st.sampled_from([GF, PrimeField(11), QQ]), l=st.integers(2, 6),
+    extra=st.integers(0, 2), seed=st.integers(0, 2**20),
+    kind=st.sampled_from(["random", "equal", "zero"])) | st.builds(
+    drawn_problem, n=st.sampled_from([2, 3]), field=st.just(PrimeField(5)),
+    l=st.integers(2, 5), extra=st.integers(0, 2),
+    seed=st.integers(0, 2**20),
+    kind=st.sampled_from(["random", "equal", "zero"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=problems)
+def test_point_rank_matches_coefficient_rank(problem):
+    assert tangent_dim_points(*problem) == tangent_dim_direct(*problem)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=problems)
+def test_tangent_values_match_q_forms(problem):
+    star, d, mult = problem
+    values = tangent_values(star, d, mult)
+    assert list(values) == star.point_keys()
+    q = build_q_forms(star, mult)
+    for s, p in star.points.items():
+        assert set(values[s]) == set(s)
+        for i in range(1, star.l + 1):
+            value = q[i - 1].evaluate(p.coordinates)
+            if i in s:
+                assert values[s][i] == value
+            else:
+                assert star.field.is_zero(value)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tangent_functions_reject_wrong_multipliers(n):
+    star = build_star(random_general_forms(5, 4, GF, n=n))
+    d = star.generator_degree + 1
+    mult = random_multipliers(star, d, random.Random(0))
+    too_high = random_multipliers(star, d + 1, random.Random(0))
+    mixed = mult[:-1] + too_high[-1:]
+    for fn in (tangent_values, tangent_dim_points, tangent_dim_direct):
+        for bad in (mult[:-1], mult + mult[:1], too_high, mixed):
+            with pytest.raises(ValueError):
+                fn(star, d, bad)
+    with pytest.raises(ValueError, match="multipliers of degree"):
+        tangent_values(star, d, too_high)
+    with pytest.raises(ValueError, match="need d >= l - n \\+ 1"):
+        tangent_dim_points(star, star.generator_degree - 1, mult)
+
+
 # -- hand-picked evaluation sub-matrices ------------------------------------
 
 def test_evaluation_submatrix_rank_twelve():
     star = build_star(six_line_forms(QQ))
-    problem = TangentProblem(star, 5, ones(QQ, 6))
-    assert evaluation_submatrix_rank(problem, TWELVE_ROWS, TWELVE_COLUMNS) == 12
+    assert evaluation_submatrix_rank(star, 5, ones(QQ, 6), TWELVE_ROWS,
+                                     TWELVE_COLUMNS) == 12
 
 
 def test_evaluation_submatrix_rank_unknown_labels():
     star = build_star(six_line_forms(QQ))
-    problem = TangentProblem(star, 5, ones(QQ, 6))
     with pytest.raises(KeyError):
-        evaluation_submatrix_rank(problem, [(1, 9)], TWELVE_COLUMNS)
+        evaluation_submatrix_rank(star, 5, ones(QQ, 6), [(1, 9)],
+                                  TWELVE_COLUMNS)
     with pytest.raises(KeyError):
-        evaluation_submatrix_rank(problem, TWELVE_ROWS, [(7, 1)])
+        evaluation_submatrix_rank(star, 5, ones(QQ, 6), TWELVE_ROWS, [(7, 1)])
 
 
 # -- structured multipliers -------------------------------------------------
@@ -335,3 +399,20 @@ def test_certificate_json_schema():
     assert data["verdict"] in ("CERTIFIED", "GAP")
     assert {b["source"] for b in data["upper_bounds"]} == \
         {"ambient", "incidence", "luroth"}
+
+
+def test_certificate_records_external_facts():
+    assert certify(5, 6, GF, trials=1).external_facts == [STAR_IDEAL_SOURCE]
+    assert certify(4, 5, GF, trials=1).to_json()["external_facts"] == \
+        [STAR_IDEAL_SOURCE, LUROTH_SOURCE]
+    assert certify(2, 5, GF).external_facts == []
+
+
+def test_certify_contradiction_when_lower_exceeds_upper(monkeypatch):
+    # the incidence bound for (5, 6) is 17; a lower bound of 18 contradicts it
+    monkeypatch.setattr(tangent_mod, "lower_bound_dim_S",
+                        lambda d, l, *a, **k: LowerBoundResult(d, l, 18, [19],
+                                                               [0]))
+    cert = certify(5, 6, GF, trials=1)
+    assert cert.verdict == "CONTRADICTION"
+    assert cert.lower_bound == 18 and cert.theorem_value == 17
