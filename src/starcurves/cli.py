@@ -25,7 +25,7 @@ from .pnstar import conjecture_row
 from .reference_cases import (block_matrix_rank, five_line_forms,
                               luroth_case_dimension, six_line_forms,
                               six_line_matrix_rank)
-from .starconfig import hilbert_function, random_star
+from .starconfig import check_arc_bound, hilbert_function, random_star
 from .tangent import certify
 
 log = logging.getLogger("starcurves")
@@ -44,6 +44,12 @@ def exit_status(verdicts) -> int:
                default=EXIT_OK)
 
 
+def usage_error(msg: str):
+    """Report a usage error the way argparse does: exit 2."""
+    print(f"error: {msg}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def field_from_args(args) -> Field:
     if args.field == "rational":
         return QQ
@@ -51,7 +57,7 @@ def field_from_args(args) -> Field:
     if prime is None:
         prime = int(os.environ.get("STARCONFIG_PRIME", DEFAULT_PRIME))
     if not is_prime(prime):
-        raise SystemExit(f"error: {prime} is not prime")
+        usage_error(f"{prime} is not prime")
     return PrimeField(prime)
 
 
@@ -108,7 +114,7 @@ def run_one(d: int, l: int, fld: Field, trials: int, seed: int,
         elif l == 6:
             forms = six_line_forms(fld)
         else:
-            raise SystemExit("--paper-forms only available for l = 5 or 6")
+            usage_error("--paper-forms only available for l = 5 or 6")
         if d == l - 1:
             multipliers = [HomogeneousPoly.one(fld, 3)] * l
     cert = certify(d, l, fld, trials=trials, seed=seed, forms=forms,
@@ -137,7 +143,7 @@ def cmd_sweep(args) -> int:
         for d in range(dmin, args.dmax + 1):
             cases.append((d, l))
     if not cases:
-        raise SystemExit("error: empty sweep range")
+        usage_error("empty sweep range")
 
     rows = [run_one(d, l, fld, args.trials, args.seed, False)
             for d, l in cases]
@@ -172,8 +178,9 @@ def cmd_paper_examples(args) -> int:
 
 def cmd_pn(args) -> int:
     if args.n < 2:
-        raise SystemExit("error: ambient dimension n must be at least 2")
+        usage_error("ambient dimension n must be at least 2")
     fld = field_from_args(args)
+    check_arc_bound(args.lmax, args.n, fld)
     rows = []
     for l in range(max(2, args.n), args.lmax + 1):
         for d in range(l - 1, args.dmax + 1):
@@ -183,7 +190,7 @@ def cmd_pn(args) -> int:
                          "lower_bound": r.lower_bound,
                          "formula_min": r.formula_min, "status": r.status})
     if not rows:
-        raise SystemExit("error: empty range")
+        usage_error("empty range")
     emit_rows(rows, args.format, args.output, table=lambda rows: [
         f"n={r['n']} d={r['d']} l={r['l']}  lower={r['lower_bound']}  "
         f"formula={r['formula_min']}  {r['status']}" for r in rows])
@@ -193,6 +200,8 @@ def cmd_pn(args) -> int:
 def cmd_hilbert(args) -> int:
     fld = field_from_args(args)
     from math import comb
+    if args.tmax < 0:
+        usage_error("empty range")
     star = random_star(args.l, args.seed, fld)
     print(f"{'t':>3}  {'rank':>5}  {'formula':>7}")
     ok = True

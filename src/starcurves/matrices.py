@@ -1,19 +1,20 @@
 """Dense exact matrices and rank computation.
 
-Rank over the rationals uses fraction-free (Bareiss) elimination on an
-integer matrix obtained by clearing denominators row by row; intermediate
-entries stay bounded by minors of the scaled matrix.  Rank over a prime
-field uses ordinary Gaussian elimination mod p.  Small determinants (the
-minors behind intersection points) use cofactor expansion.
+Rank over Q clears denominators row by row.  The integer matrix's rank mod
+the fixed prime `DEFAULT_PRIME` is at most its rank over Q (a minor nonzero
+mod p is a nonzero integer), so a full rank mod p is the rational rank;
+otherwise fraction-free (Bareiss) elimination decides.  Rank over a prime
+field uses Gaussian elimination mod p.  Small determinants (the minors
+behind intersection points) use cofactor expansion.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .fields import Element, Field, FieldMismatchError, PrimeField, RationalField
+from .fields import (DEFAULT_PRIME, Element, Field, FieldMismatchError,
+                     PrimeField, RationalField)
 
 
 class ExactMatrix:
@@ -43,7 +44,12 @@ class ExactMatrix:
         if isinstance(self.field, PrimeField):
             return _rank_mod_p([list(r) for r in self.rows], self.field.p)
         if isinstance(self.field, RationalField):
-            return _rank_bareiss([_clear_denominators(r) for r in self.rows])
+            cleared = [clear_denominators(r) for r in self.rows]
+            p = DEFAULT_PRIME
+            rank = _rank_mod_p([[x % p for x in r] for r in cleared], p)
+            if rank == min(self.nrows, self.ncols):
+                return rank
+            return _rank_bareiss(cleared)
         raise FieldMismatchError(f"unsupported field {self.field!r}")
 
     def __repr__(self):
@@ -64,9 +70,10 @@ def det(field: Field, rows: Sequence[Sequence[Element]]) -> Element:
     return total
 
 
-def _clear_denominators(row: Sequence[Fraction]) -> list[int]:
-    scale = lcm(*(f.denominator for f in row)) if row else 1
-    return [int(f * scale) for f in row]
+def clear_denominators(row: Sequence[Element]) -> list[int]:
+    """The rationals times the lcm of their denominators (ints unchanged)."""
+    scale = lcm(*(f.denominator for f in row))
+    return [f.numerator * (scale // f.denominator) for f in row]
 
 
 def _rank_bareiss(m: list[list[int]]) -> int:

@@ -16,10 +16,12 @@ import itertools
 import json
 import random
 from functools import cached_property
+from math import prod
+from operator import getitem
 from typing import Sequence
 
 from .fields import Element, Field, PrimeField, check_same_field
-from .matrices import ExactMatrix, det
+from .matrices import ExactMatrix, clear_denominators, det
 from .polynomials import HomogeneousPoly, monomials_of_degree, parse_poly, poly_product
 
 RETRY_BUDGET = 100
@@ -218,17 +220,22 @@ def arc_bound(n: int, q: int) -> int:
     return max(q, n + 1) + 1
 
 
+def check_arc_bound(l: int, n: int, field: Field) -> None:
+    """Refuse l hyperplanes of P^n over GF(q) past the arc bound."""
+    if isinstance(field, PrimeField) and l > arc_bound(n, field.p):
+        raise ValueError(
+            f"no l = {l} hyperplanes of P^{n} over GF({field.p}) are in "
+            f"general position (at most {arc_bound(n, field.p)}, the arc "
+            "bound); use a smaller l or a larger prime")
+
+
 def random_star(l: int, seed: int, field: Field,
                 n: int = 2) -> StarConfiguration:
     """Deterministic-in-seed configuration of l random hyperplanes in
     general position in P^n; each draw is checked once, by building it."""
     if l < n:
         raise ValueError(f"need l >= {n}")
-    if isinstance(field, PrimeField) and l > arc_bound(n, field.p):
-        raise ValueError(
-            f"no l = {l} hyperplanes of P^{n} over GF({field.p}) are in "
-            f"general position (at most {arc_bound(n, field.p)}, the arc "
-            "bound); use a smaller l or a larger prime")
+    check_arc_bound(l, n, field)
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
         forms = []
@@ -266,8 +273,9 @@ def parse_forms(text: str, field: Field, nvars: int = 3) -> list[LinearForm]:
 def hilbert_function(star: StarConfiguration, t: int) -> int:
     """HF(X(l), t) as the rank of the degree-t evaluation matrix.
 
-    Rows are the configuration points, columns the degree-t monomials.
-    The closed formula min{C(t+2,2), C(l,2)} is used only as a test oracle.
+    Rows are the points at integer coordinates, columns the degree-t
+    monomials; an entry is n products of precomputed powers.  The closed
+    formula min{C(t+2,2), C(l,2)} is used only as a test oracle.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -275,15 +283,10 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     field = star.field
     rows = []
     for p in star.point_list():
-        coords = p.coordinates
-        row = []
-        for mono in basis:
-            val = field.one()
-            for x, e in zip(coords, mono):
-                for _ in range(e):
-                    val = field.mul(val, x)
-            row.append(val)
-        rows.append(row)
+        powers = [list(itertools.accumulate([x] * t, field.mul, initial=1))
+                  for x in clear_denominators(p.coordinates)]
+        rows.append([field.from_int(prod(map(getitem, powers, mono)))
+                     for mono in basis])
     return ExactMatrix(field, rows, ncols=len(basis)).rank()
 
 

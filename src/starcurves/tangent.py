@@ -34,7 +34,7 @@ from typing import Sequence
 from .fields import Element, Field, check_same_field
 from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                        closed_form_dimension, upper_bounds)
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, clear_denominators
 from .polynomials import (HomogeneousPoly, monomials_of_degree, poly_product,
                           poly_sum)
 from .starconfig import (RETRY_BUDGET, GenericityError, LinearForm,
@@ -81,6 +81,15 @@ def build_q_forms(star: StarConfiguration,
             for p in parts]
 
 
+def _multiplier_values(star, d, multipliers, coords) -> dict[tuple, dict]:
+    """M_{s - i}(coords[s]) for every point key s and every i in s, in
+    point-key order, once the multipliers pass the checks against d."""
+    _multiplier_degree(star, multipliers, d)
+    mult = dict(zip(star.generator_keys(), multipliers))
+    return {s: {i: mult[tuple(j for j in s if j != i)].evaluate(coords[s])
+                for i in s} for s in sorted(coords)}
+
+
 def tangent_values(star: StarConfiguration, d: int,
                    multipliers: Sequence[HomogeneousPoly]
                    ) -> dict[tuple[int, ...], dict[int, Element]]:
@@ -90,18 +99,16 @@ def tangent_values(star: StarConfiguration, d: int,
     `multipliers` are the M_T in generator-key order, of degree
     d - (l - n + 1).
     """
-    _multiplier_degree(star, multipliers, d)
+    values = _multiplier_values(star, d, multipliers, {
+        s: p.coordinates for s, p in star.points.items()})
     fld = star.field
-    mult = dict(zip(star.generator_keys(), multipliers))
     table = {}
-    for s, p in sorted(star.points.items()):
+    for s, ms in values.items():
         outside = fld.one()
         for h, form in enumerate(star.forms, start=1):
             if h not in s:
-                outside = fld.mul(outside, form.evaluate(p))
-        table[s] = {i: fld.mul(mult[tuple(j for j in s if j != i)]
-                               .evaluate(p.coordinates), outside)
-                    for i in s}
+                outside = fld.mul(outside, form.evaluate(star.points[s]))
+        table[s] = {i: fld.mul(m, outside) for i, m in ms.items()}
     return table
 
 
@@ -151,17 +158,20 @@ def tangent_dim_points(star: StarConfiguration, d: int,
 
     The rank of the C(l,n) x l(n+1) matrix with entries p_s[k] * Q_i(p_s),
     rows the points and columns the x_k * Q_i, plus the dimension
-    C(d+n,n) - C(l,n) of the configuration ideal in degree d.
+    C(d+n,n) - C(l,n) of the configuration ideal in degree d.  Row s is
+    built as p_s[k] * M_{s - i}(p_s) at integer coordinates of p_s: the
+    same row up to nonzero factors, prod_{h not in s} L_h(p_s) among them.
     """
-    values = tangent_values(star, d, multipliers)
+    coords = {s: clear_denominators(p.coordinates)
+              for s, p in star.points.items()}
+    values = _multiplier_values(star, d, multipliers, coords)
     fld, width = star.field, star.n + 1
     rows = []
-    for s, qs in values.items():
-        coords = star.points[s].coordinates
+    for s, ms in values.items():
         row = [fld.zero()] * (star.l * width)
-        for i, q in qs.items():
-            for k, x in enumerate(coords):
-                row[(i - 1) * width + k] = fld.mul(x, q)
+        for i, m in ms.items():
+            for k, x in enumerate(coords[s]):
+                row[(i - 1) * width + k] = fld.mul(x, m)
         rows.append(row)
     rank = ExactMatrix(fld, rows, ncols=star.l * width).rank()
     return rank + comb(d + star.n, star.n) - comb(star.l, star.n)

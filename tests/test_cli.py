@@ -82,8 +82,9 @@ def test_sweep_includes_quartic_row(capsys):
 
 
 def test_sweep_empty_range_usage_error(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["sweep", "--dmax", "0", "--lmax", "1"])
+    assert exc.value.code == 2
 
 
 def test_sweep_json_format(capsys):
@@ -110,8 +111,46 @@ def test_pn_specialization_rows(capsys):
 
 
 def test_pn_invalid_dimension(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["pn", "--n", "1", "--dmax", "3", "--lmax", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--d", "3", "--l", "3", "--prime", "4"), "4 is not prime"),
+    (("verify", "--d", "6", "--l", "7", "--paper-forms"),
+     "--paper-forms only available for l = 5 or 6"),
+    (("sweep", "--dmax", "0", "--lmax", "1"), "empty sweep range"),
+    (("pn", "--n", "1", "--dmax", "3", "--lmax", "3"),
+     "ambient dimension n must be at least 2"),
+    (("pn", "--n", "5", "--dmax", "0", "--lmax", "5"), "empty range"),
+    (("hilbert", "--l", "4", "--tmax", "-1"), "empty range"),
+])
+def test_usage_errors_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+def test_pn_refuses_lmax_past_arc_bound_before_any_row(capsys, monkeypatch):
+    import starcurves.cli as cli_mod
+
+    real, calls = cli_mod.conjecture_row, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "conjecture_row", counting)
+    code, out, err = run_cli(capsys, "pn", "--n", "3", "--dmax", "6",
+                             "--lmax", "6", "--prime", "3", "--trials", "1")
+    assert code == 2
+    assert calls == []
+    assert out == ""
+    assert "arc bound" in err
 
 
 def test_hilbert_table(capsys):

@@ -1,8 +1,14 @@
 import random
 from fractions import Fraction
 
-from starcurves.fields import PrimeField, QQ, is_prime
-from starcurves.matrices import ExactMatrix
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ, is_prime
+from starcurves.matrices import ExactMatrix, _rank_bareiss, clear_denominators
+
+P = DEFAULT_PRIME
 
 
 def naive_rational_rank(rows):
@@ -76,6 +82,15 @@ def test_bareiss_agrees_with_naive_elimination():
         assert ExactMatrix(QQ, rows).rank() == naive_rational_rank(rows)
 
 
+def test_clear_denominators_keeps_the_projective_point():
+    coords = (Fraction(3, 4), Fraction(-5, 6), Fraction(1))
+    ints = clear_denominators(coords)
+    assert ints == [9, -10, 12]
+    assert all(type(x) is int for x in ints)
+    assert all(x == 12 * c for x, c in zip(ints, coords))
+    assert clear_denominators([5, 7, 1]) == [5, 7, 1]   # GF(p) residues
+
+
 def test_rank_deficient_bareiss():
     # rows 3 and 4 are combinations of rows 1 and 2
     rows = [[1, 2, 3], [4, 5, 6], [5, 7, 9], [3, 3, 3]]
@@ -103,3 +118,47 @@ def test_prime_field_rank_examples():
     assert ExactMatrix(f, [[1, 0], [0, 1]]).rank() == 2
     # second row is 7 * first row, hence zero mod 7
     assert ExactMatrix(f, [[1, 2], [0, 7 % 7]]).rank() == 1
+
+
+#: Small rationals that are often multiples of P or of 1/P, so that the
+#: cleared integer matrix is often singular mod P while regular over Q.
+entries = st.builds(lambda a, b, i, j: Fraction(a * P**i, b * P**j),
+                    st.integers(-3, 3), st.integers(1, 3),
+                    st.integers(0, 1), st.integers(0, 1))
+
+
+@st.composite
+def matrices_of_prescribed_rank(draw):
+    """An nr x nc product of nr x r and r x nc matrices, r <= min(nr, nc);
+    its rank is r unless the factors are unlucky."""
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    r = draw(st.integers(0, min(nr, nc)))
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r),
+                         min_size=nr, max_size=nr))
+    right = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                          min_size=r, max_size=r))
+    return [[sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0))
+             for j in range(nc)] for i in range(nr)], r
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_of_prescribed_rank())
+def test_rational_rank_matches_bareiss(case):
+    rows, r = case
+    rank = ExactMatrix(QQ, rows).rank()
+    assert rank == _rank_bareiss([clear_denominators(row) for row in rows])
+    assert rank <= r
+
+
+@pytest.mark.parametrize("rows", [
+    [[P, 1], [0, 1]],
+    [[1, 0], [0, P]],
+    [[Fraction(1, P), 1], [1, 0]],
+])
+def test_rank_singular_mod_prime_only(rows):
+    """Full rank over Q, rank 1 once cleared and reduced mod P: the
+    rational rank must come from the exact elimination."""
+    cleared = [clear_denominators([Fraction(x) for x in r]) for r in rows]
+    assert ExactMatrix(PrimeField(P), [[x % P for x in r]
+                                       for r in cleared]).rank() == 1
+    assert qmat(rows).rank() == naive_rational_rank(rows) == 2
