@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import accumulate
+from math import prod
+from operator import getitem, mul
 from typing import Iterable, Sequence
 
 from .fields import Element, Field, check_same_field
@@ -29,6 +32,16 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
         for rest in monomials_of_degree(nvars - 1, degree - e0):
             out.append((e0,) + rest)
     return tuple(out)
+
+
+def monomial_values(field: Field, coords: Sequence[Element], degree: int,
+                    monomials: Iterable[Monomial]) -> list[Element]:
+    """Values at `coords` of monomials of total degree at most `degree`,
+    from one table of coordinate powers.  GF(p) values are left unreduced;
+    the table starts at the integer 1, so integer coordinates give ints."""
+    powers = [list(accumulate([x] * degree, field.mul, initial=1))
+              for x in coords]
+    return [prod(map(getitem, powers, mono)) for mono in monomials]
 
 
 class HomogeneousPoly:
@@ -121,14 +134,6 @@ class HomogeneousPoly:
                 terms[mono] = s
         return HomogeneousPoly(f, self.nvars, self.degree, terms)
 
-    def __neg__(self) -> "HomogeneousPoly":
-        f = self.field
-        return HomogeneousPoly(f, self.nvars, self.degree,
-                               {m: f.neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        return self + (-other)
-
     def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         self._check_compatible(other)
         f = self.field
@@ -145,40 +150,20 @@ class HomogeneousPoly:
                     terms[mono] = s
         return HomogeneousPoly(f, self.nvars, deg, terms)
 
-    def scale(self, c: Element) -> "HomogeneousPoly":
-        f = self.field
-        return HomogeneousPoly(f, self.nvars, self.degree,
-                               {m: f.mul(c, v) for m, v in self.terms.items()})
-
     # -- evaluation and encoding ------------------------------------------
 
     def evaluate(self, coords: Sequence[Element]) -> Element:
         """Exact value at the given affine representative."""
         if len(coords) != self.nvars:
             raise ValueError("coordinate dimension mismatch")
-        f = self.field
-        total = f.zero()
-        for mono, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(coords, mono):
-                for _ in range(e):
-                    val = f.mul(val, x)
-            total = f.add(total, val)
-        return total
+        values = monomial_values(self.field, coords, self.degree, self.terms)
+        return self.field.from_int(sum(map(mul, self.terms.values(), values)))
 
     def coefficient_vector(self) -> list[Element]:
         """Coefficients against monomials_of_degree(nvars, degree)."""
         f = self.field
         return [self.terms.get(m, f.zero())
                 for m in monomials_of_degree(self.nvars, self.degree)]
-
-    @classmethod
-    def from_coefficient_vector(cls, field: Field, nvars: int, degree: int,
-                                vec: Sequence[Element]) -> "HomogeneousPoly":
-        basis = monomials_of_degree(nvars, degree)
-        if len(vec) != len(basis):
-            raise ValueError("coefficient vector has wrong length")
-        return cls(field, nvars, degree, dict(zip(basis, vec)))
 
     # -- text notation -----------------------------------------------------
 

@@ -12,7 +12,8 @@ import random
 
 from .fields import Field
 from .polynomials import HomogeneousPoly
-from .starconfig import GenericityError, LinearForm, build_star
+from .starconfig import (GenericityError, LinearForm, StarConfiguration,
+                         build_star)
 from .tangent import (_avoiding_linear_form, evaluation_submatrix_rank,
                       tangent_dim_direct, structured_multipliers)
 
@@ -53,14 +54,24 @@ def block_rows(l: int) -> list[tuple[int, int]]:
     return rows
 
 
+def _published_star(fld: Field, coeffs) -> StarConfiguration:
+    """The published lines with these coefficients, refused by name when
+    not in general position over `fld` (six lines: mod 2, 3, 5, 7, 11)."""
+    forms = [LinearForm(fld, [fld.from_int(c) for c in v]) for v in coeffs]
+    try:
+        return build_star(forms)
+    except GenericityError as exc:
+        raise GenericityError(
+            f"the published lines {exc.labels} are not in general position "
+            f"over {fld!r}; use --field rational or another prime") from None
+
+
 def five_line_forms(fld: Field) -> list[LinearForm]:
-    return [LinearForm(fld, [fld.from_int(c) for c in v])
-            for v in FIVE_LINE_COEFFS]
+    return _published_star(fld, FIVE_LINE_COEFFS).forms
 
 
 def six_line_forms(fld: Field) -> list[LinearForm]:
-    return [LinearForm(fld, [fld.from_int(c) for c in v])
-            for v in SIX_LINE_COEFFS]
+    return _published_star(fld, SIX_LINE_COEFFS).forms
 
 
 def extended_forms(fld: Field, l: int) -> list[LinearForm]:
@@ -87,7 +98,7 @@ def extended_forms(fld: Field, l: int) -> list[LinearForm]:
 def luroth_case_dimension(fld: Field) -> int:
     """dim_k I_4 for the five fixed lines with unit multipliers (expect 14),
     by the coefficient-matrix rank, which needs no outside theorem."""
-    star = build_star(five_line_forms(fld))
+    star = _published_star(fld, FIVE_LINE_COEFFS)
     ones = [HomogeneousPoly.one(fld, 3)] * 5
     return tangent_dim_direct(star, 4, ones)
 
@@ -98,7 +109,7 @@ def six_line_matrix_rank(fld: Field, d: int) -> int:
     d = 5 uses unit multipliers; d = 6 uses M_i = G for a line G missing
     all fifteen points.  Expected rank 12 in both cases.
     """
-    star = build_star(six_line_forms(fld))
+    star = _published_star(fld, SIX_LINE_COEFFS)
     if d == 5:
         mult = [HomogeneousPoly.one(fld, 3)] * 6
     elif d == 6:

@@ -15,20 +15,24 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from functools import cached_property
-from math import prod
-from operator import getitem
+from functools import cached_property, reduce
 from typing import Sequence
 
 from .fields import Element, Field, PrimeField, check_same_field
 from .matrices import ExactMatrix, clear_denominators, det
-from .polynomials import HomogeneousPoly, monomials_of_degree, parse_poly, poly_product
+from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
+                          parse_poly, poly_product)
 
 RETRY_BUDGET = 100
 
 
 class GenericityError(ValueError):
-    """A set of forms violates the general-position requirement."""
+    """A set of forms violates the general-position requirement; `labels`
+    names the dependent forms (such as "L1, L2, L6") when known."""
+
+    def __init__(self, message: str, labels: str | None = None):
+        super().__init__(message)
+        self.labels = labels
 
 
 class LinearForm:
@@ -52,10 +56,7 @@ class LinearForm:
 
     def evaluate(self, point: "ProjectivePoint") -> Element:
         f = self.field
-        total = f.zero()
-        for c, x in zip(self.coefficients, point.coordinates):
-            total = f.add(total, f.mul(c, x))
-        return total
+        return reduce(f.add, map(f.mul, self.coefficients, point.coordinates))
 
     @classmethod
     def parse(cls, text: str, field: Field, nvars: int = 3) -> "LinearForm":
@@ -164,9 +165,9 @@ class StarConfiguration:
             p = self.points[c[:self.n]]
             if p is None or (len(c) > self.n and self.field.is_zero(
                     forms[c[-1] - 1].evaluate(p))):
+                names = ", ".join(f"L{i}" for i in c)
                 raise GenericityError(
-                    f"forms {', '.join(f'L{i}' for i in c)} are linearly "
-                    "dependent")
+                    f"forms {names} are linearly dependent", names)
 
     @property
     def generator_degree(self) -> int:
@@ -274,19 +275,16 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     """HF(X(l), t) as the rank of the degree-t evaluation matrix.
 
     Rows are the points at integer coordinates, columns the degree-t
-    monomials; an entry is n products of precomputed powers.  The closed
+    monomials, with values from `monomial_values`.  The closed
     formula min{C(t+2,2), C(l,2)} is used only as a test oracle.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
     basis = monomials_of_degree(star.n + 1, t)
     field = star.field
-    rows = []
-    for p in star.point_list():
-        powers = [list(itertools.accumulate([x] * t, field.mul, initial=1))
-                  for x in clear_denominators(p.coordinates)]
-        rows.append([field.from_int(prod(map(getitem, powers, mono)))
-                     for mono in basis])
+    rows = [[field.from_int(v) for v in monomial_values(
+                 field, clear_denominators(p.coordinates), t, basis)]
+            for p in star.point_list()]
     return ExactMatrix(field, rows, ncols=len(basis)).rank()
 
 

@@ -21,7 +21,10 @@ so Q_i(p_s) = M_{s - i}(p_s) * prod_{h not in s} L_h(p_s) for i in s and
 Q_j(p_s) = 0 otherwise.  As the generators span the ideal of the points in
 every degree d >= l - n + 1 (Geramita-Harbourne-Migliore), dim_k I_d is
 C(d+n,n) - C(l,n) plus the rank of the values of the x_k * Q_i at the
-points.  Certificates use B; the tests cross-check it against A.
+points.  As L_i * Q_i vanishes at every point, B drops one x_k * Q_i per
+i and ranks a C(l,n) x l*n matrix, of full rank at random data in every
+case tried but the Luroth case (4, 5).  Certificates use B; the tests
+cross-check it against A.
 """
 
 from __future__ import annotations
@@ -156,8 +159,10 @@ def tangent_dim_points(star: StarConfiguration, d: int,
                        multipliers: Sequence[HomogeneousPoly]) -> int:
     """dim_k I_d via point evaluation (algorithm B).
 
-    The rank of the C(l,n) x l(n+1) matrix with entries p_s[k] * Q_i(p_s),
-    rows the points and columns the x_k * Q_i, plus the dimension
+    The rank of the C(l,n) x l*n matrix with entries p_s[k] * Q_i(p_s),
+    rows the points and columns the x_k * Q_i but the one at the first
+    nonzero coefficient of each L_i (a combination of the others, as
+    L_i * Q_i vanishes at every point), plus the dimension
     C(d+n,n) - C(l,n) of the configuration ideal in degree d.  Row s is
     built as p_s[k] * M_{s - i}(p_s) at integer coordinates of p_s: the
     same row up to nonzero factors, prod_{h not in s} L_h(p_s) among them.
@@ -165,12 +170,15 @@ def tangent_dim_points(star: StarConfiguration, d: int,
     coords = {s: clear_denominators(p.coordinates)
               for s, p in star.points.items()}
     values = _multiplier_values(star, d, multipliers, coords)
-    fld, width = star.field, star.n + 1
+    fld, width = star.field, star.n
+    dropped = [next(k for k, c in enumerate(form.coefficients)
+                    if not fld.is_zero(c)) for form in star.forms]
     rows = []
     for s, ms in values.items():
         row = [fld.zero()] * (star.l * width)
         for i, m in ms.items():
-            for k, x in enumerate(coords[s]):
+            xs = coords[s][:dropped[i - 1]] + coords[s][dropped[i - 1] + 1:]
+            for k, x in enumerate(xs):
                 row[(i - 1) * width + k] = fld.mul(x, m)
         rows.append(row)
     rank = ExactMatrix(fld, rows, ncols=star.l * width).rank()
@@ -227,10 +235,7 @@ def _linear_form_through(star: StarConfiguration, key: tuple[int, int],
     for _ in range(RETRY_BUDGET):
         coeffs = [fld.zero() if i == last else fld.random(rng)
                   for i in range(3)]
-        total = fld.zero()
-        for c, x in zip(coeffs, coords):
-            total = fld.add(total, fld.mul(c, x))
-        coeffs[last] = fld.neg(total)
+        coeffs[last] = fld.neg(sum(map(fld.mul, coeffs, coords)))
         form = _form_missing(fld, coeffs, others)
         if form is not None:
             return form

@@ -196,6 +196,27 @@ def test_lines_past_arc_bound_rejected(capsys, argv, l, n, q):
     assert "arc bound" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("paper-examples", "--prime", "5"),
+    ("verify", "--d", "5", "--l", "6", "--prime", "5", "--paper-forms"),
+])
+def test_published_lines_not_general_over_small_prime(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == ("error: the published lines L1, L2, L6 are not in general "
+                   "position over GF(5); use --field rational or another "
+                   "prime\n")
+
+
+def test_verify_frontier_certified(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--d", "60", "--l", "30",
+                           "--trials", "1", "--format", "csv")
+    assert code == 0
+    row = strip_elapsed(out)[0]
+    assert row["lower_bound"] == row["theorem_value"] == "1515"
+    assert row["verdict"] == "CERTIFIED"
+
+
 def inflate_lower_bounds(monkeypatch, by):
     """Make every lower bound `by` above its true value."""
     import starcurves.pnstar as pnstar

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starcurves.fields import PrimeField, QQ
-from starcurves.polynomials import (HomogeneousPoly, monomials_of_degree,
-                                    parse_poly, perturbation_coefficient,
-                                    poly_product)
+from starcurves.polynomials import (HomogeneousPoly, monomial_values,
+                                    monomials_of_degree, parse_poly,
+                                    perturbation_coefficient, poly_product)
 
 GF7 = PrimeField(7)
 
@@ -102,14 +102,71 @@ def test_evaluation_is_multiplicative(seed):
     assert (a * b).evaluate(pt) == GF7.mul(a.evaluate(pt), b.evaluate(pt))
 
 
+def evaluate_by_terms(poly, coords):
+    """The definition: each coefficient times its coordinates, one
+    multiplication per unit of exponent."""
+    f = poly.field
+    total = f.zero()
+    for mono, coeff in poly.terms.items():
+        val = coeff
+        for x, e in zip(coords, mono):
+            for _ in range(e):
+                val = f.mul(val, x)
+        total = f.add(total, val)
+    return total
+
+
+def random_monomial(nvars, degree, rng):
+    cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from([PrimeField(), PrimeField(5), QQ]),
+       nvars=st.integers(1, 4), degree=st.integers(0, 5),
+       shape=st.sampled_from(["dense", "sparse", "zero"]),
+       integer_coords=st.booleans(), seed=st.integers(0, 2**30))
+def test_evaluate_matches_term_by_term(field, nvars, degree, shape,
+                                       integer_coords, seed):
+    rng = random.Random(seed)
+    if shape == "dense":
+        poly = rand_poly(field, nvars, degree, rng)
+    elif shape == "sparse":   # a few monomials of high degree
+        degree += 40
+        poly = HomogeneousPoly(field, nvars, degree, {
+            random_monomial(nvars, degree, rng): field.random(rng)
+            for _ in range(rng.randint(1, 3))})
+    else:
+        poly = HomogeneousPoly.zero(field, nvars, degree)
+    if integer_coords:
+        coords = [rng.randint(-10**6, 10**6) for _ in range(nvars)]
+    elif field == QQ:
+        coords = [Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                  for _ in range(nvars)]
+    else:
+        coords = [field.random(rng) for _ in range(nvars)]
+    value = poly.evaluate(coords)
+    expected = evaluate_by_terms(poly, coords)
+    assert value == expected
+    assert type(value) is type(expected)
+
+
+def test_monomial_values_of_integer_coordinates_are_integers():
+    values = monomial_values(QQ, [2, 3, 5], 2, monomials_of_degree(3, 2))
+    assert values == [4, 6, 10, 9, 15, 25]
+    assert all(type(v) is int for v in values)
+    # residues of GF(7) are multiplied but not reduced
+    assert monomial_values(GF7, [3, 5], 2, [(1, 1)]) == [15]
+
+
 def test_coefficient_vector_roundtrip():
     rng = random.Random(8)
     for d in range(4):
         p = rand_poly(QQ, 3, d, rng)
         vec = p.coefficient_vector()
         assert len(vec) == comb(d + 2, 2)
-        back = HomogeneousPoly.from_coefficient_vector(QQ, 3, d, vec)
-        assert back == p
+        assert {m: c for m, c in zip(monomials_of_degree(3, d), vec)
+                if c} == p.terms
 
 
 # -- perturbation expansion -------------------------------------------------

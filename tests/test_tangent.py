@@ -15,7 +15,8 @@ from starcurves.polynomials import (HomogeneousPoly, monomials_of_degree,
                                     poly_sum)
 from starcurves.reference_cases import (TWELVE_COLUMNS, TWELVE_ROWS,
                                         five_line_forms, six_line_forms)
-from starcurves.formulas import LUROTH_SOURCE, STAR_IDEAL_SOURCE
+from starcurves.formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
+                                 closed_form_dimension)
 from starcurves.starconfig import (GenericityError, LinearForm, build_star,
                                    random_general_forms, random_star)
 from starcurves.tangent import (LowerBoundResult, build_q_forms, certify,
@@ -167,6 +168,21 @@ def test_tangent_points_zero_multipliers():
     expected = comb(d + 2, 2) - comb(5, 2)
     assert tangent_dim_points(star, d, [zero] * 5) == expected
     assert tangent_dim_direct(star, d, [zero] * 5) == expected
+
+
+def test_rational_tangent_rank_needs_no_bareiss(monkeypatch):
+    """The matrix without the redundant L_i-direction columns has full
+    rank, so the rational rank is read mod p and Bareiss never runs."""
+    import starcurves.matrices as matrices_mod
+
+    def refuse(rows):
+        raise AssertionError("Bareiss fallback ran")
+
+    monkeypatch.setattr(matrices_mod, "_rank_bareiss", refuse)
+    star = random_star(9, 0, QQ)
+    mult = random_multipliers(star, 10, random.Random(0))
+    assert tangent_dim_points(star, 10, mult) == \
+        closed_form_dimension(10, 9).value + 1
 
 
 def test_algorithm_agreement_random():
