@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import time
+from math import comb
 
 from .fields import DEFAULT_PRIME, PrimeField, QQ, Field, is_prime
 from .formulas import min_upper_bound
@@ -199,7 +200,6 @@ def cmd_pn(args) -> int:
 
 def cmd_hilbert(args) -> int:
     fld = field_from_args(args)
-    from math import comb
     if args.tmax < 0:
         usage_error("empty range")
     star = random_star(args.l, args.seed, fld)

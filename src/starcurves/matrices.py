@@ -4,8 +4,10 @@ Rank over Q clears denominators row by row.  The integer matrix's rank mod
 the fixed prime `DEFAULT_PRIME` is at most its rank over Q (a minor nonzero
 mod p is a nonzero integer), so a full rank mod p is the rational rank;
 otherwise fraction-free (Bareiss) elimination decides.  Rank over a prime
-field uses Gaussian elimination mod p.  Small determinants (the minors
-behind intersection points) use cofactor expansion.
+field uses Gaussian elimination mod p.  `EchelonModP` keeps vectors mod p
+in echelon form as they are added one at a time, for ranks that grow
+column by column.  Small determinants (the minors behind intersection
+points) use cofactor expansion.
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ class ExactMatrix:
             self.ncols = 0 if ncols is None else ncols
         self.rows = tuple(tuple(r) for r in rows)
 
-    def transpose(self) -> "ExactMatrix":
-        cols = [[self.rows[r][c] for r in range(self.nrows)]
-                for c in range(self.ncols)]
-        return ExactMatrix(self.field, cols, ncols=self.nrows)
-
     def rank(self) -> int:
         if self.nrows == 0 or self.ncols == 0:
             return 0
@@ -54,6 +51,34 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
+
+
+class EchelonModP:
+    """Vectors mod p added one at a time and kept in echelon form: each
+    stored vector is 1 at its pivot and 0 at every earlier pivot.  The
+    number stored is the rank of the vectors added so far."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.basis: list[tuple[int, list[int]]] = []
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    def add(self, v: Sequence[int]) -> None:
+        """Store `v` reduced by the stored vectors, unless it reduces to 0.
+        Entries are reduced mod p once, at the end; in between they only
+        grow by products of residues."""
+        p = self.p
+        for piv, b in self.basis:
+            c = -v[piv] % p
+            if c:
+                v = [x + c * y for x, y in zip(v, b)]
+        v = [x % p for x in v]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is not None:
+            inv = pow(v[piv], -1, p)
+            self.basis.append((piv, [x * inv % p for x in v]))
 
 
 def det(field: Field, rows: Sequence[Sequence[Element]]) -> Element:

@@ -16,10 +16,11 @@ import itertools
 import json
 import random
 from functools import cached_property, reduce
+from math import comb
 from typing import Sequence
 
-from .fields import Element, Field, PrimeField, check_same_field
-from .matrices import ExactMatrix, clear_denominators, det
+from .fields import DEFAULT_PRIME, Element, Field, PrimeField, check_same_field
+from .matrices import EchelonModP, ExactMatrix, clear_denominators, det
 from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
                           parse_poly, poly_product)
 
@@ -194,6 +195,10 @@ class StarConfiguration:
                    if h not in skip]
         return poly_product(factors, self.field, self.n + 1)
 
+    @cached_property
+    def _hilbert(self) -> "_HilbertRanks":
+        return _HilbertRanks(self)
+
     def to_json(self) -> dict:
         return {
             **self.field.descriptor(),
@@ -272,14 +277,87 @@ def parse_forms(text: str, field: Field, nvars: int = 3) -> list[LinearForm]:
 
 
 def hilbert_function(star: StarConfiguration, t: int) -> int:
-    """HF(X(l), t) as the rank of the degree-t evaluation matrix.
+    """HF(X, t): the rank of the evaluation matrix of the points of `star`
+    at the degree-t monomials.
 
-    Rows are the points at integer coordinates, columns the degree-t
-    monomials, with values from `monomial_values`.  The closed
-    formula min{C(t+2,2), C(l,2)} is used only as a test oracle.
+    At points scaled to last coordinate 1 (as canonical points are), x_n*m
+    and m have the same column, so the degree-(t-1) columns are among those
+    of degree t, and degree t adds only the monomials free of x_n, valued
+    by `monomial_values`.  One mod-p echelon stored on the star takes them
+    degree by degree; HF(t) is its size after degree t.  Once that size is
+    the number of points, every later degree has it too (rank <= #rows)
+    and builds no monomial basis.
+
+    Over Q the echelon runs mod `DEFAULT_PRIME`, and a size equal to
+    min(#points, C(t+n, n)) is the rational rank (a minor nonzero mod p is
+    nonzero over Q).  The whole per-degree matrix (`_evaluation_rank`)
+    decides when a point has last coordinate 0, when a rational denominator
+    is divisible by the prime, or when a rational echelon falls short of
+    that size.  A full per-degree rank also settles every higher degree: a
+    form vanishing at every point but p, times a coordinate nonzero at p,
+    is such a form of the next degree.  The closed formula
+    min{C(t+2,2), C(l,2)} is used only as a test oracle.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
+    return star._hilbert.rank(t)
+
+
+class _HilbertRanks:
+    """The degree-by-degree state behind `hilbert_function` for one star."""
+
+    def __init__(self, star: StarConfiguration):
+        self.star = star
+        self.npoints = len(star.points)
+        self.saturated: int | None = None   # least degree known to be full
+        self.ranks: list[int] = []          # echelon size after each degree
+        field = star.field
+        self.exact = isinstance(field, PrimeField)
+        self.residues = field if self.exact else PrimeField(DEFAULT_PRIME)
+        p = self.residues.p
+        self.affine = []
+        for pt in star.point_list():
+            *coords, last = pt.coordinates
+            if field.is_zero(last) or any(x.denominator % p == 0
+                                          for x in coords):
+                self.echelon = None
+                break
+            self.affine.append([x.numerator * pow(x.denominator, -1, p) % p
+                                for x in coords])
+        else:
+            self.echelon = EchelonModP(p)
+
+    def rank(self, t: int) -> int:
+        if self.echelon is not None:
+            self._extend(t)
+        if self.saturated is not None and t >= self.saturated:
+            return self.npoints
+        if self.echelon is not None and (self.exact or self.ranks[t] == min(
+                self.npoints, comb(t + self.star.n, self.star.n))):
+            return self.ranks[t]
+        rank = _evaluation_rank(self.star, t)
+        if rank == self.npoints:    # and t is below any degree known full
+            self.saturated = t
+        return rank
+
+    def _extend(self, t: int) -> None:
+        """Add the columns of each degree up to t, stopping once full."""
+        p = self.residues.p
+        while len(self.ranks) <= t and self.saturated is None:
+            degree = len(self.ranks)
+            monos = monomials_of_degree(self.star.n, degree)
+            rows = [monomial_values(self.residues, coords, degree, monos)
+                    for coords in self.affine]
+            for column in zip(*rows):
+                self.echelon.add([x % p for x in column])
+            self.ranks.append(len(self.echelon))
+            if len(self.echelon) == self.npoints:
+                self.saturated = degree
+
+
+def _evaluation_rank(star: StarConfiguration, t: int) -> int:
+    """The rank of the degree-t evaluation matrix, built whole: rows are
+    the points at integer coordinates, columns the degree-t monomials."""
     basis = monomials_of_degree(star.n + 1, t)
     field = star.field
     rows = [[field.from_int(v) for v in monomial_values(

@@ -159,6 +159,16 @@ def test_hilbert_table(capsys):
     assert "agreement: yes" in err
 
 
+@pytest.mark.parametrize("field", [("--prime", "7"), ("--field", "rational")])
+def test_hilbert_huge_tmax(capsys, field):
+    """Past saturation a row costs no monomial basis, so a huge range ends."""
+    code, out, err = run_cli(capsys, "hilbert", "--l", "6", "--tmax", "3000",
+                             *field)
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["3000", "15", "15"]
+    assert err == "agreement: yes\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])   # missing required flags

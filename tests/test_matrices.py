@@ -56,8 +56,8 @@ def test_rank_equals_transpose_rank():
         nc = len(rows[0])
         for _ in range(rng.randint(0, 5)):
             rows.append([rng.randint(-9, 9) for _ in range(nc)])
-        m = qmat(rows)
-        assert m.rank() == m.transpose().rank()
+        columns = [list(c) for c in zip(*rows)]
+        assert qmat(rows).rank() == qmat(columns).rank()
 
 
 def test_rank_invariant_under_scaling_and_permutation():

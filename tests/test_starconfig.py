@@ -1,13 +1,18 @@
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from starcurves import starconfig
-from starcurves.fields import PrimeField, QQ
-from starcurves.polynomials import parse_poly
+from starcurves import polynomials, starconfig
+from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
+from starcurves.matrices import ExactMatrix
+from starcurves.polynomials import monomials_of_degree, parse_poly
 from starcurves.reference_cases import five_line_forms, six_line_forms
 from starcurves.starconfig import (GenericityError, LinearForm,
                                    ProjectivePoint, build_star,
@@ -222,6 +227,153 @@ def test_hilbert_function_formula_small():
         for t in range(6):
             assert hilbert_function(star, t) == \
                 min(comb(t + 2, 2), comb(l, 2))
+
+
+def evaluation_rank(star, t):
+    """The rank of the whole degree-t evaluation matrix: one row per point
+    at its canonical coordinates, one column per degree-t monomial."""
+    f = star.field
+    rows = [[reduce(f.mul, map(pow, p.coordinates, mono), f.one())
+             for mono in monomials_of_degree(star.n + 1, t)]
+            for p in star.point_list()]
+    return ExactMatrix(f, rows).rank()
+
+
+def last_coordinate_form(field, n):
+    """x_n: its points have last coordinate 0."""
+    return LinearForm(field, [field.from_int(int(i == n))
+                              for i in range(n + 1)])
+
+
+def denominator_forms(n):
+    """x_i + x_n over Q for i < n, with x_1 scaled by the default prime p:
+    they meet at a point with x_1 = -1/p and last coordinate 1."""
+    scale = [1, DEFAULT_PRIME] + [1] * (n - 2)
+    return [LinearForm(QQ, [Fraction(scale[i] * (j == i) + (j == n))
+                            for j in range(n + 1)]) for i in range(n)]
+
+
+def star_with(field, n, l, first_forms):
+    """The first general star of l forms that begins with `first_forms`."""
+    for seed in range(100):
+        try:
+            forms = random_star(l, seed, field, n).forms
+            return build_star(first_forms + forms[len(first_forms):])
+        except GenericityError:
+            pass
+    raise AssertionError("no general star found")
+
+
+def drawn_star(field, n, l, seed, kind):
+    """A random star in P^n, or one with a point the echelon cannot take:
+    on the hyperplane x_n = 0, or (over Q) with a coordinate whose
+    denominator is the default prime."""
+    try:
+        forms = random_star(l, seed, field, n).forms
+        if kind == "at infinity":
+            forms[0] = last_coordinate_form(field, n)
+        elif kind == "denominator":
+            forms[:n] = denominator_forms(n)
+        return build_star(forms)
+    except ValueError:      # not general, or l past the arc bound
+        reject()
+
+
+stars = st.builds(
+    drawn_star, field=st.sampled_from([GF, PrimeField(5), PrimeField(7),
+                                       PrimeField(11), QQ]),
+    n=st.sampled_from([2, 3]), l=st.integers(3, 7),
+    seed=st.integers(0, 2**20), kind=st.sampled_from(["random", "at infinity"])
+) | st.builds(
+    drawn_star, field=st.just(QQ), n=st.sampled_from([2, 3]),
+    l=st.integers(3, 7), seed=st.integers(0, 2**20),
+    kind=st.just("denominator"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(star=stars, degrees=st.permutations(range(8)),
+       residue_prime=st.sampled_from([DEFAULT_PRIME, 5, 7]))
+def test_hilbert_function_matches_evaluation_rank(star, degrees,
+                                                  residue_prime):
+    """Degrees in random order, so the stored echelon is extended and then
+    read back out of order.  Over Q the echelon may run mod a small prime,
+    where its rank often falls short and the per-degree matrix decides."""
+    with mock.patch.object(starconfig, "DEFAULT_PRIME", residue_prime):
+        for t in degrees:
+            assert hilbert_function(star, t) == evaluation_rank(star, t)
+
+
+def test_hilbert_function_fallbacks():
+    """Stars whose points the echelon cannot take still get exact ranks."""
+    for star in (build_star(coordinate_forms()),
+                 star_with(QQ, 2, 6, denominator_forms(2)),
+                 star_with(QQ, 3, 6, denominator_forms(3))):
+        assert star._hilbert.echelon is None
+        assert [hilbert_function(star, t) for t in range(6)] == \
+            [evaluation_rank(star, t) for t in range(6)]
+
+
+def test_rational_echelon_short_mod_p_falls_back(monkeypatch):
+    """Tangents x_0 + i*x_1 - i^2*x_2 to a conic meet at (-ij : i+j : 1),
+    so i and i + 5 give rows that agree mod 5: run mod 5, the echelon of
+    l = 7 tangents falls short of full rank, and the per-degree rational
+    matrix must decide."""
+    star = build_star([LinearForm(QQ, [Fraction(1), Fraction(i),
+                                       Fraction(-i * i)])
+                       for i in range(1, 8)])
+    real, fallbacks = starconfig._evaluation_rank, []
+
+    def spy(star, t):
+        fallbacks.append(t)
+        return real(star, t)
+
+    monkeypatch.setattr(starconfig, "DEFAULT_PRIME", 5)
+    monkeypatch.setattr(starconfig, "_evaluation_rank", spy)
+    assert [hilbert_function(star, t) for t in range(8)] == \
+        [min(comb(t + 2, 2), 21) for t in range(8)]
+    assert star._hilbert.echelon is not None and fallbacks
+
+
+def refuse_monomials_above(monkeypatch, top):
+    real = polynomials.monomials_of_degree
+
+    def guarded(nvars, degree):
+        if degree > top:
+            raise AssertionError(f"monomial basis of degree {degree} built")
+        return real(nvars, degree)
+
+    monkeypatch.setattr(polynomials, "monomials_of_degree", guarded)
+    monkeypatch.setattr(starconfig, "monomials_of_degree", guarded)
+
+
+@pytest.mark.parametrize("field", [GF, PrimeField(11), QQ])
+@pytest.mark.parametrize("n", [2, 3])
+def test_hilbert_function_builds_no_basis_past_saturation(monkeypatch, field,
+                                                           n):
+    l = 6
+    stars = [random_star(l, 3, field, n),
+             star_with(field, n, l, [last_coordinate_form(field, n)])]
+    refuse_monomials_above(monkeypatch, l + 1)
+    for star in stars:
+        if star._hilbert.echelon is None:
+            # the per-degree fallback learns saturation in order
+            for t in range(l + 2):
+                hilbert_function(star, t)
+        assert hilbert_function(star, 10_000) == comb(l, n)
+
+
+def test_rational_hilbert_function_needs_no_bareiss(monkeypatch):
+    import starcurves.matrices as matrices_mod
+
+    def refuse(rows):
+        raise AssertionError("Bareiss fallback ran")
+
+    monkeypatch.setattr(matrices_mod, "_rank_bareiss", refuse)
+    for n, l in ((2, 9), (3, 7)):
+        star = random_star(l, 0, QQ, n)
+        for t in range(l + 2):
+            assert hilbert_function(star, t) == \
+                min(comb(t + n, n), comb(l, n))
 
 
 def test_parse_forms_text_format():

@@ -246,13 +246,15 @@ def test_perturbation_elements_lie_in_tangent_space():
 def drawn_problem(n, field, l, extra, seed, kind):
     """A random configuration in P^n with multipliers that are random, all
     equal, or zero; rejects the example when a small field runs out of
-    draws."""
+    draws.  The multipliers come from a stream of their own: drawn from
+    the forms' stream, degree-1 multipliers would repeat the forms'
+    coefficients, which is special data."""
     try:
         star = random_star(max(l, n), seed, field, n)
     except GenericityError:
         reject()
     d = star.generator_degree + extra
-    mult = random_multipliers(star, d, random.Random(seed))
+    mult = random_multipliers(star, d, random.Random(f"multipliers {seed}"))
     if kind == "equal":
         mult = [mult[0]] * len(mult)
     elif kind == "zero":
