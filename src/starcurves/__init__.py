@@ -6,14 +6,13 @@ from .fields import DEFAULT_PRIME, PrimeField, QQ, RationalField
 from .formulas import (TheoremValue, closed_form_dimension, min_upper_bound,
                        pn_upper_bound, upper_bounds)
 from .matrices import ExactMatrix
-from .polynomials import (HomogeneousPoly, monomials_of_degree, parse_poly,
-                          perturbation_coefficient)
+from .polynomials import HomogeneousPoly, monomials_of_degree, parse_poly
 from .pnstar import conjecture_row
 from .starconfig import (GenericityError, LinearForm, ProjectivePoint,
                          StarConfiguration, build_star, hilbert_function,
                          intersection_point, random_general_forms,
                          random_star)
-from .tangent import (DimensionCertificate, build_q_forms, certify,
+from .tangent import (DimensionCertificate, TrialStars, build_q_forms, certify,
                       ideal_component_dim, lower_bound_dim_S,
                       evaluation_submatrix_rank, tangent_dim_direct,
                       tangent_dim_points, tangent_values,
@@ -27,12 +26,11 @@ __all__ = [
     "pn_upper_bound", "upper_bounds",
     "ExactMatrix",
     "HomogeneousPoly", "monomials_of_degree", "parse_poly",
-    "perturbation_coefficient",
     "conjecture_row",
     "GenericityError", "LinearForm", "ProjectivePoint", "StarConfiguration",
     "build_star", "hilbert_function", "intersection_point",
     "random_general_forms", "random_star",
-    "DimensionCertificate", "build_q_forms", "certify",
+    "DimensionCertificate", "TrialStars", "build_q_forms", "certify",
     "ideal_component_dim", "lower_bound_dim_S", "evaluation_submatrix_rank",
     "tangent_dim_direct", "tangent_dim_points", "tangent_values",
     "structured_multipliers",

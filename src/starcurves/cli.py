@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import logging
 import os
 import sys
 import time
@@ -26,10 +25,9 @@ from .pnstar import conjecture_row
 from .reference_cases import (block_matrix_rank, five_line_forms,
                               luroth_case_dimension, six_line_forms,
                               six_line_matrix_rank)
-from .starconfig import check_arc_bound, hilbert_function, random_star
-from .tangent import certify
-
-log = logging.getLogger("starcurves")
+from .starconfig import (build_star, check_arc_bound, hilbert_function,
+                         random_star)
+from .tangent import TrialStars, certify
 
 EXIT_OK = 0
 EXIT_GAP = 1
@@ -105,9 +103,11 @@ def emit_rows(rows: list[dict], fmt: str, output: str | None,
 
 
 def run_one(d: int, l: int, fld: Field, trials: int, seed: int,
-            paper_forms: bool) -> dict:
+            paper_forms: bool, stars=None, verbose: bool = False) -> dict:
+    """One certificate row; `stars` as in `lower_bound_dim_S`, or the
+    published lines in every trial with `paper_forms`.  `verbose` writes
+    each trial's tangent dimension to stderr."""
     start = time.monotonic()
-    forms = None
     multipliers = None
     if paper_forms:
         if l == 5:
@@ -116,21 +116,23 @@ def run_one(d: int, l: int, fld: Field, trials: int, seed: int,
             forms = six_line_forms(fld)
         else:
             usage_error("--paper-forms only available for l = 5 or 6")
+        stars = [build_star(forms)] * trials
         if d == l - 1:
             multipliers = [HomogeneousPoly.one(fld, 3)] * l
-    cert = certify(d, l, fld, trials=trials, seed=seed, forms=forms,
+    cert = certify(d, l, fld, trials=trials, seed=seed, stars=stars,
                    multipliers=multipliers)
     elapsed_ms = int((time.monotonic() - start) * 1000)
-    for t, dim in zip(cert.seeds, cert.trial_dims):
-        log.debug("(d=%d, l=%d) trial seed %d: tangent dimension %d",
-                  d, l, t, dim)
+    if verbose:
+        for t, dim in zip(cert.seeds, cert.trial_dims):
+            print(f"DEBUG (d={d}, l={l}) trial seed {t}: tangent dimension "
+                  f"{dim}", file=sys.stderr)
     return certificate_row(cert, fld, seed, elapsed_ms)
 
 
 def cmd_verify(args) -> int:
     fld = field_from_args(args)
     row = run_one(args.d, args.l, fld, args.trials, args.seed,
-                  args.paper_forms)
+                  args.paper_forms, verbose=args.verbose)
     emit_rows([row], args.format, args.output)
     print(f"verdict: {row['verdict']}", file=sys.stderr)
     return exit_status([row["verdict"]])
@@ -138,16 +140,17 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     fld = field_from_args(args)
-    cases = []
-    for l in range(2, args.lmax + 1):
-        dmin = 0 if args.include_empty else l - 1
-        for d in range(dmin, args.dmax + 1):
-            cases.append((d, l))
-    if not cases:
+    cases = {l: range(0 if args.include_empty else l - 1, args.dmax + 1)
+             for l in range(2, args.lmax + 1)}
+    if not any(cases.values()):
         usage_error("empty sweep range")
 
-    rows = [run_one(d, l, fld, args.trials, args.seed, False)
-            for d, l in cases]
+    rows = []
+    for l, degrees in cases.items():
+        # one draw per trial, made by the first row that needs it
+        stars = TrialStars(l, fld, args.seed)
+        rows += [run_one(d, l, fld, args.trials, args.seed, False, stars,
+                         args.verbose) for d in degrees]
     verdicts = [r["verdict"] for r in rows]
     emit_rows(rows, args.format, args.output)
     summary = ", ".join(f"{verdicts.count(v)} {v}"
@@ -184,9 +187,10 @@ def cmd_pn(args) -> int:
     check_arc_bound(args.lmax, args.n, fld)
     rows = []
     for l in range(max(2, args.n), args.lmax + 1):
+        stars = TrialStars(l, fld, args.seed, args.n)
         for d in range(l - 1, args.dmax + 1):
             r = conjecture_row(args.n, d, l, fld, trials=args.trials,
-                               seed=args.seed)
+                               seed=args.seed, stars=stars)
             rows.append({"n": r.n, "d": r.d, "l": r.l,
                          "lower_bound": r.lower_bound,
                          "formula_min": r.formula_min, "status": r.status})
@@ -274,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s")
     try:
         return args.func(args)
     except SystemExit:

@@ -13,9 +13,11 @@ A lower bound above the upper bound is reported as a CONTRADICTION.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .fields import Field
 from .formulas import pn_upper_bound
+from .starconfig import StarConfiguration
 from .tangent import lower_bound_dim_S
 
 
@@ -30,9 +32,12 @@ class PnSweepRow:
 
 
 def conjecture_row(n: int, d: int, l: int, fld: Field, trials: int = 3,
-                   seed: int = 0) -> PnSweepRow:
+                   seed: int = 0,
+                   stars: Sequence[StarConfiguration] | None = None
+                   ) -> PnSweepRow:
+    """One (d, l) row; `stars` as in `lower_bound_dim_S`."""
     lower = lower_bound_dim_S(d, l, fld, trials=trials, seed=seed,
-                              n=n).lower_bound
+                              stars=stars, n=n).lower_bound
     formula = pn_upper_bound(n, d, l)
     if lower > formula:
         status = "CONTRADICTION"

@@ -266,37 +266,31 @@ def random_general_forms(l: int, seed: int, field: Field,
     return random_star(l, seed, field, n).forms
 
 
-def parse_forms(text: str, field: Field, nvars: int = 3) -> list[LinearForm]:
-    """One form per line, in plain polynomial notation; blank lines skipped."""
-    forms = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            forms.append(LinearForm.parse(line, field, nvars))
-    return forms
-
-
 def hilbert_function(star: StarConfiguration, t: int) -> int:
     """HF(X, t): the rank of the evaluation matrix of the points of `star`
     at the degree-t monomials.
 
-    At points scaled to last coordinate 1 (as canonical points are), x_n*m
-    and m have the same column, so the degree-(t-1) columns are among those
-    of degree t, and degree t adds only the monomials free of x_n, valued
-    by `monomial_values`.  One mod-p echelon stored on the star takes them
-    degree by degree; HF(t) is its size after degree t.  Once that size is
-    the number of points, every later degree has it too (rank <= #rows)
-    and builds no monomial basis.
+    Take a chart form c = x_n + s*x_{n-1} + ... + s^n*x_0 nonzero at every
+    point (`_chart_values`); x_0..x_{n-1}, c are coordinates too.  At
+    points scaled to c = 1, c*m and m have the same column, so the
+    degree-(t-1) columns are among those of degree t, and degree t adds
+    only the degree-t monomials in x_0..x_{n-1}, valued at the affine
+    coordinates x_k / c by `monomial_values`.  One mod-p echelon stored on
+    the star takes them degree by degree; HF(t) is its size after degree
+    t.  Once that size is the number of points, every later degree has it
+    too (rank <= #rows) and builds no monomial basis.  s = 0 gives c = x_n,
+    which canonical points already have at 1 unless they lie on x_n = 0.
 
     Over Q the echelon runs mod `DEFAULT_PRIME`, and a size equal to
     min(#points, C(t+n, n)) is the rational rank (a minor nonzero mod p is
     nonzero over Q).  The whole per-degree matrix (`_evaluation_rank`)
-    decides when a point has last coordinate 0, when a rational denominator
-    is divisible by the prime, or when a rational echelon falls short of
-    that size.  A full per-degree rank also settles every higher degree: a
-    form vanishing at every point but p, times a coordinate nonzero at p,
-    is such a form of the next degree.  The closed formula
-    min{C(t+2,2), C(l,2)} is used only as a test oracle.
+    decides when no chart form exists (over a small field), when a
+    rational affine coordinate has a denominator divisible by the prime,
+    or when a rational echelon falls short of that size.  A full
+    per-degree rank also settles every higher degree: a form vanishing at
+    every point but p, times a coordinate nonzero at p, is such a form of
+    the next degree.  The closed formula min{C(t+2,2), C(l,2)} is used
+    only as a test oracle.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -315,17 +309,21 @@ class _HilbertRanks:
         self.exact = isinstance(field, PrimeField)
         self.residues = field if self.exact else PrimeField(DEFAULT_PRIME)
         p = self.residues.p
+        self.echelon = None
+        charts = _chart_values(star)
+        if charts is None:
+            return
         self.affine = []
-        for pt in star.point_list():
-            *coords, last = pt.coordinates
-            if field.is_zero(last) or any(x.denominator % p == 0
-                                          for x in coords):
-                self.echelon = None
-                break
+        for pt, scale in zip(star.point_list(), charts):
+            coords = pt.coordinates[:-1]
+            if scale != 1:
+                inv = field.inv(scale)
+                coords = [field.mul(x, inv) for x in coords]
+            if any(x.denominator % p == 0 for x in coords):
+                return
             self.affine.append([x.numerator * pow(x.denominator, -1, p) % p
                                 for x in coords])
-        else:
-            self.echelon = EchelonModP(p)
+        self.echelon = EchelonModP(p)
 
     def rank(self, t: int) -> int:
         if self.echelon is not None:
@@ -353,6 +351,33 @@ class _HilbertRanks:
             self.ranks.append(len(self.echelon))
             if len(self.echelon) == self.npoints:
                 self.saturated = degree
+
+
+def _chart_values(star: StarConfiguration) -> list[Element] | None:
+    """The values at the points, in point-key order, of the first chart
+    form x_n + s*x_{n-1} + s^2*x_{n-2} + ... + s^n*x_0 (s = 0, 1, 2, ...)
+    that vanishes at none of them; None when there is none.
+
+    At a point the form is a nonzero polynomial of degree <= n in s, so
+    it has at most n roots, and one of n * #points + 1 values of s works
+    whenever the field has that many.  The form of s = 0 is x_n, read off
+    as the last coordinate, which is 1 at canonical points off x_n = 0."""
+    field, n, points = star.field, star.n, star.point_list()
+    tries = n * len(points) + 1
+    if isinstance(field, PrimeField):
+        tries = min(tries, field.p)
+    for s in range(tries):
+        chart = LinearForm(field, [field.from_int(s ** (n - k))
+                                   for k in range(n + 1)])
+        values = []
+        for pt in points:
+            value = chart.evaluate(pt) if s else pt.coordinates[-1]
+            if field.is_zero(value):
+                break
+            values.append(value)
+        else:
+            return values
+    return None
 
 
 def _evaluation_rank(star: StarConfiguration, t: int) -> int:

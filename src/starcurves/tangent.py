@@ -32,16 +32,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .fields import Element, Field, check_same_field
 from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                        closed_form_dimension, upper_bounds)
 from .matrices import ExactMatrix, clear_denominators
-from .polynomials import (HomogeneousPoly, monomials_of_degree, poly_product,
-                          poly_sum)
+from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
+                          poly_product, poly_sum)
 from .starconfig import (RETRY_BUDGET, GenericityError, LinearForm,
-                         StarConfiguration, build_star, random_star)
+                         StarConfiguration, random_star)
 
 
 def _multiplier_degree(star: StarConfiguration,
@@ -86,11 +87,22 @@ def build_q_forms(star: StarConfiguration,
 
 def _multiplier_values(star, d, multipliers, coords) -> dict[tuple, dict]:
     """M_{s - i}(coords[s]) for every point key s and every i in s, in
-    point-key order, once the multipliers pass the checks against d."""
-    _multiplier_degree(star, multipliers, d)
-    mult = dict(zip(star.generator_keys(), multipliers))
-    return {s: {i: mult[tuple(j for j in s if j != i)].evaluate(coords[s])
-                for i in s} for s in sorted(coords)}
+    point-key order, once the multipliers pass the checks against d.
+
+    Each point gets one table of its degree-d - (l - n + 1) monomial
+    values, and each M_T(p_s) is the dot product of that table with the
+    coefficient vector of M_T."""
+    mdeg = _multiplier_degree(star, multipliers, d)
+    fld, basis = star.field, monomials_of_degree(star.n + 1, mdeg)
+    vectors = {key: m.coefficient_vector()
+               for key, m in zip(star.generator_keys(), multipliers)}
+    values = {}
+    for s in sorted(coords):
+        monos = monomial_values(fld, coords[s], mdeg, basis)
+        values[s] = {i: fld.from_int(sum(map(
+            mul, vectors[tuple(j for j in s if j != i)], monos)))
+            for i in s}
+    return values
 
 
 def tangent_values(star: StarConfiguration, d: int,
@@ -326,9 +338,29 @@ def trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
+class TrialStars:
+    """The random configuration of each trial for one l, drawn on first use
+    and then kept.
+
+    A trial's star depends on (l, trial seed) and not on d, so one
+    instance serves every d of an l.  `sweep` and `pn` make a new one for
+    each l, so no star outlives its command.
+    """
+
+    def __init__(self, l: int, fld: Field, seed: int = 0, n: int = 2):
+        self.l, self.field, self.seed, self.n = l, fld, seed, n
+        self._drawn: dict[int, StarConfiguration] = {}
+
+    def __getitem__(self, trial: int) -> StarConfiguration:
+        if trial not in self._drawn:
+            self._drawn[trial] = random_star(
+                self.l, trial_seed(self.seed, trial), self.field, self.n)
+        return self._drawn[trial]
+
+
 def lower_bound_dim_S(d: int, l: int, fld: Field, trials: int = 3,
                       seed: int = 0,
-                      forms: Sequence[LinearForm] | None = None,
+                      stars: Sequence[StarConfiguration] | None = None,
                       multipliers: Sequence[HomogeneousPoly] | None = None,
                       n: int = 2) -> LowerBoundResult:
     """Semicontinuity lower bound: max over random trials of dim_k I_d - 1,
@@ -337,19 +369,24 @@ def lower_bound_dim_S(d: int, l: int, fld: Field, trials: int = 3,
     Any specific choice of data gives a tangent dimension that can only be
     smaller than the generic one, so the maximum observed dimension minus
     one certifies a lower bound on the dimension of the locus.  Each
-    trial takes the point-evaluation rank (algorithm B).  Fixed `forms`
-    and/or `multipliers` override the random draws in every trial.
+    trial takes the point-evaluation rank (algorithm B).  `stars[t]` is
+    the configuration of trial t (by default a `TrialStars` of its own);
+    fixed `multipliers` override the random draw in every trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if d < l - n + 1:
         raise ValueError(f"need d >= l - n + 1 = {l - n + 1}")
+    if stars is None:
+        stars = TrialStars(l, fld, seed, n)
     dims, seeds = [], []
     for t in range(trials):
         ts = trial_seed(seed, t)
         seeds.append(ts)
-        star = build_star(forms) if forms is not None else \
-            random_star(l, ts, fld, n)
+        star = stars[t]
+        if (star.l, star.n) != (l, n):
+            raise ValueError(f"trial {t} has l = {star.l} hyperplanes in "
+                             f"P^{star.n}, not l = {l} in P^{n}")
         mult = multipliers if multipliers is not None else \
             random_multipliers(star, d, random.Random(ts ^ 0x5EED))
         dims.append(tangent_dim_points(star, d, mult))
@@ -386,22 +423,24 @@ class DimensionCertificate:
 
 
 def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
-            forms: Sequence[LinearForm] | None = None,
+            stars: Sequence[StarConfiguration] | None = None,
             multipliers: Sequence[HomogeneousPoly] | None = None
             ) -> DimensionCertificate:
     """Full verification of one (d, l) pair.
 
-    EMPTY when d < l - 1; otherwise CONTRADICTION when the observed lower
-    bound exceeds the least upper bound, CERTIFIED when it matches the
-    closed-form value, GAP when the trials fall short.  `external_facts`
-    lists the source tags of the outside theorems the verdict relies on.
+    EMPTY when d < l - 1, with no star drawn; otherwise CONTRADICTION when
+    the observed lower bound exceeds the least upper bound, CERTIFIED when
+    it matches the closed-form value, GAP when the trials fall short.
+    `stars` and `multipliers` are passed to `lower_bound_dim_S`.
+    `external_facts` lists the source tags of the outside theorems the
+    verdict relies on.
     """
     tv = closed_form_dimension(d, l)
     if tv.is_empty:
         return DimensionCertificate(d, l, fld.descriptor(), [], None, None,
                                     [], "EMPTY")
     result = lower_bound_dim_S(d, l, fld, trials=trials, seed=seed,
-                               forms=forms, multipliers=multipliers)
+                               stars=stars, multipliers=multipliers)
     bounds = upper_bounds(d, l)
     if result.lower_bound > min(v for _, v in bounds):
         verdict = "CONTRADICTION"

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from starcurves.cli import main
+import starcurves.tangent as tangent_mod
+from starcurves.cli import certificate_row, exit_status, main
+from starcurves.fields import DEFAULT_PRIME, PrimeField
+from starcurves.pnstar import conjecture_row
+from starcurves.tangent import certify, trial_seed
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +97,77 @@ def test_sweep_json_format(capsys):
     assert code == 0
     rows = json.loads(out)
     assert all(r["verdict"] == "CERTIFIED" for r in rows)
+
+
+def count_draws(monkeypatch):
+    """Record (l, seed, n) of every `random_star` call made for a lower
+    bound."""
+    real, calls = tangent_mod.random_star, []
+
+    def counting(l, seed, field, n=2):
+        calls.append((l, seed, n))
+        return real(l, seed, field, n)
+
+    monkeypatch.setattr(tangent_mod, "random_star", counting)
+    return calls
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 7])
+def test_sweep_draws_each_star_once(capsys, monkeypatch, prime):
+    """l = 7 has only EMPTY rows and draws nothing; every other (l, trial)
+    is drawn once, and the rows are those of separate `certify` calls."""
+    calls = count_draws(monkeypatch)
+    code, out, _ = run_cli(capsys, "sweep", "--dmax", "5", "--lmax", "7",
+                           "--trials", "2", "--include-empty", "--seed", "3",
+                           "--prime", str(prime), "--format", "json")
+    assert calls == [(l, trial_seed(3, t), 2) for l in range(2, 7)
+                     for t in range(2)]
+    rows = json.loads(out)
+    assert len(rows) == 6 * 6
+    fld = PrimeField(prime)
+    for r in rows:
+        cert = certify(r["d"], r["l"], fld, trials=2, seed=3)
+        assert r == certificate_row(cert, fld, 3, r["elapsed_ms"])
+    assert code == exit_status(r["verdict"] for r in rows)
+
+
+def test_pn_draws_each_star_once(capsys, monkeypatch):
+    calls = count_draws(monkeypatch)
+    code, out, _ = run_cli(capsys, "pn", "--n", "3", "--dmax", "7",
+                           "--lmax", "6", "--trials", "2", "--seed", "4",
+                           "--format", "json")
+    assert code == 0
+    assert calls == [(l, trial_seed(4, t), 3) for l in range(3, 7)
+                     for t in range(2)]
+    fld = PrimeField(DEFAULT_PRIME)
+    rows = json.loads(out)
+    assert [(r["d"], r["l"]) for r in rows] == [
+        (d, l) for l in range(3, 7) for d in range(l - 1, 8)]
+    for r in rows:
+        row = conjecture_row(3, r["d"], r["l"], fld, trials=2, seed=4)
+        assert (row.lower_bound, row.formula_min, row.status) == \
+            (r["lower_bound"], r["formula_min"], r["status"])
+
+
+def test_star_reuse_ends_with_the_command(capsys, monkeypatch):
+    calls = count_draws(monkeypatch)
+    args = ("sweep", "--dmax", "5", "--lmax", "4", "--trials", "2")
+    run_cli(capsys, *args)
+    first = list(calls)
+    run_cli(capsys, *args)
+    assert len(first) == 3 * 2 and calls == first + first
+
+
+def test_verbose_after_a_quiet_run_in_one_process(capsys):
+    """-v lists each trial's tangent dimension on stderr, also when an
+    earlier call in the same process ran without it."""
+    args = ("verify", "--d", "5", "--l", "6", "--trials", "2")
+    _, _, quiet = run_cli(capsys, *args)
+    _, _, loud = run_cli(capsys, *args, "-v")
+    assert quiet == "verdict: CERTIFIED\n"
+    assert loud == ("DEBUG (d=5, l=6) trial seed 0: tangent dimension 18\n"
+                    "DEBUG (d=5, l=6) trial seed 1: tangent dimension 18\n"
+                    "verdict: CERTIFIED\n")
 
 
 def test_paper_examples_pass(capsys):

@@ -6,7 +6,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from starcurves import polynomials, starconfig
@@ -18,11 +18,12 @@ from starcurves.starconfig import (GenericityError, LinearForm,
                                    ProjectivePoint, build_star,
                                    configuration_to_json_str,
                                    hilbert_function, intersection_point,
-                                   arc_bound, parse_forms,
-                                   random_general_forms, random_star)
+                                   arc_bound, random_general_forms,
+                                   random_star)
 from starcurves.tangent import ideal_component_dim
 
 GF = PrimeField()
+GF3 = PrimeField(3)
 
 
 def coordinate_forms(field=QQ):
@@ -253,6 +254,13 @@ def denominator_forms(n):
                             for j in range(n + 1)]) for i in range(n)]
 
 
+def chartless_forms():
+    """x0, x1, x2 and x0 + x1 + x2 over GF(3): each chart form
+    x2 + s*x1 + s^2*x0, s = 0, 1, 2, vanishes at one of their points,
+    (1:0:0), (0:2:1) and (2:0:1) in turn."""
+    return coordinate_forms(GF3) + [LinearForm(GF3, [1, 1, 1])]
+
+
 def star_with(field, n, l, first_forms):
     """The first general star of l forms that begins with `first_forms`."""
     for seed in range(100):
@@ -293,6 +301,13 @@ stars = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(star=stars, degrees=st.permutations(range(8)),
        residue_prime=st.sampled_from([DEFAULT_PRIME, 5, 7]))
+@example(star=build_star(coordinate_forms(GF)), degrees=range(8),
+         residue_prime=DEFAULT_PRIME)
+@example(star=star_with(PrimeField(1009), 2, 7,
+                        [last_coordinate_form(PrimeField(1009), 2)]),
+         degrees=range(7, -1, -1), residue_prime=DEFAULT_PRIME)
+@example(star=build_star(chartless_forms()), degrees=range(8),
+         residue_prime=DEFAULT_PRIME)
 def test_hilbert_function_matches_evaluation_rank(star, degrees,
                                                   residue_prime):
     """Degrees in random order, so the stored echelon is extended and then
@@ -305,12 +320,29 @@ def test_hilbert_function_matches_evaluation_rank(star, degrees,
 
 def test_hilbert_function_fallbacks():
     """Stars whose points the echelon cannot take still get exact ranks."""
-    for star in (build_star(coordinate_forms()),
+    for star in (build_star(chartless_forms()),
                  star_with(QQ, 2, 6, denominator_forms(2)),
                  star_with(QQ, 3, 6, denominator_forms(3))):
         assert star._hilbert.echelon is None
         assert [hilbert_function(star, t) for t in range(6)] == \
             [evaluation_rank(star, t) for t in range(6)]
+
+
+def test_points_on_last_hyperplane_take_the_echelon(monkeypatch):
+    """A point on x_n = 0 moves the echelon to another chart form instead
+    of sending the star to the per-degree matrix."""
+    def refuse(star, t):
+        raise AssertionError("per-degree evaluation matrix built")
+
+    monkeypatch.setattr(starconfig, "_evaluation_rank", refuse)
+    stars = [random_star(20, 0, PrimeField(1009)),
+             build_star(coordinate_forms()), build_star(coordinate_forms(GF)),
+             star_with(QQ, 3, 6, [last_coordinate_form(QQ, 3)])]
+    assert any(p.coordinates[-1] == 0 for p in stars[0].point_list())
+    for star in stars:
+        n, npoints = star.n, len(star.points)
+        assert [hilbert_function(star, t) for t in range(star.l + 3)] == \
+            [min(comb(t + n, n), npoints) for t in range(star.l + 3)]
 
 
 def test_rational_echelon_short_mod_p_falls_back(monkeypatch):
@@ -374,13 +406,6 @@ def test_rational_hilbert_function_needs_no_bareiss(monkeypatch):
         for t in range(l + 2):
             assert hilbert_function(star, t) == \
                 min(comb(t + n, n), comb(l, n))
-
-
-def test_parse_forms_text_format():
-    text = "x0\nx1\n\n# comment\nx0 + 2*x1 + 3*x2\n"
-    forms = parse_forms(text, QQ)
-    assert len(forms) == 3
-    assert forms[2].coefficients == (Fraction(1), Fraction(2), Fraction(3))
 
 
 def test_linear_form_parse_matches_poly():

@@ -11,8 +11,7 @@ import starcurves.tangent as tangent_mod
 from starcurves.fields import PrimeField, QQ
 from starcurves.matrices import ExactMatrix
 from starcurves.polynomials import (HomogeneousPoly, monomials_of_degree,
-                                    parse_poly, perturbation_coefficient,
-                                    poly_sum)
+                                    parse_poly, poly_sum)
 from starcurves.reference_cases import (TWELVE_COLUMNS, TWELVE_ROWS,
                                         five_line_forms, six_line_forms)
 from starcurves.formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
@@ -24,6 +23,8 @@ from starcurves.tangent import (LowerBoundResult, build_q_forms, certify,
                                 evaluation_submatrix_rank, random_multipliers,
                                 tangent_dim_direct, tangent_dim_points,
                                 tangent_values, structured_multipliers)
+
+from product_rule import perturbation_coefficient
 
 GF = PrimeField()
 
@@ -296,6 +297,59 @@ def test_tangent_values_match_q_forms(problem):
                 assert star.field.is_zero(value)
 
 
+def evaluation_problem(field, n, l, extra, seed, kind):
+    """A star in P^n with multipliers of one kind: dense random forms,
+    the constant 1 (at d = l - n + 1), or the plane's structured
+    multipliers (sparse: powers of G times linear forms; l >= 6)."""
+    try:
+        star = random_star(max(l, n), seed, field, n)
+        d = star.generator_degree + extra
+        if kind == "dense":
+            mult = random_multipliers(star, d, random.Random(seed))
+        elif kind == "one":
+            d = star.generator_degree
+            mult = [HomogeneousPoly.one(field, n + 1)] * len(
+                star.generator_keys())
+        else:
+            mult = structured_multipliers(star, d, seed)
+    except ValueError:      # not general, past the arc bound, or no line G
+        reject()
+    return star, d, mult
+
+
+evaluation_problems = st.builds(
+    evaluation_problem, field=st.sampled_from([GF, PrimeField(5), QQ]),
+    n=st.sampled_from([2, 3, 4]), l=st.integers(2, 6),
+    extra=st.integers(0, 3), seed=st.integers(0, 2**20),
+    kind=st.sampled_from(["dense", "one"])) | st.builds(
+    # six lines over GF(5) leave no line G missing their points
+    evaluation_problem, field=st.sampled_from([GF, QQ]), n=st.just(2),
+    l=st.integers(6, 8), extra=st.integers(0, 4), seed=st.integers(0, 2**20),
+    kind=st.just("structured"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=evaluation_problems)
+def test_tangent_values_match_term_by_term_evaluation(problem):
+    """Each Q_i(p_s) from the one monomial table of p_s equals
+    M_{s - i}(p_s) * prod_{h not in s} L_h(p_s), every factor from
+    `HomogeneousPoly.evaluate`."""
+    star, d, mult = problem
+    fld = star.field
+    mult_of = dict(zip(star.generator_keys(), mult))
+    values = tangent_values(star, d, mult)
+    assert list(values) == star.point_keys()
+    for s, p in star.points.items():
+        outside = fld.one()
+        for h, form in enumerate(star.forms, start=1):
+            if h not in s:
+                outside = fld.mul(outside, form.poly().evaluate(p.coordinates))
+        assert set(values[s]) == set(s)
+        for i in s:
+            m = mult_of[tuple(j for j in s if j != i)]
+            assert values[s][i] == fld.mul(m.evaluate(p.coordinates), outside)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_tangent_functions_reject_wrong_multipliers(n):
     star = build_star(random_general_forms(5, 4, GF, n=n))
@@ -402,9 +456,9 @@ def test_certify_empty():
 
 def test_certify_gap_when_data_degenerate():
     # zero multipliers can never reach the generic dimension
-    star_forms = random_general_forms(6, 3, GF)
+    star = build_star(random_general_forms(6, 3, GF))
     zero = HomogeneousPoly.zero(GF, 3, 0)
-    cert = certify(5, 6, GF, trials=1, seed=0, forms=star_forms,
+    cert = certify(5, 6, GF, trials=1, seed=0, stars=[star],
                    multipliers=[zero] * 6)
     assert cert.verdict == "GAP"
 
