@@ -144,6 +144,8 @@ def cmd_sweep(args) -> int:
              for l in range(2, args.lmax + 1)}
     if not any(cases.values()):
         usage_error("empty sweep range")
+    # the largest l with a row that draws a star (d >= l - 1)
+    check_arc_bound(min(args.lmax, args.dmax + 1), 2, fld)
 
     rows = []
     for l, degrees in cases.items():

@@ -1,7 +1,9 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Elements are plain Python values: ``fractions.Fraction`` for the rationals
-and ``int`` residues in ``[0, p)`` for a prime field.  A ``Field`` object
+Elements are plain Python values: for the rationals an ``int`` when
+integral and a ``fractions.Fraction`` only where a division makes one
+(an ``int`` and the equal ``Fraction`` compare, hash and print alike), and
+``int`` residues in ``[0, p)`` for a prime field.  A ``Field`` object
 carries the operations; containers (polynomials, matrices) hold a field
 reference and refuse to mix elements from different fields.
 """
@@ -88,7 +90,8 @@ class Field:
 
 
 class RationalField(Field):
-    """The field Q; elements are ``Fraction`` (always in lowest terms)."""
+    """The field Q; elements are ``int``, or ``Fraction`` (in lowest terms)
+    when not integral.  Only `inv` makes a ``Fraction`` from ints."""
 
     name = "rational"
 
@@ -96,13 +99,13 @@ class RationalField(Field):
     RANDOM_BOUND = 10**4
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -119,13 +122,13 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inversion of zero")
-        return 1 / a
+        return Fraction(1, a) if isinstance(a, int) else 1 / a
 
     def is_zero(self, a):
         return a == 0
 
     def random(self, rng):
-        return Fraction(rng.randint(-self.RANDOM_BOUND, self.RANDOM_BOUND))
+        return rng.randint(-self.RANDOM_BOUND, self.RANDOM_BOUND)
 
     def descriptor(self):
         return {"field": "rational"}

@@ -97,7 +97,7 @@ def det(field: Field, rows: Sequence[Sequence[Element]]) -> Element:
 
 def clear_denominators(row: Sequence[Element]) -> list[int]:
     """The rationals times the lcm of their denominators (ints unchanged)."""
-    scale = lcm(*(f.denominator for f in row))
+    scale = lcm(*{f.denominator for f in row})
     return [f.numerator * (scale // f.denominator) for f in row]
 
 

@@ -17,6 +17,7 @@ import json
 import random
 from functools import cached_property, reduce
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .fields import DEFAULT_PRIME, Element, Field, PrimeField, check_same_field
@@ -76,9 +77,13 @@ class LinearForm:
 
 
 class ProjectivePoint:
-    """Point with the canonical representative: last nonzero coordinate 1."""
+    """Point with the canonical representative: last nonzero coordinate 1.
 
-    __slots__ = ("field", "coordinates")
+    `integer_coordinates` are the canonical ones with their denominators
+    cleared, computed once: the same point, as ints (over GF(p) the
+    residues themselves)."""
+
+    __slots__ = ("field", "coordinates", "integer_coordinates")
 
     def __init__(self, field: Field, coordinates: Sequence[Element]):
         coords = list(coordinates)
@@ -92,6 +97,7 @@ class ProjectivePoint:
         inv = field.inv(coords[last])
         self.field = field
         self.coordinates = tuple(field.mul(c, inv) for c in coords)
+        self.integer_coordinates = tuple(clear_denominators(self.coordinates))
 
     def __eq__(self, other):
         return (isinstance(other, ProjectivePoint) and self.field == other.field
@@ -159,13 +165,15 @@ class StarConfiguration:
                 self.points[s] = None
         # General position: every n + 1 forms are independent.  Expanding
         # that determinant along its last row gives L_k(p_s) up to sign,
-        # so each point must exist and lie on no other form.
+        # so each point must exist and lie on no other form; L_k is
+        # evaluated at the point's integer coordinates.
         subsets = (itertools.combinations(labels, self.n + 1)
                    if self.l > self.n else [tuple(labels)])
         for c in subsets:
             p = self.points[c[:self.n]]
-            if p is None or (len(c) > self.n and self.field.is_zero(
-                    forms[c[-1] - 1].evaluate(p))):
+            if p is None or (len(c) > self.n and self.field.is_zero(sum(map(
+                    mul, forms[c[-1] - 1].coefficients,
+                    p.integer_coordinates)))):
                 names = ", ".join(f"L{i}" for i in c)
                 raise GenericityError(
                     f"forms {names} are linearly dependent", names)
@@ -294,14 +302,17 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    return star._hilbert.rank(t)
+    return star._hilbert.rank(star, t)
 
 
 class _HilbertRanks:
-    """The degree-by-degree state behind `hilbert_function` for one star."""
+    """The degree-by-degree state behind `hilbert_function` for one star.
+
+    It keeps no reference to the star, which holds it, so reference
+    counting frees both when the star's last name goes."""
 
     def __init__(self, star: StarConfiguration):
-        self.star = star
+        self.n = star.n
         self.npoints = len(star.points)
         self.saturated: int | None = None   # least degree known to be full
         self.ranks: list[int] = []          # echelon size after each degree
@@ -325,15 +336,16 @@ class _HilbertRanks:
                                 for x in coords])
         self.echelon = EchelonModP(p)
 
-    def rank(self, t: int) -> int:
+    def rank(self, star: StarConfiguration, t: int) -> int:
+        """HF(star, t), for the star this state was built from."""
         if self.echelon is not None:
             self._extend(t)
         if self.saturated is not None and t >= self.saturated:
             return self.npoints
         if self.echelon is not None and (self.exact or self.ranks[t] == min(
-                self.npoints, comb(t + self.star.n, self.star.n))):
+                self.npoints, comb(t + self.n, self.n))):
             return self.ranks[t]
-        rank = _evaluation_rank(self.star, t)
+        rank = _evaluation_rank(star, t)
         if rank == self.npoints:    # and t is below any degree known full
             self.saturated = t
         return rank
@@ -343,7 +355,7 @@ class _HilbertRanks:
         p = self.residues.p
         while len(self.ranks) <= t and self.saturated is None:
             degree = len(self.ranks)
-            monos = monomials_of_degree(self.star.n, degree)
+            monos = monomials_of_degree(self.n, degree)
             rows = [monomial_values(self.residues, coords, degree, monos)
                     for coords in self.affine]
             for column in zip(*rows):
@@ -386,7 +398,7 @@ def _evaluation_rank(star: StarConfiguration, t: int) -> int:
     basis = monomials_of_degree(star.n + 1, t)
     field = star.field
     rows = [[field.from_int(v) for v in monomial_values(
-                 field, clear_denominators(p.coordinates), t, basis)]
+                 field, p.integer_coordinates, t, basis)]
             for p in star.point_list()]
     return ExactMatrix(field, rows, ncols=len(basis)).rank()
 

@@ -38,7 +38,7 @@ from typing import Sequence
 from .fields import Element, Field, check_same_field
 from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                        closed_form_dimension, upper_bounds)
-from .matrices import ExactMatrix, clear_denominators
+from .matrices import ExactMatrix
 from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
                           poly_product, poly_sum)
 from .starconfig import (RETRY_BUDGET, GenericityError, LinearForm,
@@ -91,7 +91,8 @@ def _multiplier_values(star, d, multipliers, coords) -> dict[tuple, dict]:
 
     Each point gets one table of its degree-d - (l - n + 1) monomial
     values, and each M_T(p_s) is the dot product of that table with the
-    coefficient vector of M_T."""
+    coefficient vector of M_T.  Over Q, integer coefficients at integer
+    coordinates keep every sum in ints."""
     mdeg = _multiplier_degree(star, multipliers, d)
     fld, basis = star.field, monomials_of_degree(star.n + 1, mdeg)
     vectors = {key: m.coefficient_vector()
@@ -179,8 +180,7 @@ def tangent_dim_points(star: StarConfiguration, d: int,
     built as p_s[k] * M_{s - i}(p_s) at integer coordinates of p_s: the
     same row up to nonzero factors, prod_{h not in s} L_h(p_s) among them.
     """
-    coords = {s: clear_denominators(p.coordinates)
-              for s, p in star.points.items()}
+    coords = {s: p.integer_coordinates for s, p in star.points.items()}
     values = _multiplier_values(star, d, multipliers, coords)
     fld, width = star.field, star.n
     dropped = [next(k for k, c in enumerate(form.coefficients)

@@ -210,22 +210,53 @@ def test_usage_errors_exit_2(capsys, argv, message):
     assert out.err == f"error: {message}\n"
 
 
-def test_pn_refuses_lmax_past_arc_bound_before_any_row(capsys, monkeypatch):
+def count_rows(monkeypatch, name):
+    """Record the arguments of every call of the `cli` row function."""
     import starcurves.cli as cli_mod
 
-    real, calls = cli_mod.conjecture_row, []
+    real, calls = getattr(cli_mod, name), []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "conjecture_row", counting)
+    monkeypatch.setattr(cli_mod, name, counting)
+    return calls
+
+
+def test_pn_refuses_lmax_past_arc_bound_before_any_row(capsys, monkeypatch):
+    calls = count_rows(monkeypatch, "conjecture_row")
     code, out, err = run_cli(capsys, "pn", "--n", "3", "--dmax", "6",
                              "--lmax", "6", "--prime", "3", "--trials", "1")
     assert code == 2
     assert calls == []
     assert out == ""
     assert "arc bound" in err
+
+
+def test_sweep_refuses_lmax_past_arc_bound_before_any_row(capsys,
+                                                          monkeypatch):
+    calls = count_rows(monkeypatch, "run_one")
+    code, out, err = run_cli(capsys, "sweep", "--dmax", "6", "--lmax", "5",
+                             "--trials", "3", "--prime", "3")
+    assert code == 2
+    assert calls == []
+    assert out == ""
+    assert err == ("error: no l = 5 hyperplanes of P^2 over GF(3) are in "
+                   "general position (at most 4, the arc bound); use a "
+                   "smaller l or a larger prime\n")
+
+
+def test_sweep_arc_bound_ignores_empty_rows(capsys):
+    """Past d = l - 2 every row of l is EMPTY and draws no star, so l = 4
+    and 5 over GF(3) are reported at dmax = 2."""
+    code, out, err = run_cli(capsys, "sweep", "--dmax", "2", "--lmax", "5",
+                             "--prime", "3", "--include-empty",
+                             "--format", "json")
+    assert code == 0
+    verdicts = [r["verdict"] for r in json.loads(out)]
+    assert verdicts.count("EMPTY") == 9 and len(verdicts) == 12
+    assert "summary: 3 CERTIFIED, 0 GAP, 9 EMPTY" in err
 
 
 def test_hilbert_table(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,17 @@ def test_rational_arithmetic():
     assert QQ.add(a, b) == Fraction(5, 6)
     assert QQ.mul(a, b) == Fraction(1, 9)
     assert QQ.inv(a) == Fraction(3, 2)
+
+
+def test_rational_elements_stay_int():
+    """Only a division makes a Fraction; the inverse of an int is exact,
+    never a float."""
+    rng = random.Random(0)
+    for value in (QQ.zero(), QQ.one(), QQ.from_int(-7), QQ.random(rng)):
+        assert type(value) is int
+    for a in (3, -3):
+        inv = QQ.inv(a)
+        assert type(inv) is Fraction and inv == Fraction(1, a)
 
 
 def test_rational_lowest_terms():

@@ -1,0 +1,38 @@
+"""Exact CLI output at fixed seeds, pinned in `tests/golden/`.
+
+A change that only makes the program faster must leave every byte of a
+report alone, apart from the `elapsed_ms` timings, which are masked.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from starcurves.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "verify_d12_l9_rational_json": ["verify", "--d", "12", "--l", "9",
+                                    "--field", "rational", "--trials", "1",
+                                    "--format", "json"],
+    "paper_examples_rational": ["paper-examples", "--field", "rational"],
+    "hilbert_l8_t10_rational": ["hilbert", "--l", "8", "--tmax", "10",
+                                "--field", "rational"],
+    "pn_n3_d7_l6_rational": ["pn", "--n", "3", "--dmax", "7", "--lmax", "6",
+                             "--field", "rational", "--trials", "1"],
+}
+
+
+def mask_elapsed(text):
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": _', text)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_matches_golden(capsys, name):
+    code = main(COMMANDS[name] + ["--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert mask_elapsed(out) == mask_elapsed(expected)

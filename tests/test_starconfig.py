@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -100,6 +102,41 @@ def test_point_normalization():
     p = ProjectivePoint(QQ, [Fraction(3), Fraction(6), Fraction(0)])
     assert p.coordinates == (Fraction(1, 2), Fraction(1), Fraction(0))
     assert p.coordinates[1] == 1   # last nonzero coordinate is 1
+
+
+@pytest.mark.parametrize("field, n", [(QQ, 2), (QQ, 3), (GF, 2),
+                                      (PrimeField(11), 3)])
+def test_integer_coordinates_are_the_point(field, n):
+    """The integer coordinates are ints, c times the canonical ones for
+    one nonzero c (1 over GF(p), where they are the residues)."""
+    stars = [random_star(6, 2, field, n)]
+    if n == 2:
+        stars.append(build_star(five_line_forms(field)))
+    for star in stars:
+        for p in star.point_list():
+            ints = p.integer_coordinates
+            assert all(type(x) is int for x in ints)
+            c = next(x for x in reversed(ints) if x)
+            assert [field.from_int(x) for x in ints] == \
+                [field.mul(c, x) for x in p.coordinates]
+            if isinstance(field, PrimeField):
+                assert ints == p.coordinates
+
+
+@pytest.mark.parametrize("field", [QQ, GF])
+def test_star_freed_by_reference_counting(field):
+    """The Hilbert-function state stored on a star holds no reference back
+    to it, so the star and its echelon go with the star's last name."""
+    gc.disable()
+    try:
+        star = random_star(6, 0, field)
+        hilbert_function(star, 20)
+        assert star._hilbert.echelon is not None
+        dead = weakref.ref(star)
+        del star
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_build_star_triangle():

@@ -246,10 +246,11 @@ def test_perturbation_elements_lie_in_tangent_space():
 
 def drawn_problem(n, field, l, extra, seed, kind):
     """A random configuration in P^n with multipliers that are random, all
-    equal, or zero; rejects the example when a small field runs out of
-    draws.  The multipliers come from a stream of their own: drawn from
-    the forms' stream, degree-1 multipliers would repeat the forms'
-    coefficients, which is special data."""
+    equal, zero, or (over Q) random with non-integral coefficients; rejects
+    the example when a small field runs out of draws.  The multipliers
+    come from a stream of their own: drawn from the forms' stream,
+    degree-1 multipliers would repeat the forms' coefficients, which is
+    special data."""
     try:
         star = random_star(max(l, n), seed, field, n)
     except GenericityError:
@@ -260,6 +261,11 @@ def drawn_problem(n, field, l, extra, seed, kind):
         mult = [mult[0]] * len(mult)
     elif kind == "zero":
         mult = [HomogeneousPoly.zero(field, n + 1, extra)] * len(mult)
+    elif kind == "fractional":
+        rng = random.Random(f"denominators {seed}")
+        mult = [HomogeneousPoly(field, n + 1, extra, {
+            mono: field.add(c, field.inv(field.from_int(rng.randint(2, 9))))
+            for mono, c in m.terms.items()}) for m in mult]
     return star, d, mult
 
 
@@ -271,16 +277,37 @@ problems = st.builds(
     drawn_problem, n=st.sampled_from([2, 3]), field=st.just(PrimeField(5)),
     l=st.integers(2, 5), extra=st.integers(0, 2),
     seed=st.integers(0, 2**20),
-    kind=st.sampled_from(["random", "equal", "zero"]))
+    kind=st.sampled_from(["random", "equal", "zero"])) | st.builds(
+    drawn_problem, n=st.sampled_from([2, 3]), field=st.just(QQ),
+    l=st.integers(2, 6), extra=st.integers(0, 2), seed=st.integers(0, 2**20),
+    kind=st.just("fractional"))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(problem=problems)
 def test_point_rank_matches_coefficient_rank(problem):
     assert tangent_dim_points(*problem) == tangent_dim_direct(*problem)
 
 
-@settings(max_examples=30, deadline=None)
+def test_rational_point_rank_needs_no_fraction_arithmetic(monkeypatch):
+    """At a drawn star over Q, the multiplier values and the rank matrix
+    are built in ints: no Fraction operator runs."""
+    star = random_star(9, 0, QQ)
+    mult = random_multipliers(star, 10, random.Random(0))
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for name in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+        monkeypatch.setattr(Fraction, f"__{name}__", refuse)
+        monkeypatch.setattr(Fraction, f"__r{name}__", refuse)
+    for name in ("neg", "pos", "abs"):
+        monkeypatch.setattr(Fraction, f"__{name}__", refuse)
+    assert tangent_dim_points(star, 10, mult) == \
+        closed_form_dimension(10, 9).value + 1
+
+
+@settings(max_examples=45, deadline=None)
 @given(problem=problems)
 def test_tangent_values_match_q_forms(problem):
     star, d, mult = problem
