@@ -6,17 +6,15 @@ from .fields import DEFAULT_PRIME, PrimeField, QQ, RationalField
 from .formulas import (TheoremValue, closed_form_dimension, min_upper_bound,
                        pn_upper_bound, upper_bounds)
 from .matrices import ExactMatrix
-from .polynomials import HomogeneousPoly, monomials_of_degree, parse_poly
+from .polynomials import HomogeneousPoly, monomials_of_degree
 from .pnstar import conjecture_row
 from .starconfig import (GenericityError, LinearForm, ProjectivePoint,
                          StarConfiguration, build_star, hilbert_function,
-                         intersection_point, random_general_forms,
-                         random_star)
+                         intersection_point, random_star)
 from .tangent import (DimensionCertificate, TrialStars, build_q_forms, certify,
                       ideal_component_dim, lower_bound_dim_S,
                       evaluation_submatrix_rank, tangent_dim_direct,
-                      tangent_dim_points, tangent_values,
-                      structured_multipliers)
+                      tangent_dim_points, structured_multipliers)
 
 __version__ = "0.1.0"
 
@@ -25,13 +23,11 @@ __all__ = [
     "TheoremValue", "closed_form_dimension", "min_upper_bound",
     "pn_upper_bound", "upper_bounds",
     "ExactMatrix",
-    "HomogeneousPoly", "monomials_of_degree", "parse_poly",
+    "HomogeneousPoly", "monomials_of_degree",
     "conjecture_row",
     "GenericityError", "LinearForm", "ProjectivePoint", "StarConfiguration",
-    "build_star", "hilbert_function", "intersection_point",
-    "random_general_forms", "random_star",
+    "build_star", "hilbert_function", "intersection_point", "random_star",
     "DimensionCertificate", "TrialStars", "build_q_forms", "certify",
     "ideal_component_dim", "lower_bound_dim_S", "evaluation_submatrix_rank",
-    "tangent_dim_direct", "tangent_dim_points", "tangent_values",
-    "structured_multipliers",
+    "tangent_dim_direct", "tangent_dim_points", "structured_multipliers",
 ]

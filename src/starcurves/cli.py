@@ -84,7 +84,8 @@ def aligned_table(rows: list[dict]) -> list[str]:
 
 def emit_rows(rows: list[dict], fmt: str, output: str | None,
               table=aligned_table):
-    """Write the nonempty `rows` as CSV, JSON or the lines of `table(rows)`."""
+    """Write the nonempty `rows` as CSV, JSON or the lines of `table(rows)`;
+    a report file that cannot be written is a usage error."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -96,8 +97,11 @@ def emit_rows(rows: list[dict], fmt: str, output: str | None,
     else:
         text = "\n".join(table(rows)) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            usage_error(f"cannot write report to {output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

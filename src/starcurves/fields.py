@@ -52,8 +52,6 @@ def is_prime(n: int) -> bool:
 class Field:
     """Abstract base: exact field operations on plain element values."""
 
-    name: str
-
     def zero(self) -> Element:
         raise NotImplementedError
 
@@ -92,8 +90,6 @@ class Field:
 class RationalField(Field):
     """The field Q; elements are ``int``, or ``Fraction`` (in lowest terms)
     when not integral.  Only `inv` makes a ``Fraction`` from ints."""
-
-    name = "rational"
 
     #: Random coefficients are drawn uniformly from [-RANDOM_BOUND, RANDOM_BOUND].
     RANDOM_BOUND = 10**4
@@ -145,8 +141,6 @@ class RationalField(Field):
 
 class PrimeField(Field):
     """The field GF(p); elements are ints in ``[0, p)``."""
-
-    name = "prime"
 
     def __init__(self, p: int = DEFAULT_PRIME):
         if not is_prime(p):

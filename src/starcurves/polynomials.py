@@ -7,7 +7,6 @@ still carries a declared degree, so degrees always add under products.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
@@ -195,75 +194,6 @@ class HomogeneousPoly:
 
     def __repr__(self):
         return f"HomogeneousPoly({self})"
-
-
-_TERM_SPLIT = re.compile(r"(?=[+-])")
-_FACTOR = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)|x(?P<var>\d+)(?:\^(?P<exp>\d+))?)$")
-
-
-def parse_poly(text: str, field: Field, nvars: int,
-               degree: int | None = None) -> HomogeneousPoly:
-    """Parse plain-text notation like ``"x0^2*x1 - 3*x2^3"``.
-
-    Coefficients are integers or rationals (``a/b``); products use ``*``,
-    powers ``^``; variables are ``x0 .. x{nvars-1}``.  The result must be
-    homogeneous; `degree` (when given) pins the declared degree, which is
-    needed to parse "0" unambiguously.
-    """
-    from fractions import Fraction
-
-    stripped = text.replace(" ", "")
-    if not stripped:
-        raise ValueError("empty polynomial text")
-    pieces = [p for p in _TERM_SPLIT.split(stripped) if p]
-    terms: dict[Monomial, Element] = {}
-    term_degree: int | None = None
-    f = field
-    for piece in pieces:
-        sign = 1
-        if piece[0] == "+":
-            piece = piece[1:]
-        elif piece[0] == "-":
-            sign = -1
-            piece = piece[1:]
-        if not piece:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = f.one()
-        expo = [0] * nvars
-        for factor in piece.split("*"):
-            m = _FACTOR.match(factor)
-            if not m:
-                raise ValueError(f"bad factor {factor!r} in {text!r}")
-            if m.group("num") is not None:
-                q = Fraction(m.group("num"))
-                val = f.mul(f.from_int(q.numerator), f.inv(f.from_int(q.denominator))) \
-                    if q.denominator != 1 else f.from_int(q.numerator)
-                coeff = f.mul(coeff, val)
-            else:
-                var = int(m.group("var"))
-                if var >= nvars:
-                    raise ValueError(f"variable x{var} out of range (nvars={nvars})")
-                expo[var] += int(m.group("exp") or 1)
-        if sign < 0:
-            coeff = f.neg(coeff)
-        d = sum(expo)
-        if f.is_zero(coeff):
-            continue
-        if term_degree is None:
-            term_degree = d
-        elif term_degree != d:
-            raise ValueError(f"inhomogeneous input {text!r}")
-        mono = tuple(expo)
-        s = f.add(terms.get(mono, f.zero()), coeff)
-        if f.is_zero(s):
-            terms.pop(mono, None)
-        else:
-            terms[mono] = s
-    if term_degree is None:
-        term_degree = degree if degree is not None else 0
-    if degree is not None and terms and term_degree != degree:
-        raise ValueError(f"expected degree {degree}, got {term_degree}")
-    return HomogeneousPoly(field, nvars, term_degree, terms)
 
 
 def poly_sum(polys: Iterable[HomogeneousPoly], field: Field, nvars: int,

@@ -8,14 +8,12 @@ with its 12x12 evaluation matrix, and a seven-line block extension whose
 
 from __future__ import annotations
 
-import random
-
 from .fields import Field
 from .polynomials import HomogeneousPoly
 from .starconfig import (GenericityError, LinearForm, StarConfiguration,
                          build_star)
-from .tangent import (_avoiding_linear_form, evaluation_submatrix_rank,
-                      tangent_dim_direct, structured_multipliers)
+from .tangent import (evaluation_submatrix_rank, tangent_dim_direct,
+                      structured_multipliers)
 
 #: Coefficient vectors of the five lines certifying dim S(4,5) = 13.
 FIVE_LINE_COEFFS = [
@@ -106,24 +104,19 @@ def luroth_case_dimension(fld: Field) -> int:
 def six_line_matrix_rank(fld: Field, d: int) -> int:
     """Rank of the published 12x12 matrix for the six fixed lines.
 
-    d = 5 uses unit multipliers; d = 6 uses M_i = G for a line G missing
-    all fifteen points.  Expected rank 12 in both cases.
+    The multipliers are `structured_multipliers`: 1 at d = 5, and M_i = G
+    for a line G missing all fifteen points at d = 6.  Expected rank 12 in
+    both cases.
     """
     star = _published_star(fld, SIX_LINE_COEFFS)
-    if d == 5:
-        mult = [HomogeneousPoly.one(fld, 3)] * 6
-    elif d == 6:
-        g = _avoiding_linear_form(star, random.Random(0)).poly()
-        mult = [g] * 6
-    else:
-        mult = structured_multipliers(star, d)
+    mult = structured_multipliers(star, d)
     return evaluation_submatrix_rank(star, d, mult, TWELVE_ROWS,
                                      TWELVE_COLUMNS)
 
 
-def block_matrix_rank(fld: Field, l: int, d: int, seed: int = 0) -> int:
+def block_matrix_rank(fld: Field, l: int, d: int) -> int:
     """Rank of the 2l x 2l block evaluation matrix for l >= 7."""
     star = build_star(extended_forms(fld, l))
-    mult = structured_multipliers(star, d, seed=seed)
+    mult = structured_multipliers(star, d)
     return evaluation_submatrix_rank(star, d, mult, block_rows(l),
                                      block_columns(l))

@@ -13,7 +13,6 @@ C(l,2) pairwise intersections of l lines, with the l hat products
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from functools import cached_property, reduce
 from math import comb
@@ -23,7 +22,7 @@ from typing import Sequence
 from .fields import DEFAULT_PRIME, Element, Field, PrimeField, check_same_field
 from .matrices import EchelonModP, ExactMatrix, clear_denominators, det
 from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
-                          parse_poly, poly_product)
+                          poly_product)
 
 RETRY_BUDGET = 100
 
@@ -59,14 +58,6 @@ class LinearForm:
     def evaluate(self, point: "ProjectivePoint") -> Element:
         f = self.field
         return reduce(f.add, map(f.mul, self.coefficients, point.coordinates))
-
-    @classmethod
-    def parse(cls, text: str, field: Field, nvars: int = 3) -> "LinearForm":
-        p = parse_poly(text, field, nvars, degree=1)
-        coeffs = [p.terms.get(tuple(1 if j == i else 0 for j in range(nvars)),
-                              field.zero())
-                  for i in range(nvars)]
-        return cls(field, coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, LinearForm) and self.field == other.field
@@ -207,15 +198,6 @@ class StarConfiguration:
     def _hilbert(self) -> "_HilbertRanks":
         return _HilbertRanks(self)
 
-    def to_json(self) -> dict:
-        return {
-            **self.field.descriptor(),
-            "l": self.l,
-            "forms": [[str(c) for c in f.coefficients] for f in self.forms],
-            "points": {",".join(map(str, key)): [str(c) for c in p.coordinates]
-                       for key, p in sorted(self.points.items())},
-        }
-
     def __repr__(self):
         return (f"StarConfiguration(n={self.n}, l={self.l}, "
                 f"field={self.field!r})")
@@ -266,12 +248,6 @@ def random_star(l: int, seed: int, field: Field,
     raise GenericityError(
         f"no l = {l} hyperplanes of P^{n} in general position found over "
         f"{field!r} in {RETRY_BUDGET} draws; try a larger prime")
-
-
-def random_general_forms(l: int, seed: int, field: Field,
-                         n: int = 2) -> list[LinearForm]:
-    """The forms of `random_star(l, seed, field, n)`."""
-    return random_star(l, seed, field, n).forms
 
 
 def hilbert_function(star: StarConfiguration, t: int) -> int:
@@ -401,7 +377,3 @@ def _evaluation_rank(star: StarConfiguration, t: int) -> int:
                  field, p.integer_coordinates, t, basis)]
             for p in star.point_list()]
     return ExactMatrix(field, rows, ncols=len(basis)).rank()
-
-
-def configuration_to_json_str(star: StarConfiguration) -> str:
-    return json.dumps(star.to_json(), indent=2, sort_keys=True)

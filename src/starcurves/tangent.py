@@ -35,7 +35,7 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .fields import Element, Field, check_same_field
+from .fields import Field, check_same_field
 from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                        closed_form_dimension, upper_bounds)
 from .matrices import ExactMatrix
@@ -85,47 +85,27 @@ def build_q_forms(star: StarConfiguration,
             for p in parts]
 
 
-def _multiplier_values(star, d, multipliers, coords) -> dict[tuple, dict]:
-    """M_{s - i}(coords[s]) for every point key s and every i in s, in
-    point-key order, once the multipliers pass the checks against d.
+def _multiplier_values(star, d, multipliers, keys) -> dict[tuple, dict]:
+    """M_{s - i}(p_s) at the integer coordinates of p_s, for every point
+    key s in `keys` and every i in s, once the multipliers pass the checks
+    against d.
 
     Each point gets one table of its degree-d - (l - n + 1) monomial
     values, and each M_T(p_s) is the dot product of that table with the
-    coefficient vector of M_T.  Over Q, integer coefficients at integer
-    coordinates keep every sum in ints."""
+    coefficient vector of M_T.  Over Q, integer coefficients keep every
+    sum in ints."""
     mdeg = _multiplier_degree(star, multipliers, d)
     fld, basis = star.field, monomials_of_degree(star.n + 1, mdeg)
     vectors = {key: m.coefficient_vector()
                for key, m in zip(star.generator_keys(), multipliers)}
     values = {}
-    for s in sorted(coords):
-        monos = monomial_values(fld, coords[s], mdeg, basis)
+    for s in keys:
+        monos = monomial_values(fld, star.points[s].integer_coordinates,
+                                mdeg, basis)
         values[s] = {i: fld.from_int(sum(map(
             mul, vectors[tuple(j for j in s if j != i)], monos)))
             for i in s}
     return values
-
-
-def tangent_values(star: StarConfiguration, d: int,
-                   multipliers: Sequence[HomogeneousPoly]
-                   ) -> dict[tuple[int, ...], dict[int, Element]]:
-    """Q_i(p_s) for every point key s and every i in s, in point-key
-    order; every other Q_j vanishes at p_s.
-
-    `multipliers` are the M_T in generator-key order, of degree
-    d - (l - n + 1).
-    """
-    values = _multiplier_values(star, d, multipliers, {
-        s: p.coordinates for s, p in star.points.items()})
-    fld = star.field
-    table = {}
-    for s, ms in values.items():
-        outside = fld.one()
-        for h, form in enumerate(star.forms, start=1):
-            if h not in s:
-                outside = fld.mul(outside, form.evaluate(star.points[s]))
-        table[s] = {i: fld.mul(m, outside) for i, m in ms.items()}
-    return table
 
 
 def ideal_component_dim(generators: Sequence[HomogeneousPoly], d: int) -> int:
@@ -180,16 +160,16 @@ def tangent_dim_points(star: StarConfiguration, d: int,
     built as p_s[k] * M_{s - i}(p_s) at integer coordinates of p_s: the
     same row up to nonzero factors, prod_{h not in s} L_h(p_s) among them.
     """
-    coords = {s: p.integer_coordinates for s, p in star.points.items()}
-    values = _multiplier_values(star, d, multipliers, coords)
+    values = _multiplier_values(star, d, multipliers, star.point_keys())
     fld, width = star.field, star.n
     dropped = [next(k for k, c in enumerate(form.coefficients)
                     if not fld.is_zero(c)) for form in star.forms]
     rows = []
     for s, ms in values.items():
+        coords = star.points[s].integer_coordinates
         row = [fld.zero()] * (star.l * width)
         for i, m in ms.items():
-            xs = coords[s][:dropped[i - 1]] + coords[s][dropped[i - 1] + 1:]
+            xs = coords[:dropped[i - 1]] + coords[dropped[i - 1] + 1:]
             for k, x in enumerate(xs):
                 row[(i - 1) * width + k] = fld.mul(x, m)
         rows.append(row)
@@ -205,7 +185,10 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
 
     `row_points` are 1-based point labels such as (i, j); `columns` are
     pairs (r, t) denoting the degree-d product L_r * Q_t, whose value at
-    p_s is L_r(p_s) * Q_t(p_s).
+    p_s is L_r(p_s) * Q_t(p_s).  Row s is built as
+    L_r(p_s) * M_{s - t}(p_s) at integer coordinates of p_s, and 0 where
+    t is not in s: the same row up to nonzero factors, as in
+    `tangent_dim_points`.
     """
     keys = [tuple(sorted(key)) for key in row_points]
     for key in keys:
@@ -214,11 +197,14 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
     for r, t in columns:
         if not (1 <= r <= star.l and 1 <= t <= star.l):
             raise KeyError(f"unknown column label ({r}, {t})")
-    values = tangent_values(star, d, multipliers)
+    values = _multiplier_values(star, d, multipliers, keys)
     fld = star.field
-    data = [[fld.mul(star.forms[r - 1].evaluate(star.points[s]),
-                     values[s].get(t, fld.zero())) for r, t in columns]
-            for s in keys]
+    data = []
+    for s in keys:
+        coords = star.points[s].integer_coordinates
+        data.append([fld.mul(sum(map(mul, star.forms[r - 1].coefficients,
+                                     coords)), values[s].get(t, fld.zero()))
+                     for r, t in columns])
     return ExactMatrix(fld, data, ncols=len(columns)).rank()
 
 

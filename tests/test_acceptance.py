@@ -12,7 +12,7 @@ from starcurves.pnstar import conjecture_row
 from starcurves.reference_cases import (block_matrix_rank,
                                         luroth_case_dimension,
                                         six_line_matrix_rank)
-from starcurves.starconfig import build_star, random_general_forms
+from starcurves.starconfig import random_star
 from starcurves.tangent import (certify, ideal_component_dim,
                                 lower_bound_dim_S, random_multipliers,
                                 tangent_dim_direct, tangent_dim_points)
@@ -75,7 +75,7 @@ def test_criterion_4_full_sweep():
 def test_criterion_5_emptiness():
     bad = []
     for l in range(2, 8):
-        star = build_star(random_general_forms(l, 100 + l, GF))
+        star = random_star(l, 100 + l, GF)
         for d in range(0, l - 1):
             cert = certify(d, l, GF)
             ideal_dim = ideal_component_dim(star.generators, d)
@@ -91,7 +91,7 @@ def test_criterion_6_hilbert_function_suite():
     bad = []
     for l in range(2, 9):
         for rep in range(5):
-            star = build_star(random_general_forms(l, 1000 * l + rep, GF))
+            star = random_star(l, 1000 * l + rep, GF)
             for t in range(11):
                 hf = hilbert_function(star, t)
                 expected = min(comb(t + 2, 2), comb(l, 2))
@@ -109,7 +109,7 @@ def test_criterion_7_algorithm_cross_check():
     for _ in range(100):
         l = rng.randint(2, 7)
         d = rng.randint(l - 1, 9)
-        star = build_star(random_general_forms(l, rng.randrange(2**30), GF))
+        star = random_star(l, rng.randrange(2**30), GF)
         mult = random_multipliers(star, d, rng)
         a = tangent_dim_direct(star, d, mult)
         b = tangent_dim_points(star, d, mult)
@@ -123,7 +123,7 @@ def test_criterion_7_algorithm_cross_check():
 def test_criterion_8_nondominance_stability():
     dims = set()
     for trial in range(50):
-        star = build_star(random_general_forms(5, 5000 + trial, GF))
+        star = random_star(5, 5000 + trial, GF)
         mult = random_multipliers(star, 4, random.Random(9000 + trial))
         dims.add(tangent_dim_direct(star, 4, mult))
     report(8, "quartic case tangent dimension is 14 in all 50 trials, "

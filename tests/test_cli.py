@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +212,24 @@ def test_usage_errors_exit_2(capsys, argv, message):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("target, reason", [
+    (".", "Is a directory"),
+    ("missing/x.csv", "No such file or directory"),
+], ids=["directory", "missing-parent"])
+def test_unwritable_output_is_a_usage_error(tmp_path, target, reason):
+    """A report path that cannot be written ends with one error line and
+    exit status 2, not a traceback and the GAP status."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "starcurves.cli", "verify", "--d", "2",
+         "--l", "2", "--output", target],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: cannot write report to {target}: {reason}\n"
+    assert "Traceback" not in proc.stderr
 
 
 def count_rows(monkeypatch, name):

@@ -18,6 +18,8 @@ COMMANDS = {
                                     "--field", "rational", "--trials", "1",
                                     "--format", "json"],
     "paper_examples_rational": ["paper-examples", "--field", "rational"],
+    "paper_examples_prime": ["paper-examples"],
+    "paper_examples_prime13": ["paper-examples", "--prime", "13"],
     "hilbert_l8_t10_rational": ["hilbert", "--l", "8", "--tmax", "10",
                                 "--field", "rational"],
     "pn_n3_d7_l6_rational": ["pn", "--n", "3", "--dmax", "7", "--lmax", "6",

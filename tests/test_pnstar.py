@@ -6,7 +6,7 @@ from starcurves.formulas import pn_upper_bound
 from starcurves.pnstar import conjecture_row
 from starcurves.starconfig import (GenericityError, LinearForm,
                                    StarConfiguration, build_star,
-                                   random_general_forms)
+                                   random_star)
 from starcurves.tangent import LowerBoundResult, lower_bound_dim_S
 
 GF = PrimeField()
@@ -18,7 +18,7 @@ def coordinate_hyperplanes(n):
 
 
 def test_n2_reproduces_plane_configuration():
-    forms = random_general_forms(5, 13, GF)
+    forms = random_star(5, 13, GF).forms
     plane = build_star(forms)
     pn = StarConfiguration(forms)
     assert {tuple(k) for k in pn.points} == set(plane.points)
@@ -37,14 +37,14 @@ def test_p3_coordinate_hyperplanes():
 
 
 def test_p3_point_count():
-    forms = random_general_forms(5, 3, GF, n=3)
+    forms = random_star(5, 3, GF, n=3).forms
     config = build_star(forms)
     assert len(config.points) == 10   # C(5, 3)
     assert all(g.degree == 3 for g in config.generators)
 
 
 def test_points_lie_on_their_hyperplanes_only():
-    forms = random_general_forms(5, 21, GF, n=3)
+    forms = random_star(5, 21, GF, n=3).forms
     config = build_star(forms)
     for subset, p in config.points.items():
         for k, form in enumerate(config.forms, start=1):
@@ -56,7 +56,7 @@ def test_points_lie_on_their_hyperplanes_only():
 
 
 def test_generators_vanish_on_configuration():
-    forms = random_general_forms(5, 8, GF, n=3)
+    forms = random_star(5, 8, GF, n=3).forms
     config = build_star(forms)
     for gen in config.generators:
         for p in config.point_list():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from starcurves.fields import PrimeField, QQ
 from starcurves.polynomials import (HomogeneousPoly, monomial_values,
-                                    monomials_of_degree, parse_poly,
-                                    poly_product)
+                                    monomials_of_degree, poly_product)
+from starcurves.starconfig import LinearForm
 
 from product_rule import perturbation_coefficient
 
@@ -54,21 +54,21 @@ def test_product_of_variables():
 
 
 def test_difference_of_squares():
-    p = parse_poly("x0 + x1", QQ, 3)
-    q = parse_poly("x0 - x1", QQ, 3)
-    assert p * q == parse_poly("x0^2 - x1^2", QQ, 3)
+    p = LinearForm(QQ, [1, 1, 0]).poly()
+    q = LinearForm(QQ, [1, -1, 0]).poly()
+    assert p * q == HomogeneousPoly(QQ, 3, 2, {(2, 0, 0): 1, (0, 2, 0): -1})
 
 
 def test_homogeneity_enforced():
     with pytest.raises(ValueError):
         HomogeneousPoly(QQ, 3, 2, {(1, 0, 0): Fraction(1)})
     with pytest.raises(ValueError):
-        parse_poly("x0^2 + x1", QQ, 3)
+        HomogeneousPoly(QQ, 3, 2, {(2, 0, 0): 1, (0, 1, 0): 1})
 
 
 def test_zero_coefficients_dropped():
-    p = parse_poly("x0 + x1", GF7, 3)
-    q = parse_poly("6*x1", GF7, 3)   # -x1 mod 7
+    p = LinearForm(GF7, [1, 1, 0]).poly()
+    q = LinearForm(GF7, [0, 6, 0]).poly()   # -x1 mod 7
     assert (p + q).terms == {(1, 0, 0): 1}
 
 
@@ -90,7 +90,7 @@ def test_evaluation_examples():
     point = [Fraction(0), Fraction(0), Fraction(1)]
     assert x0.evaluate(point) == 0
     assert x2.evaluate(point) == 1
-    l5 = parse_poly("x0 + 2*x1 + 3*x2", QQ, 3)
+    l5 = LinearForm(QQ, [1, 2, 3]).poly()
     assert l5.evaluate(point) == 3
 
 
@@ -174,8 +174,8 @@ def test_coefficient_vector_roundtrip():
 # -- perturbation expansion -------------------------------------------------
 
 def test_perturbation_single_factor():
-    l = parse_poly("x0 + x1", QQ, 3)
-    lp = parse_poly("x2", QQ, 3)
+    l = LinearForm(QQ, [1, 1, 0]).poly()
+    lp = LinearForm(QQ, [0, 0, 1]).poly()
     assert perturbation_coefficient([(l, lp)]) == lp
 
 
@@ -210,20 +210,33 @@ def test_perturbation_empty_list_rejected():
 
 # -- text notation ----------------------------------------------------------
 
-def test_parse_rational_coefficients():
-    p = parse_poly("1/2*x0^2 - 3/4*x1*x2", QQ, 3)
-    assert p.terms == {(2, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(-3, 4)}
+#: str() of the ten polynomials rand_poly(QQ, 3, randint(0, 3)) draws from
+#: random.Random(12).
+PINNED_STR = [
+    "-1186*x0^3 + 7338*x0^2*x1 + 1461*x0^2*x2 - 5328*x0*x1^2 + 2505*x0*x1*x2"
+    " - 9645*x0*x2^2 + 2279*x1^3 + 5811*x1^2*x2 - 1020*x1*x2^2 + 5080*x2^3",
+    "8290*x0 - 9946*x1 - 5239*x2",
+    "2047*x0^3 - 4683*x0^2*x1 + 1130*x0^2*x2 - 3111*x0*x1^2 - 8073*x0*x1*x2"
+    " + 8881*x0*x2^2 - 3459*x1^3 - 7556*x1^2*x2 + 6827*x1*x2^2 + 1042*x2^3",
+    "-7138*x0^3 - 9391*x0^2*x1 - 8009*x0^2*x2 + 6676*x0*x1^2 - 2685*x0*x1*x2"
+    " - 7019*x0*x2^2 + 3887*x1^3 + 4540*x1^2*x2 - 6313*x1*x2^2 + 3867*x2^3",
+    "7678*x0 + 241*x1 + 8289*x2",
+    "-8318*x0 + 8191*x1 - 4390*x2",
+    "3124",
+    "9528*x0^3 + 5387*x0^2*x1 + 5622*x0^2*x2 + 9965*x0*x1^2 + 2601*x0*x1*x2"
+    " + 7732*x0*x2^2 - 9001*x1^3 - 7292*x1^2*x2 - 3713*x1*x2^2 - 1430*x2^3",
+    "1898*x0^2 + 2635*x0*x1 + 154*x0*x2 - 6270*x1^2 - 1731*x1*x2 - 2301*x2^2",
+    "1905*x0^2 + 2165*x0*x1 + 6755*x0*x2 + 8783*x1^2 + 6384*x1*x2 - 4122*x2^2",
+]
 
 
-def test_parse_format_roundtrip():
+def test_str_notation():
     rng = random.Random(12)
-    for _ in range(10):
-        p = rand_poly(QQ, 3, rng.randint(0, 3), rng)
-        assert parse_poly(str(p), QQ, 3, degree=p.degree) == p
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_poly("x0 + y1", QQ, 3)
-    with pytest.raises(ValueError):
-        parse_poly("x5", QQ, 3)
+    assert [str(rand_poly(QQ, 3, rng.randint(0, 3), rng))
+            for _ in range(10)] == PINNED_STR
+    p = HomogeneousPoly(QQ, 3, 2, {(2, 0, 0): Fraction(1, 2),
+                                   (0, 1, 1): Fraction(-3, 4)})
+    assert str(p) == "1/2*x0^2 - 3/4*x1*x2"
+    assert str(HomogeneousPoly(QQ, 3, 2, {(1, 1, 0): -1, (0, 0, 2): 1})) == \
+        "-x0*x1 + x2^2"
+    assert str(HomogeneousPoly.zero(QQ, 3, 2)) == "0"

@@ -1,5 +1,4 @@
 import gc
-import json
 import random
 import weakref
 from fractions import Fraction
@@ -14,14 +13,12 @@ from hypothesis import strategies as st
 from starcurves import polynomials, starconfig
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
 from starcurves.matrices import ExactMatrix
-from starcurves.polynomials import monomials_of_degree, parse_poly
+from starcurves.polynomials import monomials_of_degree
 from starcurves.reference_cases import five_line_forms, six_line_forms
 from starcurves.starconfig import (GenericityError, LinearForm,
                                    ProjectivePoint, build_star,
-                                   configuration_to_json_str,
                                    hilbert_function, intersection_point,
-                                   arc_bound, random_general_forms,
-                                   random_star)
+                                   arc_bound, random_star)
 from starcurves.tangent import ideal_component_dim
 
 GF = PrimeField()
@@ -84,7 +81,7 @@ def test_intersection_derived_example():
 
 
 def test_intersection_symmetry():
-    forms = random_general_forms(4, 17, GF)
+    forms = random_star(4, 17, GF).forms
     for a in forms:
         for b in forms:
             if a is not b:
@@ -176,7 +173,7 @@ def test_build_star_l2():
 
 
 def test_points_on_their_lines_only():
-    star = build_star(random_general_forms(6, 23, GF))
+    star = random_star(6, 23, GF)
     for (i, j), p in star.points.items():
         for k, form in enumerate(star.forms, start=1):
             val = form.evaluate(p)
@@ -187,7 +184,7 @@ def test_points_on_their_lines_only():
 
 
 def test_hat_products_vanish_on_configuration():
-    star = build_star(random_general_forms(5, 31, GF))
+    star = random_star(5, 31, GF)
     for hat in star.generators:
         for p in star.point_list():
             assert star.field.is_zero(hat.evaluate(p.coordinates))
@@ -202,21 +199,21 @@ def test_hat_products_vanish_on_configuration():
 
 
 def test_ideal_empty_below_generator_degree():
-    star = build_star(random_general_forms(6, 5, GF))
+    star = random_star(6, 5, GF)
     for d in range(star.l - 1):
         assert ideal_component_dim(star.generators, d) == 0
 
 
 def test_random_general_forms_deterministic():
-    a = random_general_forms(6, 1234, GF)
-    b = random_general_forms(6, 1234, GF)
+    a = random_star(6, 1234, GF).forms
+    b = random_star(6, 1234, GF).forms
     assert [f.coefficients for f in a] == [f.coefficients for f in b]
 
 
 def test_random_general_forms_first_draw_success():
     # over a 30-bit prime field a degenerate draw is essentially impossible
     for seed in range(100):
-        forms = random_general_forms(8, seed, GF)
+        forms = random_star(8, seed, GF).forms
         assert is_general(forms)
 
 
@@ -224,10 +221,10 @@ def test_small_prime_accepts_l_at_arc_bound():
     # an oval of GF(3) (q + 1 lines) and a hyperoval of GF(2) (q + 2)
     for q, bound in ((3, 4), (2, 4)):
         assert arc_bound(2, q) == bound
-        forms = random_general_forms(bound, 0, PrimeField(q))
+        forms = random_star(bound, 0, PrimeField(q)).forms
         assert is_general(forms)
     # a frame of P^3 over GF(3): n + 2 planes
-    assert is_general(random_general_forms(5, 0, PrimeField(3), n=3))
+    assert is_general(random_star(5, 0, PrimeField(3), n=3).forms)
 
 
 def test_arc_bound_values():
@@ -241,10 +238,10 @@ def test_arc_bound_values():
 def test_small_prime_rejects_l_past_arc_bound():
     with pytest.raises(ValueError, match=r"l = 5 hyperplanes of P\^2 over "
                                          r"GF\(3\).*at most 4"):
-        random_general_forms(5, 0, PrimeField(3))
+        random_star(5, 0, PrimeField(3))
     with pytest.raises(ValueError, match=r"l = 7 hyperplanes of P\^3 over "
                                          r"GF\(3\)"):
-        random_general_forms(7, 0, PrimeField(3), n=3)
+        random_star(7, 0, PrimeField(3), n=3)
 
 
 def test_exhausted_draws_suggest_larger_prime(monkeypatch):
@@ -261,7 +258,7 @@ def test_hilbert_function_examples():
 
 def test_hilbert_function_formula_small():
     for l in (3, 4, 5):
-        star = build_star(random_general_forms(l, 40 + l, GF))
+        star = random_star(l, 40 + l, GF)
         for t in range(6):
             assert hilbert_function(star, t) == \
                 min(comb(t + 2, 2), comb(l, 2))
@@ -443,18 +440,3 @@ def test_rational_hilbert_function_needs_no_bareiss(monkeypatch):
         for t in range(l + 2):
             assert hilbert_function(star, t) == \
                 min(comb(t + n, n), comb(l, n))
-
-
-def test_linear_form_parse_matches_poly():
-    lf = LinearForm.parse("x0 - 2*x2", QQ)
-    assert lf.poly() == parse_poly("x0 - 2*x2", QQ, 3)
-
-
-def test_json_export():
-    star = build_star(five_line_forms(QQ))
-    data = json.loads(configuration_to_json_str(star))
-    assert data["l"] == 5
-    assert data["field"] == "rational"
-    assert len(data["forms"]) == 5
-    assert len(data["points"]) == 10
-    assert data["points"]["1,2"] == ["0", "0", "1"]

@@ -11,18 +11,18 @@ import starcurves.tangent as tangent_mod
 from starcurves.fields import PrimeField, QQ
 from starcurves.matrices import ExactMatrix
 from starcurves.polynomials import (HomogeneousPoly, monomials_of_degree,
-                                    parse_poly, poly_sum)
+                                    poly_sum)
 from starcurves.reference_cases import (TWELVE_COLUMNS, TWELVE_ROWS,
                                         five_line_forms, six_line_forms)
 from starcurves.formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                                  closed_form_dimension)
 from starcurves.starconfig import (GenericityError, LinearForm, build_star,
-                                   random_general_forms, random_star)
-from starcurves.tangent import (LowerBoundResult, build_q_forms, certify,
-                                ideal_component_dim, lower_bound_dim_S,
-                                evaluation_submatrix_rank, random_multipliers,
-                                tangent_dim_direct, tangent_dim_points,
-                                tangent_values, structured_multipliers)
+                                   random_star)
+from starcurves.tangent import (LowerBoundResult, _multiplier_values,
+                                build_q_forms, certify, ideal_component_dim,
+                                lower_bound_dim_S, evaluation_submatrix_rank,
+                                random_multipliers, tangent_dim_direct,
+                                tangent_dim_points, structured_multipliers)
 
 from product_rule import perturbation_coefficient
 
@@ -34,7 +34,7 @@ def ones(field, count):
 
 
 def random_problem(l, d, seed):
-    star = build_star(random_general_forms(l, seed, GF))
+    star = random_star(l, seed, GF)
     mult = random_multipliers(star, d, random.Random(seed ^ 0xABCD))
     return star, d, mult
 
@@ -63,7 +63,7 @@ def test_q_forms_five_lines_structure():
 
 def test_q_forms_six_lines_with_linear_multiplier():
     star = build_star(six_line_forms(QQ))
-    g = parse_poly("x0 + 5*x1 + 7*x2", QQ, 3)
+    g = LinearForm(QQ, [1, 5, 7]).poly()
     q = build_q_forms(star, [g] * 6)
     assert all(qi.degree == 5 for qi in q)
 
@@ -90,7 +90,7 @@ def test_q_forms_match_product_rule(n, field, l, extra, seed):
     # x_k * Q_i is the first-order term of sum_T M_T * prod_{j not in T} L_j
     # under L_i -> L_i + t*x_k; here that term comes from the product rule
     l = max(l, n)
-    star = build_star(random_general_forms(l, seed, field, n=n))
+    star = random_star(l, seed, field, n=n)
     d = star.generator_degree + extra
     mult = random_multipliers(star, d, random.Random(seed))
     q = build_q_forms(star, mult)
@@ -163,7 +163,7 @@ def test_tangent_points_six_lines_d5():
 
 
 def test_tangent_points_zero_multipliers():
-    star = build_star(random_general_forms(5, 9, GF))
+    star = random_star(5, 9, GF)
     d = 5
     zero = HomogeneousPoly.zero(GF, 3, d - star.l + 1)
     expected = comb(d + 2, 2) - comb(5, 2)
@@ -211,7 +211,7 @@ def test_perturbation_elements_lie_in_tangent_space():
     # via the product rule, must stay inside the span measured by the
     # coefficient-matrix algorithm
     rng = random.Random(15)
-    star = build_star(random_general_forms(5, 51, GF))
+    star = random_star(5, 51, GF)
     d = 6
     mult = random_multipliers(star, d, rng)
     mdeg = d - star.l + 1
@@ -289,12 +289,8 @@ def test_point_rank_matches_coefficient_rank(problem):
     assert tangent_dim_points(*problem) == tangent_dim_direct(*problem)
 
 
-def test_rational_point_rank_needs_no_fraction_arithmetic(monkeypatch):
-    """At a drawn star over Q, the multiplier values and the rank matrix
-    are built in ints: no Fraction operator runs."""
-    star = random_star(9, 0, QQ)
-    mult = random_multipliers(star, 10, random.Random(0))
-
+def refuse_fraction_arithmetic(monkeypatch):
+    """Make every arithmetic operator of Fraction raise."""
     def refuse(*args):
         raise AssertionError("Fraction arithmetic")
 
@@ -303,6 +299,14 @@ def test_rational_point_rank_needs_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, f"__r{name}__", refuse)
     for name in ("neg", "pos", "abs"):
         monkeypatch.setattr(Fraction, f"__{name}__", refuse)
+
+
+def test_rational_point_rank_needs_no_fraction_arithmetic(monkeypatch):
+    """At a drawn star over Q, the multiplier values and the rank matrix
+    are built in ints: no Fraction operator runs."""
+    star = random_star(9, 0, QQ)
+    mult = random_multipliers(star, 10, random.Random(0))
+    refuse_fraction_arithmetic(monkeypatch)
     assert tangent_dim_points(star, 10, mult) == \
         closed_form_dimension(10, 9).value + 1
 
@@ -310,18 +314,27 @@ def test_rational_point_rank_needs_no_fraction_arithmetic(monkeypatch):
 @settings(max_examples=45, deadline=None)
 @given(problem=problems)
 def test_tangent_values_match_q_forms(problem):
+    """At the integer coordinates of p_s, Q_i(p_s) is
+    M_{s - i}(p_s) * prod_{h not in s} L_h(p_s) for i in s, and 0 for the
+    other Q_j."""
     star, d, mult = problem
-    values = tangent_values(star, d, mult)
+    fld = star.field
+    values = _multiplier_values(star, d, mult, star.point_keys())
     assert list(values) == star.point_keys()
     q = build_q_forms(star, mult)
     for s, p in star.points.items():
+        x = p.integer_coordinates
+        outside = fld.one()
+        for h, form in enumerate(star.forms, start=1):
+            if h not in s:
+                outside = fld.mul(outside, form.poly().evaluate(x))
         assert set(values[s]) == set(s)
         for i in range(1, star.l + 1):
-            value = q[i - 1].evaluate(p.coordinates)
+            value = q[i - 1].evaluate(x)
             if i in s:
-                assert values[s][i] == value
+                assert fld.mul(values[s][i], outside) == value
             else:
-                assert star.field.is_zero(value)
+                assert fld.is_zero(value)
 
 
 def evaluation_problem(field, n, l, extra, seed, kind):
@@ -357,39 +370,38 @@ evaluation_problems = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(problem=evaluation_problems)
-def test_tangent_values_match_term_by_term_evaluation(problem):
-    """Each Q_i(p_s) from the one monomial table of p_s equals
-    M_{s - i}(p_s) * prod_{h not in s} L_h(p_s), every factor from
-    `HomogeneousPoly.evaluate`."""
+def test_multiplier_values_match_term_by_term_evaluation(problem):
+    """Each M_{s - i}(p_s) from the one monomial table of p_s equals
+    `HomogeneousPoly.evaluate` at the integer coordinates of p_s."""
     star, d, mult = problem
-    fld = star.field
     mult_of = dict(zip(star.generator_keys(), mult))
-    values = tangent_values(star, d, mult)
+    values = _multiplier_values(star, d, mult, star.point_keys())
     assert list(values) == star.point_keys()
     for s, p in star.points.items():
-        outside = fld.one()
-        for h, form in enumerate(star.forms, start=1):
-            if h not in s:
-                outside = fld.mul(outside, form.poly().evaluate(p.coordinates))
         assert set(values[s]) == set(s)
         for i in s:
             m = mult_of[tuple(j for j in s if j != i)]
-            assert values[s][i] == fld.mul(m.evaluate(p.coordinates), outside)
+            assert values[s][i] == m.evaluate(p.integer_coordinates)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_tangent_functions_reject_wrong_multipliers(n):
-    star = build_star(random_general_forms(5, 4, GF, n=n))
+    star = random_star(5, 4, GF, n=n)
     d = star.generator_degree + 1
     mult = random_multipliers(star, d, random.Random(0))
     too_high = random_multipliers(star, d + 1, random.Random(0))
     mixed = mult[:-1] + too_high[-1:]
-    for fn in (tangent_values, tangent_dim_points, tangent_dim_direct):
+
+    def submatrix_rank(star, d, multipliers):
+        return evaluation_submatrix_rank(star, d, multipliers,
+                                         star.point_keys(), [(1, 1)])
+
+    for fn in (submatrix_rank, tangent_dim_points, tangent_dim_direct):
         for bad in (mult[:-1], mult + mult[:1], too_high, mixed):
             with pytest.raises(ValueError):
                 fn(star, d, bad)
     with pytest.raises(ValueError, match="multipliers of degree"):
-        tangent_values(star, d, too_high)
+        submatrix_rank(star, d, too_high)
     with pytest.raises(ValueError, match="need d >= l - n \\+ 1"):
         tangent_dim_points(star, star.generator_degree - 1, mult)
 
@@ -400,6 +412,17 @@ def test_evaluation_submatrix_rank_twelve():
     star = build_star(six_line_forms(QQ))
     assert evaluation_submatrix_rank(star, 5, ones(QQ, 6), TWELVE_ROWS,
                                      TWELVE_COLUMNS) == 12
+
+
+def test_published_matrix_needs_no_fraction_arithmetic(monkeypatch):
+    """Over Q the published 12 x 12 matrix is built and ranked in ints, at
+    d = 5 with unit multipliers and at d = 6 with M_i = G."""
+    star = build_star(six_line_forms(QQ))
+    cases = [(5, ones(QQ, 6)), (6, structured_multipliers(star, 6))]
+    refuse_fraction_arithmetic(monkeypatch)
+    for d, mult in cases:
+        assert evaluation_submatrix_rank(star, d, mult, TWELVE_ROWS,
+                                         TWELVE_COLUMNS) == 12
 
 
 def test_evaluation_submatrix_rank_unknown_labels():
@@ -483,7 +506,7 @@ def test_certify_empty():
 
 def test_certify_gap_when_data_degenerate():
     # zero multipliers can never reach the generic dimension
-    star = build_star(random_general_forms(6, 3, GF))
+    star = random_star(6, 3, GF)
     zero = HomogeneousPoly.zero(GF, 3, 0)
     cert = certify(5, 6, GF, trials=1, seed=0, stars=[star],
                    multipliers=[zero] * 6)
