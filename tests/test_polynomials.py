@@ -234,9 +234,13 @@ def test_str_notation():
     rng = random.Random(12)
     assert [str(rand_poly(QQ, 3, rng.randint(0, 3), rng))
             for _ in range(10)] == PINNED_STR
-    p = HomogeneousPoly(QQ, 3, 2, {(2, 0, 0): Fraction(1, 2),
-                                   (0, 1, 1): Fraction(-3, 4)})
-    assert str(p) == "1/2*x0^2 - 3/4*x1*x2"
     assert str(HomogeneousPoly(QQ, 3, 2, {(1, 1, 0): -1, (0, 0, 2): 1})) == \
         "-x0*x1 + x2^2"
     assert str(HomogeneousPoly.zero(QQ, 3, 2)) == "0"
+
+
+def test_str_rational_coefficients():
+    p = HomogeneousPoly(QQ, 3, 2, {(2, 0, 0): Fraction(1, 2),
+                                   (0, 1, 1): Fraction(-3, 4)})
+    assert p.terms == {(2, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(-3, 4)}
+    assert str(p) == "1/2*x0^2 - 3/4*x1*x2"
