@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from math import comb
 
 from .fields import DEFAULT_PRIME, PrimeField, QQ, Field, is_prime
@@ -224,19 +225,25 @@ def cmd_hilbert(args) -> int:
     return EXIT_OK if ok else EXIT_GAP
 
 
-def add_common_flags(p):
+def add_field_flags(p):
     p.add_argument("--field", choices=["rational", "prime"], default="prime")
     p.add_argument("--prime", type=int, default=None,
                    help="prime modulus (default: STARCONFIG_PRIME env var "
                         f"or {DEFAULT_PRIME})")
-    p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
+
+
+def add_report_flags(p):
+    """Flags of the commands that certify rows: verify, sweep and pn."""
+    add_field_flags(p)
+    p.add_argument("--trials", type=int, default=3)
     p.add_argument("--format", choices=["table", "csv", "json"],
                    default="table")
     p.add_argument("--output", default=None, help="write report to file")
     p.add_argument("-v", "--verbose", action="store_true")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starcurves",
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--paper-forms", action="store_true",
                    help="use the fixed published forms (l = 5 or 6)")
-    add_common_flags(p)
+    add_report_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify every pair in a range")
@@ -257,26 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--include-empty", action="store_true",
                    help="also report the d < l - 1 rows")
-    add_common_flags(p)
+    add_report_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("paper-examples",
                        help="reproduce the published explicit computations")
-    add_common_flags(p)
+    add_field_flags(p)
     p.set_defaults(func=cmd_paper_examples)
 
     p = sub.add_parser("pn", help="P^n conjecture experiments")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
-    add_common_flags(p)
+    add_report_flags(p)
     p.set_defaults(func=cmd_pn)
 
     p = sub.add_parser("hilbert",
                        help="Hilbert function table vs the closed formula")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--tmax", type=int, default=10)
-    add_common_flags(p)
+    add_field_flags(p)
     p.set_defaults(func=cmd_hilbert)
 
     return parser

@@ -1,13 +1,12 @@
 """Dense exact matrices and rank computation.
 
-Rank over Q clears denominators row by row.  The integer matrix's rank mod
-the fixed prime `DEFAULT_PRIME` is at most its rank over Q (a minor nonzero
-mod p is a nonzero integer), so a full rank mod p is the rational rank;
-otherwise fraction-free (Bareiss) elimination decides.  Rank over a prime
-field uses Gaussian elimination mod p.  `EchelonModP` keeps vectors mod p
-in echelon form as they are added one at a time, for ranks that grow
-column by column.  Small determinants (the minors behind intersection
-points) use cofactor expansion.
+Every rank is read from one mod-p elimination, `EchelonModP`, which keeps
+vectors mod p in echelon form as they are added one at a time.  A rank
+over a prime field is its size.  Over Q the rows are cleared of
+denominators and read mod the fixed prime `DEFAULT_PRIME`; a full echelon
+(`EchelonModP.full`) gives the rational rank, and fraction-free (Bareiss)
+elimination decides otherwise.  Small determinants (the minors behind
+intersection points) use cofactor expansion.
 """
 
 from __future__ import annotations
@@ -36,49 +35,70 @@ class ExactMatrix:
         self.rows = tuple(tuple(r) for r in rows)
 
     def rank(self) -> int:
+        """Rows go into one `EchelonModP` until it holds one vector per
+        column.  Over Q each row is cleared of denominators as the echelon
+        reads it, mod `DEFAULT_PRIME`; Bareiss decides when it is not full."""
         if self.nrows == 0 or self.ncols == 0:
             return 0
-        if isinstance(self.field, PrimeField):
-            return _rank_mod_p([list(r) for r in self.rows], self.field.p)
-        if isinstance(self.field, RationalField):
-            cleared = [clear_denominators(r) for r in self.rows]
+        exact = isinstance(self.field, PrimeField)
+        if exact:
+            p, rows = self.field.p, self.rows
+        elif isinstance(self.field, RationalField):
             p = DEFAULT_PRIME
-            rank = _rank_mod_p([[x % p for x in r] for r in cleared], p)
-            if rank == min(self.nrows, self.ncols):
-                return rank
-            return _rank_bareiss(cleared)
-        raise FieldMismatchError(f"unsupported field {self.field!r}")
+            rows = ([x % p for x in clear_denominators(r)] for r in self.rows)
+        else:
+            raise FieldMismatchError(f"unsupported field {self.field!r}")
+        echelon = EchelonModP(p, self.ncols)
+        for row in rows:
+            echelon.add(row)
+            if len(echelon) == self.ncols:
+                break
+        if exact or echelon.full():
+            return len(echelon)
+        return _rank_bareiss([clear_denominators(r) for r in self.rows])
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
 class EchelonModP:
-    """Vectors mod p added one at a time and kept in echelon form: each
-    stored vector is 1 at its pivot and 0 at every earlier pivot.  The
-    number stored is the rank of the vectors added so far."""
+    """Vectors mod p of one length, added one at a time and kept in
+    echelon form: each stored vector is 1 at its pivot, 0 before it and 0
+    at every earlier pivot, and is kept from its pivot on.  The number
+    stored is the rank mod p of the integer vectors added so far."""
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, length: int):
         self.p = p
+        self.length = length
         self.basis: list[tuple[int, list[int]]] = []
+        self.added = 0
 
     def __len__(self) -> int:
         return len(self.basis)
 
+    def full(self) -> bool:
+        """Whether the size is min(#vectors added, vector length).  Then it
+        is also the rank over Q of the integer vectors added: their rank
+        mod p is at most their rational rank (a minor nonzero mod p is a
+        nonzero integer), and no rank exceeds that minimum."""
+        return len(self.basis) == min(self.added, self.length)
+
     def add(self, v: Sequence[int]) -> None:
         """Store `v` reduced by the stored vectors, unless it reduces to 0.
-        Entries are reduced mod p once, at the end; in between they only
-        grow by products of residues."""
+        Entries are reduced mod p once, at the end, with the scaling to 1
+        at the pivot; in between they only grow by products of residues."""
         p = self.p
-        for piv, b in self.basis:
+        self.added += 1
+        v = list(v)
+        for piv, tail in self.basis:
             c = -v[piv] % p
             if c:
-                v = [x + c * y for x, y in zip(v, b)]
-        v = [x % p for x in v]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is not None:
-            inv = pow(v[piv], -1, p)
-            self.basis.append((piv, [x * inv % p for x in v]))
+                v[piv:] = [x + c * y for x, y in zip(v[piv:], tail)]
+        for piv, x in enumerate(v):
+            if x % p:
+                inv = pow(x, -1, p)
+                self.basis.append((piv, [y * inv % p for y in v[piv:]]))
+                return
 
 
 def det(field: Field, rows: Sequence[Sequence[Element]]) -> Element:
@@ -125,29 +145,5 @@ def _rank_bareiss(m: list[list[int]]) -> int:
                 mr[c] = (mr[c] * pval - mrc * mrow[c]) // prev
             mr[col] = 0
         prev = pval
-        row += 1
-    return row
-
-
-def _rank_mod_p(m: list[list[int]], p: int) -> int:
-    nr, nc = len(m), len(m[0])
-    row = 0
-    for col in range(nc):
-        if row >= nr:
-            break
-        piv = next((r for r in range(row, nr) if m[r][col] % p != 0), None)
-        if piv is None:
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        inv = pow(m[row][col], -1, p)
-        mrow = [x * inv % p for x in m[row]]
-        m[row] = mrow
-        for r in range(row + 1, nr):
-            f = m[r][col] % p
-            if f:
-                mr = m[r]
-                for c in range(col, nc):
-                    mr[c] = (mr[c] - f * mrow[c]) % p
         row += 1
     return row

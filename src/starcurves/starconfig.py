@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cached_property, reduce
-from math import comb
+from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -56,8 +55,10 @@ class LinearForm:
                                                  self.coefficients)
 
     def evaluate(self, point: "ProjectivePoint") -> Element:
-        f = self.field
-        return reduce(f.add, map(f.mul, self.coefficients, point.coordinates))
+        """The value at the point's integer coordinates: a nonzero multiple
+        of the value at any other representative of the point."""
+        return self.field.from_int(sum(map(mul, self.coefficients,
+                                           point.integer_coordinates)))
 
     def __eq__(self, other):
         return (isinstance(other, LinearForm) and self.field == other.field
@@ -71,8 +72,8 @@ class ProjectivePoint:
     """Point with the canonical representative: last nonzero coordinate 1.
 
     `integer_coordinates` are the canonical ones with their denominators
-    cleared, computed once: the same point, as ints (over GF(p) the
-    residues themselves)."""
+    cleared, computed once: the same point, as ints with no common prime
+    factor (over GF(p) the residues themselves)."""
 
     __slots__ = ("field", "coordinates", "integer_coordinates")
 
@@ -156,15 +157,13 @@ class StarConfiguration:
                 self.points[s] = None
         # General position: every n + 1 forms are independent.  Expanding
         # that determinant along its last row gives L_k(p_s) up to sign,
-        # so each point must exist and lie on no other form; L_k is
-        # evaluated at the point's integer coordinates.
+        # so each point must exist and lie on no other form.
         subsets = (itertools.combinations(labels, self.n + 1)
                    if self.l > self.n else [tuple(labels)])
         for c in subsets:
             p = self.points[c[:self.n]]
-            if p is None or (len(c) > self.n and self.field.is_zero(sum(map(
-                    mul, forms[c[-1] - 1].coefficients,
-                    p.integer_coordinates)))):
+            if p is None or (len(c) > self.n and self.field.is_zero(
+                    forms[c[-1] - 1].evaluate(p))):
                 names = ", ".join(f"L{i}" for i in c)
                 raise GenericityError(
                     f"forms {names} are linearly dependent", names)
@@ -263,18 +262,16 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     the star takes them degree by degree; HF(t) is its size after degree
     t.  Once that size is the number of points, every later degree has it
     too (rank <= #rows) and builds no monomial basis.  s = 0 gives c = x_n,
-    which canonical points already have at 1 unless they lie on x_n = 0.
+    which serves unless a point lies on x_n = 0.
 
-    Over Q the echelon runs mod `DEFAULT_PRIME`, and a size equal to
-    min(#points, C(t+n, n)) is the rational rank (a minor nonzero mod p is
-    nonzero over Q).  The whole per-degree matrix (`_evaluation_rank`)
-    decides when no chart form exists (over a small field), when a
-    rational affine coordinate has a denominator divisible by the prime,
-    or when a rational echelon falls short of that size.  A full
-    per-degree rank also settles every higher degree: a form vanishing at
-    every point but p, times a coordinate nonzero at p, is such a form of
-    the next degree.  The closed formula min{C(t+2,2), C(l,2)} is used
-    only as a test oracle.
+    Over Q the echelon runs mod `DEFAULT_PRIME` and gives the rational
+    rank when it is full (`EchelonModP.full`).  The whole per-degree
+    matrix (`_evaluation_rank`) decides when no chart form exists (over a
+    small field), when a rational point has a chart value divisible by the
+    prime, or when a rational echelon is not full.  A full per-degree rank
+    also settles every higher degree: a form vanishing at every point but
+    p, times a coordinate nonzero at p, is such a form of the next degree.
+    The closed formula min{C(t+2,2), C(l,2)} is used only as a test oracle.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -291,26 +288,22 @@ class _HilbertRanks:
         self.n = star.n
         self.npoints = len(star.points)
         self.saturated: int | None = None   # least degree known to be full
-        self.ranks: list[int] = []          # echelon size after each degree
+        self.ranks: list[tuple[int, bool]] = []  # (size, full) per degree
         field = star.field
         self.exact = isinstance(field, PrimeField)
         self.residues = field if self.exact else PrimeField(DEFAULT_PRIME)
         p = self.residues.p
         self.echelon = None
         charts = _chart_values(star)
-        if charts is None:
+        if charts is None or any(c % p == 0 for c in charts):
             return
-        self.affine = []
-        for pt, scale in zip(star.point_list(), charts):
-            coords = pt.coordinates[:-1]
-            if scale != 1:
-                inv = field.inv(scale)
-                coords = [field.mul(x, inv) for x in coords]
-            if any(x.denominator % p == 0 for x in coords):
-                return
-            self.affine.append([x.numerator * pow(x.denominator, -1, p) % p
-                                for x in coords])
-        self.echelon = EchelonModP(p)
+        # X_k / C(X) mod p at the integer coordinates X.  These are
+        # primitive, so no X_k / C(X) has a denominator divisible by p
+        # unless p | C(X): p | C(X) and p | X_k for k < n give p | X_n.
+        self.affine = [[x * pow(c, -1, p) % p
+                        for x in pt.integer_coordinates[:-1]]
+                       for pt, c in zip(star.point_list(), charts)]
+        self.echelon = EchelonModP(p, self.npoints)
 
     def rank(self, star: StarConfiguration, t: int) -> int:
         """HF(star, t), for the star this state was built from."""
@@ -318,9 +311,10 @@ class _HilbertRanks:
             self._extend(t)
         if self.saturated is not None and t >= self.saturated:
             return self.npoints
-        if self.echelon is not None and (self.exact or self.ranks[t] == min(
-                self.npoints, comb(t + self.n, self.n))):
-            return self.ranks[t]
+        if self.echelon is not None:
+            size, full = self.ranks[t]
+            if self.exact or full:
+                return size
         rank = _evaluation_rank(star, t)
         if rank == self.npoints:    # and t is below any degree known full
             self.saturated = t
@@ -328,28 +322,26 @@ class _HilbertRanks:
 
     def _extend(self, t: int) -> None:
         """Add the columns of each degree up to t, stopping once full."""
-        p = self.residues.p
         while len(self.ranks) <= t and self.saturated is None:
             degree = len(self.ranks)
             monos = monomials_of_degree(self.n, degree)
             rows = [monomial_values(self.residues, coords, degree, monos)
                     for coords in self.affine]
             for column in zip(*rows):
-                self.echelon.add([x % p for x in column])
-            self.ranks.append(len(self.echelon))
+                self.echelon.add(column)
+            self.ranks.append((len(self.echelon), self.echelon.full()))
             if len(self.echelon) == self.npoints:
                 self.saturated = degree
 
 
 def _chart_values(star: StarConfiguration) -> list[Element] | None:
-    """The values at the points, in point-key order, of the first chart
-    form x_n + s*x_{n-1} + s^2*x_{n-2} + ... + s^n*x_0 (s = 0, 1, 2, ...)
-    that vanishes at none of them; None when there is none.
+    """The values at the points' integer coordinates, in point-key order,
+    of the first chart form x_n + s*x_{n-1} + s^2*x_{n-2} + ... + s^n*x_0
+    (s = 0, 1, 2, ...) that vanishes at none of them, or None.
 
     At a point the form is a nonzero polynomial of degree <= n in s, so
     it has at most n roots, and one of n * #points + 1 values of s works
-    whenever the field has that many.  The form of s = 0 is x_n, read off
-    as the last coordinate, which is 1 at canonical points off x_n = 0."""
+    whenever the field has that many."""
     field, n, points = star.field, star.n, star.point_list()
     tries = n * len(points) + 1
     if isinstance(field, PrimeField):
@@ -357,13 +349,8 @@ def _chart_values(star: StarConfiguration) -> list[Element] | None:
     for s in range(tries):
         chart = LinearForm(field, [field.from_int(s ** (n - k))
                                    for k in range(n + 1)])
-        values = []
-        for pt in points:
-            value = chart.evaluate(pt) if s else pt.coordinates[-1]
-            if field.is_zero(value):
-                break
-            values.append(value)
-        else:
+        values = [chart.evaluate(pt) for pt in points]
+        if not any(map(field.is_zero, values)):
             return values
     return None
 

@@ -201,10 +201,9 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
     fld = star.field
     data = []
     for s in keys:
-        coords = star.points[s].integer_coordinates
-        data.append([fld.mul(sum(map(mul, star.forms[r - 1].coefficients,
-                                     coords)), values[s].get(t, fld.zero()))
-                     for r, t in columns])
+        point = star.points[s]
+        data.append([fld.mul(star.forms[r - 1].evaluate(point),
+                             values[s].get(t, fld.zero())) for r, t in columns])
     return ExactMatrix(fld, data, ncols=len(columns)).rank()
 
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -212,6 +213,42 @@ def test_usage_errors_exit_2(capsys, argv, message):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", [("--trials", "2"), ("--format", "json"),
+                                  ("--output", "report.txt"), ("-v",)])
+@pytest.mark.parametrize("command", [("hilbert", "--l", "4"),
+                                     ("paper-examples",)])
+def test_report_flags_refused_where_ignored(capsys, command, flag):
+    """Only verify, sweep and pn read --trials, --format, --output and -v;
+    the other commands refuse them instead of ignoring them."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *flag])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in out.err
+
+
+def test_second_command_leaves_little_garbage(capsys):
+    """The parser is built once per process, so a command run after the
+    first leaves few reference cycles (those of json's indenting encoder)
+    for the cyclic collector."""
+    argv = ["verify", "--d", "4", "--l", "5", "--format", "json"]
+    main(argv)
+    gc.collect()
+    gc.garbage.clear()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(argv)
+        gc.collect()
+        left = len(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert left < 100
 
 
 @pytest.mark.parametrize("target, reason", [

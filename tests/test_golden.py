@@ -24,6 +24,10 @@ COMMANDS = {
                                 "--field", "rational"],
     "pn_n3_d7_l6_rational": ["pn", "--n", "3", "--dmax", "7", "--lmax", "6",
                              "--field", "rational", "--trials", "1"],
+    "sweep_d13_l10_prime_json": ["sweep", "--dmax", "13", "--lmax", "10",
+                                 "--trials", "1", "--format", "json"],
+    "pn_n3_d8_l6_prime_json": ["pn", "--n", "3", "--dmax", "8", "--lmax", "6",
+                               "--trials", "1", "--format", "json"],
 }
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ, is_prime
-from starcurves.matrices import ExactMatrix, _rank_bareiss, clear_denominators
+from starcurves.matrices import (EchelonModP, ExactMatrix, _rank_bareiss,
+                                 clear_denominators)
 
 P = DEFAULT_PRIME
 
@@ -28,6 +29,23 @@ def naive_rational_rank(rows):
             f = m[r][col] / pr[col]
             if f:
                 m[r] = [a - f * b for a, b in zip(m[r], pr)]
+        rank += 1
+    return rank
+
+
+def naive_rank_mod_p(rows, p):
+    """Independent oracle: Gaussian elimination mod p, column by column."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] * inv
+            m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
 
@@ -162,3 +180,69 @@ def test_rank_singular_mod_prime_only(rows):
     assert ExactMatrix(PrimeField(P), [[x % P for x in r]
                                        for r in cleared]).rank() == 1
     assert qmat(rows).rank() == naive_rational_rank(rows) == 2
+    echelon = EchelonModP(P, 2)
+    for row in cleared:
+        echelon.add(row)
+    assert len(echelon) == 1 and not echelon.full()
+
+
+def test_echelon_full():
+    """Full: one pivot per vector added, or per coordinate."""
+    echelon = EchelonModP(7, 3)
+    echelon.add([0, 3, 0])
+    assert echelon.full()                 # 1 vector, rank 1
+    echelon.add([0, 10, 0])
+    assert not echelon.full()             # 2 vectors, rank 1 (10 = 3 mod 7)
+    echelon.add([1, 0, 0])
+    echelon.add([-6, 0, 8])
+    assert len(echelon) == 3 and echelon.full()   # 4 vectors of length 3
+    wide = EchelonModP(7, 4)
+    for row in ([1, 2, 3, 4], [0, 0, 7, 1]):
+        wide.add(row)
+    assert len(wide) == 2 and wide.full()
+
+
+@st.composite
+def residue_matrices_of_prescribed_rank(draw):
+    """(p, rows, r): an nr x nc product of nr x r and r x nc integer
+    matrices over GF(p), so of rank at most r.  Its entries lie anywhere,
+    mostly outside [0, p).  Tall shapes have up to three times as many
+    rows as columns, so a full-rank echelon fills before the last row."""
+    p = draw(st.sampled_from([2, 7, P]))
+    nc = draw(st.integers(1, 7))
+    nr = draw(st.sampled_from([
+        draw(st.integers(nc + 1, 3 * nc + 1)),     # tall
+        draw(st.integers(1, nc)),                  # wide or square
+    ]))
+    r = draw(st.integers(0, min(nr, nc)))
+    entry = st.integers(-3 * p, 3 * p)
+    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                         min_size=nr, max_size=nr))
+    right = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                          min_size=r, max_size=r))
+    return p, [[sum(left[i][k] * right[k][j] for k in range(r))
+                for j in range(nc)] for i in range(nr)], r
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_matrices_of_prescribed_rank())
+def test_prime_field_rank_matches_naive_elimination(case):
+    p, rows, r = case
+    rank = ExactMatrix(PrimeField(p), rows).rank()
+    assert rank == naive_rank_mod_p(rows, p)
+    assert rank <= r
+
+
+def test_tall_rank_stops_once_the_echelon_is_full(monkeypatch):
+    """Rows after the echelon holds one vector per column are not read."""
+    added = []
+    real = EchelonModP.add
+
+    def counting(self, v):
+        added.append(v)
+        real(self, v)
+
+    monkeypatch.setattr(EchelonModP, "add", counting)
+    rows = [[1, 0, 0], [0, 8, 0], [5, 5, 5]] + [[9, 9, 9]] * 7
+    assert ExactMatrix(PrimeField(7), rows).rank() == 3
+    assert len(added) == 3
