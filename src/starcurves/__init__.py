@@ -8,9 +8,9 @@ from .formulas import (TheoremValue, closed_form_dimension, min_upper_bound,
 from .matrices import ExactMatrix
 from .polynomials import HomogeneousPoly, monomials_of_degree
 from .pnstar import conjecture_row
-from .starconfig import (GenericityError, LinearForm, ProjectivePoint,
-                         StarConfiguration, build_star, hilbert_function,
-                         intersection_point, random_star)
+from .starconfig import (GenericityError, LinearForm, StarConfiguration,
+                         build_star, hilbert_function, intersection_point,
+                         random_star)
 from .tangent import (DimensionCertificate, TrialStars, build_q_forms, certify,
                       ideal_component_dim, lower_bound_dim_S,
                       evaluation_submatrix_rank, tangent_dim_direct,
@@ -25,8 +25,8 @@ __all__ = [
     "ExactMatrix",
     "HomogeneousPoly", "monomials_of_degree",
     "conjecture_row",
-    "GenericityError", "LinearForm", "ProjectivePoint", "StarConfiguration",
-    "build_star", "hilbert_function", "intersection_point", "random_star",
+    "GenericityError", "LinearForm", "StarConfiguration", "build_star",
+    "hilbert_function", "intersection_point", "random_star",
     "DimensionCertificate", "TrialStars", "build_q_forms", "certify",
     "ideal_component_dim", "lower_bound_dim_S", "evaluation_submatrix_rank",
     "tangent_dim_direct", "tangent_dim_points", "structured_multipliers",

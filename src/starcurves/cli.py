@@ -240,7 +240,6 @@ def add_report_flags(p):
     p.add_argument("--format", choices=["table", "csv", "json"],
                    default="table")
     p.add_argument("--output", default=None, help="write report to file")
-    p.add_argument("-v", "--verbose", action="store_true")
 
 
 @cache
@@ -249,37 +248,39 @@ def build_parser() -> argparse.ArgumentParser:
         prog="starcurves",
         description="Certify dimensions of loci of plane curves containing "
                     "star configurations.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="verify a single (d, l) pair")
+    p = commands.add_parser("verify", help="verify a single (d, l) pair")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--paper-forms", action="store_true",
                    help="use the fixed published forms (l = 5 or 6)")
+    p.add_argument("-v", "--verbose", action="store_true")
     add_report_flags(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="verify every pair in a range")
+    p = commands.add_parser("sweep", help="verify every pair in a range")
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--include-empty", action="store_true",
                    help="also report the d < l - 1 rows")
+    p.add_argument("-v", "--verbose", action="store_true")
     add_report_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("paper-examples",
+    p = commands.add_parser("paper-examples",
                        help="reproduce the published explicit computations")
     add_field_flags(p)
     p.set_defaults(func=cmd_paper_examples)
 
-    p = sub.add_parser("pn", help="P^n conjecture experiments")
+    p = commands.add_parser("pn", help="P^n conjecture experiments")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
     add_report_flags(p)
     p.set_defaults(func=cmd_pn)
 
-    p = sub.add_parser("hilbert",
+    p = commands.add_parser("hilbert",
                        help="Hilbert function table vs the closed formula")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--tmax", type=int, default=10)

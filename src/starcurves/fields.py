@@ -1,20 +1,18 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Elements are plain Python values: for the rationals an ``int`` when
-integral and a ``fractions.Fraction`` only where a division makes one
-(an ``int`` and the equal ``Fraction`` compare, hash and print alike), and
-``int`` residues in ``[0, p)`` for a prime field.  A ``Field`` object
-carries the operations; containers (polynomials, matrices) hold a field
-reference and refuse to mix elements from different fields.
+Elements are plain ``int``s: integers for the rationals (no operation
+divides, and `check_integral` refuses other input), and residues in
+``[0, p)`` for a prime field.  A ``Field`` object carries the
+operations; containers (polynomials, matrices) hold a field reference and
+refuse to mix elements from different fields.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Union
+from typing import Iterable
 
-Element = Union[Fraction, int]
+Element = int
 
 #: Largest prime below 2**30; products of two residues stay well inside
 #: 64-bit integer range.
@@ -64,16 +62,7 @@ class Field:
     def add(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
 
-    def sub(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
-
     def mul(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
-
-    def neg(self, a: Element) -> Element:
-        raise NotImplementedError
-
-    def inv(self, a: Element) -> Element:
         raise NotImplementedError
 
     def is_zero(self, a: Element) -> bool:
@@ -88,8 +77,7 @@ class Field:
 
 
 class RationalField(Field):
-    """The field Q; elements are ``int``, or ``Fraction`` (in lowest terms)
-    when not integral.  Only `inv` makes a ``Fraction`` from ints."""
+    """The field Q; elements are ``int``."""
 
     #: Random coefficients are drawn uniformly from [-RANDOM_BOUND, RANDOM_BOUND].
     RANDOM_BOUND = 10**4
@@ -106,19 +94,8 @@ class RationalField(Field):
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inversion of zero")
-        return Fraction(1, a) if isinstance(a, int) else 1 / a
 
     def is_zero(self, a):
         return a == 0
@@ -159,19 +136,8 @@ class PrimeField(Field):
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inversion of zero")
-        return pow(a, -1, self.p)
 
     def is_zero(self, a):
         return a % self.p == 0
@@ -198,3 +164,11 @@ QQ = RationalField()
 def check_same_field(a: Field, b: Field) -> None:
     if a != b:
         raise FieldMismatchError(f"cannot mix elements of {a!r} and {b!r}")
+
+
+def check_integral(field: Field, values: Iterable, what: str) -> None:
+    """Refuse values over Q that are not ints."""
+    if isinstance(field, RationalField) and not all(
+            isinstance(v, int) for v in values):
+        raise ValueError(f"{what} over Q must be ints; scale them by the "
+                         "lcm of their denominators")

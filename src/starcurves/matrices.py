@@ -2,16 +2,13 @@
 
 Every rank is read from one mod-p elimination, `EchelonModP`, which keeps
 vectors mod p in echelon form as they are added one at a time.  A rank
-over a prime field is its size.  Over Q the rows are cleared of
-denominators and read mod the fixed prime `DEFAULT_PRIME`; a full echelon
-(`EchelonModP.full`) gives the rational rank, and fraction-free (Bareiss)
-elimination decides otherwise.  Small determinants (the minors behind
-intersection points) use cofactor expansion.
+over a prime field is its size.  Over Q the entries are ints, read mod the
+fixed prime `DEFAULT_PRIME`; a full echelon (`EchelonModP.full`) gives the
+rational rank, and fraction-free (Bareiss) elimination decides otherwise.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Sequence
 
 from .fields import (DEFAULT_PRIME, Element, Field, FieldMismatchError,
@@ -36,8 +33,8 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Rows go into one `EchelonModP` until it holds one vector per
-        column.  Over Q each row is cleared of denominators as the echelon
-        reads it, mod `DEFAULT_PRIME`; Bareiss decides when it is not full."""
+        column.  Over Q the echelon reads the integer rows mod
+        `DEFAULT_PRIME`; Bareiss decides when it is not full."""
         if self.nrows == 0 or self.ncols == 0:
             return 0
         exact = isinstance(self.field, PrimeField)
@@ -45,7 +42,7 @@ class ExactMatrix:
             p, rows = self.field.p, self.rows
         elif isinstance(self.field, RationalField):
             p = DEFAULT_PRIME
-            rows = ([x % p for x in clear_denominators(r)] for r in self.rows)
+            rows = ([x % p for x in r] for r in self.rows)
         else:
             raise FieldMismatchError(f"unsupported field {self.field!r}")
         echelon = EchelonModP(p, self.ncols)
@@ -55,7 +52,7 @@ class ExactMatrix:
                 break
         if exact or echelon.full():
             return len(echelon)
-        return _rank_bareiss([clear_denominators(r) for r in self.rows])
+        return _rank_bareiss([list(r) for r in self.rows])
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
@@ -96,29 +93,9 @@ class EchelonModP:
                 v[piv:] = [x + c * y for x, y in zip(v[piv:], tail)]
         for piv, x in enumerate(v):
             if x % p:
-                inv = pow(x, -1, p)
-                self.basis.append((piv, [y * inv % p for y in v[piv:]]))
+                scale = pow(x, -1, p)
+                self.basis.append((piv, [y * scale % p for y in v[piv:]]))
                 return
-
-
-def det(field: Field, rows: Sequence[Sequence[Element]]) -> Element:
-    """Exact determinant of a small square matrix by cofactor expansion
-    along the first row; division-free, so it works over any field."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = field.zero()
-    for j, a in enumerate(rows[0]):
-        if field.is_zero(a):
-            continue
-        term = field.mul(a, det(field, [r[:j] + r[j + 1:] for r in rows[1:]]))
-        total = field.add(total, term) if j % 2 == 0 else field.sub(total, term)
-    return total
-
-
-def clear_denominators(row: Sequence[Element]) -> list[int]:
-    """The rationals times the lcm of their denominators (ints unchanged)."""
-    scale = lcm(*{f.denominator for f in row})
-    return [f.numerator * (scale // f.denominator) for f in row]
 
 
 def _rank_bareiss(m: list[list[int]]) -> int:

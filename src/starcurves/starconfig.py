@@ -15,15 +15,20 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .fields import DEFAULT_PRIME, Element, Field, PrimeField, check_same_field
-from .matrices import EchelonModP, ExactMatrix, clear_denominators, det
+from .fields import (DEFAULT_PRIME, Element, Field, PrimeField, check_integral,
+                     check_same_field)
+from .matrices import EchelonModP, ExactMatrix
 from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
                           poly_product)
 
 RETRY_BUDGET = 100
+
+#: A point of P^n as its primitive integer vector (`intersection_point`).
+Point = tuple[int, ...]
 
 
 class GenericityError(ValueError):
@@ -41,6 +46,7 @@ class LinearForm:
     __slots__ = ("field", "coefficients")
 
     def __init__(self, field: Field, coefficients: Sequence[Element]):
+        check_integral(field, coefficients, "linear form coefficients")
         if all(field.is_zero(c) for c in coefficients):
             raise ValueError("zero linear form")
         self.field = field
@@ -54,11 +60,10 @@ class LinearForm:
         return HomogeneousPoly.from_coefficients(self.field, self.nvars,
                                                  self.coefficients)
 
-    def evaluate(self, point: "ProjectivePoint") -> Element:
-        """The value at the point's integer coordinates: a nonzero multiple
-        of the value at any other representative of the point."""
-        return self.field.from_int(sum(map(mul, self.coefficients,
-                                           point.integer_coordinates)))
+    def evaluate(self, point: Point) -> Element:
+        """The value at the point's integer vector: a nonzero multiple of
+        the value at any other representative of the point."""
+        return self.field.from_int(sum(map(mul, self.coefficients, point)))
 
     def __eq__(self, other):
         return (isinstance(other, LinearForm) and self.field == other.field
@@ -68,57 +73,46 @@ class LinearForm:
         return f"LinearForm({self.poly()})"
 
 
-class ProjectivePoint:
-    """Point with the canonical representative: last nonzero coordinate 1.
+def intersection_point(*forms: LinearForm) -> Point:
+    """The common zero of n independent forms in n + 1 variables as its
+    primitive integer vector: over Q with no common factor and the last
+    nonzero entry positive; over GF(p) residues, last nonzero entry 1.
 
-    `integer_coordinates` are the canonical ones with their denominators
-    cleared, computed once: the same point, as ints with no common prime
-    factor (over GF(p) the residues themselves)."""
-
-    __slots__ = ("field", "coordinates", "integer_coordinates")
-
-    def __init__(self, field: Field, coordinates: Sequence[Element]):
-        coords = list(coordinates)
-        last = None
-        for i in range(len(coords) - 1, -1, -1):
-            if not field.is_zero(coords[i]):
-                last = i
-                break
-        if last is None:
-            raise ValueError("all-zero coordinate vector")
-        inv = field.inv(coords[last])
-        self.field = field
-        self.coordinates = tuple(field.mul(c, inv) for c in coords)
-        self.integer_coordinates = tuple(clear_denominators(self.coordinates))
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjectivePoint) and self.field == other.field
-                and self.coordinates == other.coordinates)
-
-    def __hash__(self):
-        return hash((self.field, self.coordinates))
-
-    def __repr__(self):
-        return "(" + " : ".join(str(c) for c in self.coordinates) + ")"
-
-
-def intersection_point(*forms: LinearForm) -> ProjectivePoint:
-    """The common zero of n independent forms in n + 1 variables: the
-    signed maximal minors of their coefficient matrix (for two lines in
-    the plane, the cross product of the coefficient vectors)."""
-    field = forms[0].field
-    for f in forms[1:]:
+    Fraction-free Gauss-Jordan elimination of the coefficient rows (over
+    GF(p), of the residues as ints) leaves the pivot minor D at each pivot
+    and 0 at the others; D at the free column and minus each row's free
+    entry at its pivot are the signed maximal minors, up to sign."""
+    field, n = forms[0].field, len(forms)
+    for f in forms:
         check_same_field(field, f.field)
-    if any(f.nvars != len(forms) + 1 for f in forms):
-        raise ValueError("need n forms in n + 1 variables")
-    coords = []
-    for k in range(len(forms) + 1):
-        minor = det(field, [f.coefficients[:k] + f.coefficients[k + 1:]
-                            for f in forms])
-        coords.append(field.neg(minor) if k % 2 else minor)
-    if all(field.is_zero(c) for c in coords):
+        if f.nvars != n + 1:
+            raise ValueError("need n forms in n + 1 variables")
+    m = [list(f.coefficients) for f in forms]
+    prev, pivots = 1, []
+    for top in m:
+        col = next((c for c, x in enumerate(top) if x), None)
+        if col is None:     # a combination of the rows before it
+            raise GenericityError("forms are linearly dependent")
+        for r in m:
+            if r is not top:    # exact by Sylvester's identity
+                r[:] = [(x * top[col] - r[col] * y) // prev
+                        for x, y in zip(r, top)]
+        prev = top[col]
+        pivots.append(col)
+    free = next(c for c in range(n + 1) if c not in pivots)
+    v = [prev] * (n + 1)
+    for r, col in zip(m, pivots):
+        v[col] = -r[free]
+    if isinstance(field, PrimeField):
+        v = [x % field.p for x in v]
+    last = next((x for x in reversed(v) if x), 0)
+    if not last:    # dependent mod p
         raise GenericityError("forms are linearly dependent")
-    return ProjectivePoint(field, coords)
+    if isinstance(field, PrimeField):
+        scale = pow(last, -1, field.p)
+        return tuple(x * scale % field.p for x in v)
+    scale = gcd(*v) if last > 0 else -gcd(*v)
+    return tuple(x // scale for x in v)
 
 
 class StarConfiguration:
@@ -127,9 +121,10 @@ class StarConfiguration:
     the forms outside each (n-1)-subset (the hat products Lhat_i when
     n = 2).
 
-    n is the number of variables minus one.  Points are keyed by sorted
-    1-based n-subsets, generators by sorted (n-1)-subsets; generators are
-    built on first use.
+    n is the number of variables minus one.  Points, each its primitive
+    integer vector (`intersection_point`), are keyed by sorted 1-based
+    n-subsets, generators by sorted (n-1)-subsets; generators are built
+    on first use.
     """
 
     def __init__(self, forms: Sequence[LinearForm]):
@@ -172,7 +167,7 @@ class StarConfiguration:
     def generator_degree(self) -> int:
         return self.l - self.n + 1
 
-    def point_list(self) -> list[ProjectivePoint]:
+    def point_list(self) -> list[Point]:
         """Points in deterministic (sorted key) order."""
         return [self.points[key] for key in sorted(self.points)]
 
@@ -300,8 +295,7 @@ class _HilbertRanks:
         # X_k / C(X) mod p at the integer coordinates X.  These are
         # primitive, so no X_k / C(X) has a denominator divisible by p
         # unless p | C(X): p | C(X) and p | X_k for k < n give p | X_n.
-        self.affine = [[x * pow(c, -1, p) % p
-                        for x in pt.integer_coordinates[:-1]]
+        self.affine = [[x * pow(c, -1, p) % p for x in pt[:-1]]
                        for pt, c in zip(star.point_list(), charts)]
         self.echelon = EchelonModP(p, self.npoints)
 
@@ -360,7 +354,6 @@ def _evaluation_rank(star: StarConfiguration, t: int) -> int:
     the points at integer coordinates, columns the degree-t monomials."""
     basis = monomials_of_degree(star.n + 1, t)
     field = star.field
-    rows = [[field.from_int(v) for v in monomial_values(
-                 field, p.integer_coordinates, t, basis)]
+    rows = [[field.from_int(v) for v in monomial_values(field, p, t, basis)]
             for p in star.point_list()]
     return ExactMatrix(field, rows, ncols=len(basis)).rank()

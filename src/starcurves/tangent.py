@@ -35,7 +35,7 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .fields import Field, check_same_field
+from .fields import Field, check_integral, check_same_field
 from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                        closed_form_dimension, upper_bounds)
 from .matrices import ExactMatrix
@@ -49,7 +49,7 @@ def _multiplier_degree(star: StarConfiguration,
                        multipliers: Sequence[HomogeneousPoly],
                        d: int | None = None) -> int:
     """The common degree of the multipliers, one per generator key; given
-    d, it must be d - (l - n + 1)."""
+    d, it must be d - (l - n + 1).  Over Q their coefficients are ints."""
     count = len(star.generator_keys())
     if len(multipliers) != count:
         raise ValueError(f"expected {count} multipliers, "
@@ -57,6 +57,7 @@ def _multiplier_degree(star: StarConfiguration,
     mdeg = multipliers[0].degree
     for m in multipliers:
         check_same_field(m.field, star.field)
+        check_integral(m.field, m.terms.values(), "multiplier coefficients")
         if m.degree != mdeg:
             raise ValueError("multipliers must share one degree")
     if d is not None and mdeg != d - star.generator_degree:
@@ -86,7 +87,7 @@ def build_q_forms(star: StarConfiguration,
 
 
 def _multiplier_values(star, d, multipliers, keys) -> dict[tuple, dict]:
-    """M_{s - i}(p_s) at the integer coordinates of p_s, for every point
+    """M_{s - i}(p_s) at the integer vector of p_s, for every point
     key s in `keys` and every i in s, once the multipliers pass the checks
     against d.
 
@@ -100,8 +101,7 @@ def _multiplier_values(star, d, multipliers, keys) -> dict[tuple, dict]:
                for key, m in zip(star.generator_keys(), multipliers)}
     values = {}
     for s in keys:
-        monos = monomial_values(fld, star.points[s].integer_coordinates,
-                                mdeg, basis)
+        monos = monomial_values(fld, star.points[s], mdeg, basis)
         values[s] = {i: fld.from_int(sum(map(
             mul, vectors[tuple(j for j in s if j != i)], monos)))
             for i in s}
@@ -166,7 +166,7 @@ def tangent_dim_points(star: StarConfiguration, d: int,
                     if not fld.is_zero(c)) for form in star.forms]
     rows = []
     for s, ms in values.items():
-        coords = star.points[s].integer_coordinates
+        coords = star.points[s]
         row = [fld.zero()] * (star.l * width)
         for i, m in ms.items():
             xs = coords[:dropped[i - 1]] + coords[dropped[i - 1] + 1:]
@@ -223,16 +223,16 @@ def _form_missing(fld: Field, coeffs, points) -> LinearForm | None:
 def _linear_form_through(star: StarConfiguration, key: tuple[int, int],
                          rng: random.Random) -> LinearForm:
     """A linear form vanishing at the labelled point and at no other point
-    of the configuration: random coefficients off the point's last nonzero
-    coordinate (which is 1), and the one there that makes it vanish."""
+    of the configuration: random coefficients times the point's last
+    nonzero entry off that entry, and the one there that makes it vanish."""
     fld = star.field
-    coords = star.points[key].coordinates
-    last = max(i for i, c in enumerate(coords) if not fld.is_zero(c))
+    coords = star.points[key]
+    last = max(i for i, c in enumerate(coords) if c)
     others = [p for k, p in star.points.items() if k != key]
     for _ in range(RETRY_BUDGET):
-        coeffs = [fld.zero() if i == last else fld.random(rng)
-                  for i in range(3)]
-        coeffs[last] = fld.neg(sum(map(fld.mul, coeffs, coords)))
+        draws = [fld.zero() if i == last else fld.random(rng) for i in range(3)]
+        coeffs = [fld.mul(c, coords[last]) for c in draws]
+        coeffs[last] = fld.from_int(-sum(map(mul, draws, coords)))
         form = _form_missing(fld, coeffs, others)
         if form is not None:
             return form

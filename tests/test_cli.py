@@ -215,13 +215,23 @@ def test_usage_errors_exit_2(capsys, argv, message):
     assert out.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("flag", [("--trials", "2"), ("--format", "json"),
-                                  ("--output", "report.txt"), ("-v",)])
-@pytest.mark.parametrize("command", [("hilbert", "--l", "4"),
-                                     ("paper-examples",)])
+#: Commands that read none of the report flags, crossed with those flags;
+#: and pn, which reads all but -v.
+REFUSED_FLAGS = {
+    f"command{i}-flag{j}": (command, flag)
+    for i, command in enumerate([("hilbert", "--l", "4"), ("paper-examples",)])
+    for j, flag in enumerate([("--trials", "2"), ("--format", "json"),
+                              ("--output", "report.txt"), ("-v",)])}
+REFUSED_FLAGS["command2-flag3"] = (("pn", "--n", "3", "--dmax", "3",
+                                    "--lmax", "3"), ("-v",))
+
+
+@pytest.mark.parametrize("command, flag", REFUSED_FLAGS.values(),
+                         ids=REFUSED_FLAGS.keys())
 def test_report_flags_refused_where_ignored(capsys, command, flag):
-    """Only verify, sweep and pn read --trials, --format, --output and -v;
-    the other commands refuse them instead of ignoring them."""
+    """Only verify, sweep and pn read --trials, --format and --output, and
+    only verify and sweep read -v; the other commands refuse them instead
+    of ignoring them."""
     with pytest.raises(SystemExit) as exc:
         main([*command, *flag])
     assert exc.value.code == 2

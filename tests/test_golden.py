@@ -28,6 +28,12 @@ COMMANDS = {
                                  "--trials", "1", "--format", "json"],
     "pn_n3_d8_l6_prime_json": ["pn", "--n", "3", "--dmax", "8", "--lmax", "6",
                                "--trials", "1", "--format", "json"],
+    "pn_n4_d7_l6_prime_json": ["pn", "--n", "4", "--dmax", "7", "--lmax", "6",
+                               "--trials", "1", "--format", "json"],
+    "pn_n5_d8_l8_prime_json": ["pn", "--n", "5", "--dmax", "8", "--lmax", "8",
+                               "--trials", "1", "--format", "json"],
+    "pn_n4_d7_l7_rational": ["pn", "--n", "4", "--dmax", "7", "--lmax", "7",
+                             "--field", "rational", "--trials", "1"],
 }
 
 

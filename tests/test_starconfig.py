@@ -3,7 +3,8 @@ import random
 import weakref
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from itertools import combinations
+from math import comb, gcd
 from unittest import mock
 
 import pytest
@@ -15,8 +16,7 @@ from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
 from starcurves.matrices import ExactMatrix
 from starcurves.polynomials import monomials_of_degree
 from starcurves.reference_cases import five_line_forms, six_line_forms
-from starcurves.starconfig import (GenericityError, LinearForm,
-                                   ProjectivePoint, build_star,
+from starcurves.starconfig import (GenericityError, LinearForm, build_star,
                                    hilbert_function, intersection_point,
                                    arc_bound, random_star)
 from starcurves.tangent import ideal_component_dim
@@ -45,9 +45,9 @@ def test_is_general_coordinate_triangle():
 
 def test_is_general_concurrent_lines():
     f = QQ
-    forms = [LinearForm(f, [Fraction(1), Fraction(0), Fraction(0)]),
-             LinearForm(f, [Fraction(0), Fraction(1), Fraction(0)]),
-             LinearForm(f, [Fraction(1), Fraction(1), Fraction(0)])]
+    forms = [LinearForm(f, [1, 0, 0]),
+             LinearForm(f, [0, 1, 0]),
+             LinearForm(f, [1, 1, 0])]
     assert not is_general(forms)
 
 
@@ -57,27 +57,25 @@ def test_is_general_reference_five_lines():
 
 def test_is_general_two_forms():
     f = QQ
-    a = LinearForm(f, [Fraction(1), Fraction(0), Fraction(0)])
-    b = LinearForm(f, [Fraction(2), Fraction(0), Fraction(0)])
-    c = LinearForm(f, [Fraction(0), Fraction(1), Fraction(0)])
+    a = LinearForm(f, [1, 0, 0])
+    b = LinearForm(f, [2, 0, 0])
+    c = LinearForm(f, [0, 1, 0])
     assert is_general([a, c])
     assert not is_general([a, b])
 
 
 def test_intersection_coordinate_lines():
     x0, x1, x2 = coordinate_forms()
-    assert intersection_point(x0, x1).coordinates == \
-        (Fraction(0), Fraction(0), Fraction(1))
-    assert intersection_point(x1, x2).coordinates == \
-        (Fraction(1), Fraction(0), Fraction(0))
+    assert intersection_point(x0, x1) == (0, 0, 1)
+    assert intersection_point(x1, x2) == (1, 0, 0)
 
 
 def test_intersection_derived_example():
     x0 = coordinate_forms()[0]
-    plane = LinearForm(QQ, [Fraction(1), Fraction(1), Fraction(1)])
+    plane = LinearForm(QQ, [1, 1, 1])
     p = intersection_point(x0, plane)
     # solving x0 = 0, x0 + x1 + x2 = 0 gives (0 : -1 : 1)
-    assert p.coordinates == (Fraction(0), Fraction(-1), Fraction(1))
+    assert p == (0, -1, 1)
 
 
 def test_intersection_symmetry():
@@ -89,35 +87,104 @@ def test_intersection_symmetry():
 
 
 def test_intersection_dependent_forms_rejected():
-    a = LinearForm(QQ, [Fraction(1), Fraction(2), Fraction(0)])
-    b = LinearForm(QQ, [Fraction(2), Fraction(4), Fraction(0)])
+    a = LinearForm(QQ, [1, 2, 0])
+    b = LinearForm(QQ, [2, 4, 0])
     with pytest.raises(GenericityError):
         intersection_point(a, b)
 
 
 def test_point_normalization():
-    p = ProjectivePoint(QQ, [Fraction(3), Fraction(6), Fraction(0)])
-    assert p.coordinates == (Fraction(1, 2), Fraction(1), Fraction(0))
-    assert p.coordinates[1] == 1   # last nonzero coordinate is 1
+    """The kernel (-9, -18, 0) of these forms is (1, 2, 0) over Q: no
+    common factor, last nonzero entry positive; over GF(7) it is scaled to
+    last nonzero entry 1."""
+    assert intersection_point(LinearForm(QQ, [0, 0, 3]),
+                              LinearForm(QQ, [-6, 3, 0])) == (1, 2, 0)
+    f = PrimeField(7)
+    assert intersection_point(LinearForm(f, [0, 0, 3]),
+                              LinearForm(f, [1, 3, 0])) == (4, 1, 0)
+
+
+def cofactor_det(rows):
+    """Reference: the determinant of a square integer matrix by cofactor
+    expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * a * cofactor_det([r[:j] + r[j + 1:]
+                                             for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def signed_maximal_minors(rows):
+    """(-1)^k times the minor without column k, for each column k."""
+    return [(-1) ** k * cofactor_det([r[:k] + r[k + 1:] for r in rows])
+            for k in range(len(rows[0]))]
+
+
+@st.composite
+def form_rows(draw):
+    """(field, n, rows): n coefficient rows of length n + 1, with small
+    entries (often dependent) or large ones (any residue over GF(p))."""
+    field = draw(st.sampled_from([QQ, GF, PrimeField(5), PrimeField(7),
+                                  PrimeField(11)]))
+    n = draw(st.integers(2, 5))
+    large = st.integers(-10**6, 10**6) if field == QQ else \
+        st.integers(0, field.p - 1)
+    entry = st.integers(-4, 4) | large
+    rows = draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1),
+                         min_size=n, max_size=n))
+    return field, n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_rows())
+def test_intersection_point_is_the_scaled_minors(case):
+    """The point of n forms in n + 1 variables vanishes under each form,
+    is primitive with last nonzero entry positive over Q (last nonzero
+    entry 1 over GF(p)), and is the signed maximal minors up to a nonzero
+    scalar; dependent forms, whose minors all vanish, are refused."""
+    field, n, rows = case
+    try:
+        forms = [LinearForm(field, r) for r in rows]
+    except ValueError:      # a zero form
+        reject()
+    minors = [field.from_int(m) for m in signed_maximal_minors(rows)]
+    if not any(minors):
+        with pytest.raises(GenericityError):
+            intersection_point(*forms)
+        return
+    v = intersection_point(*forms)
+    assert len(v) == n + 1 and all(type(x) is int for x in v)
+    assert all(field.is_zero(form.evaluate(v)) for form in forms)
+    last = next(x for x in reversed(v) if x)
+    if field == QQ:
+        assert gcd(*v) == 1 and last > 0
+    else:
+        assert all(0 <= x < field.p for x in v) and last == 1
+    assert all(field.is_zero(field.from_int(a * y - b * x))
+               for (a, x), (b, y) in combinations(zip(v, minors), 2))
+
+
+def test_rational_forms_refuse_non_int_coefficients():
+    with pytest.raises(ValueError, match="lcm of their denominators"):
+        LinearForm(QQ, [Fraction(1, 2), 1, 0])
 
 
 @pytest.mark.parametrize("field, n", [(QQ, 2), (QQ, 3), (GF, 2),
                                       (PrimeField(11), 3)])
 def test_integer_coordinates_are_the_point(field, n):
-    """The integer coordinates are ints, c times the canonical ones for
-    one nonzero c (1 over GF(p), where they are the residues)."""
+    """Each point of a star is the integer vector of its n forms: ints
+    that lie on them, residues over GF(p)."""
     stars = [random_star(6, 2, field, n)]
     if n == 2:
         stars.append(build_star(five_line_forms(field)))
     for star in stars:
-        for p in star.point_list():
-            ints = p.integer_coordinates
-            assert all(type(x) is int for x in ints)
-            c = next(x for x in reversed(ints) if x)
-            assert [field.from_int(x) for x in ints] == \
-                [field.mul(c, x) for x in p.coordinates]
+        for s, p in star.points.items():
+            assert all(type(x) is int for x in p)
+            assert p == intersection_point(*(star.forms[i - 1] for i in s))
+            assert all(field.is_zero(star.forms[i - 1].evaluate(p))
+                       for i in s)
             if isinstance(field, PrimeField):
-                assert ints == p.coordinates
+                assert all(0 <= x < field.p for x in p)
 
 
 @pytest.mark.parametrize("field", [QQ, GF])
@@ -138,12 +205,7 @@ def test_star_freed_by_reference_counting(field):
 
 def test_build_star_triangle():
     star = build_star(coordinate_forms())
-    pts = set(star.point_list())
-    expected = {ProjectivePoint(QQ, [0, 0, 1]),
-                ProjectivePoint(QQ, [0, 1, 0]),
-                ProjectivePoint(QQ, [1, 0, 0])}
-    assert {p.coordinates for p in pts} == \
-        {tuple(map(Fraction, p.coordinates)) for p in expected}
+    assert set(star.point_list()) == {(0, 0, 1), (0, 1, 0), (1, 0, 0)}
 
 
 def test_build_star_counts():
@@ -155,21 +217,21 @@ def test_build_star_counts():
 
 def test_build_star_reports_offending_triple():
     f = QQ
-    forms = [LinearForm(f, [Fraction(1), Fraction(0), Fraction(0)]),
-             LinearForm(f, [Fraction(0), Fraction(1), Fraction(0)]),
-             LinearForm(f, [Fraction(0), Fraction(0), Fraction(1)]),
-             LinearForm(f, [Fraction(1), Fraction(1), Fraction(0)])]
+    forms = [LinearForm(f, [1, 0, 0]),
+             LinearForm(f, [0, 1, 0]),
+             LinearForm(f, [0, 0, 1]),
+             LinearForm(f, [1, 1, 0])]
     with pytest.raises(GenericityError, match="L1, L2, L4"):
         build_star(forms)
 
 
 def test_build_star_l2():
     f = QQ
-    forms = [LinearForm(f, [Fraction(1), Fraction(0), Fraction(0)]),
-             LinearForm(f, [Fraction(0), Fraction(1), Fraction(0)])]
+    forms = [LinearForm(f, [1, 0, 0]),
+             LinearForm(f, [0, 1, 0])]
     star = build_star(forms)
     assert len(star.points) == 1
-    assert star.points[(1, 2)].coordinates == (0, 0, 1)
+    assert star.points[(1, 2)] == (0, 0, 1)
 
 
 def test_points_on_their_lines_only():
@@ -187,7 +249,7 @@ def test_hat_products_vanish_on_configuration():
     star = random_star(5, 31, GF)
     for hat in star.generators:
         for p in star.point_list():
-            assert star.field.is_zero(hat.evaluate(p.coordinates))
+            assert star.field.is_zero(hat.evaluate(p))
     # nonzero at a point off all lines
     rng = random.Random(7)
     while True:
@@ -266,9 +328,9 @@ def test_hilbert_function_formula_small():
 
 def evaluation_rank(star, t):
     """The rank of the whole degree-t evaluation matrix: one row per point
-    at its canonical coordinates, one column per degree-t monomial."""
+    at its integer vector, one column per degree-t monomial."""
     f = star.field
-    rows = [[reduce(f.mul, map(pow, p.coordinates, mono), f.one())
+    rows = [[reduce(f.mul, map(pow, p, mono), f.one())
              for mono in monomials_of_degree(star.n + 1, t)]
             for p in star.point_list()]
     return ExactMatrix(f, rows).rank()
@@ -282,9 +344,10 @@ def last_coordinate_form(field, n):
 
 def denominator_forms(n):
     """x_i + x_n over Q for i < n, with x_1 scaled by the default prime p:
-    they meet at a point with x_1 = -1/p and last coordinate 1."""
+    they meet at a point with x_1 = -1/p and last coordinate 1, whose
+    integer vector has last entry p."""
     scale = [1, DEFAULT_PRIME] + [1] * (n - 2)
-    return [LinearForm(QQ, [Fraction(scale[i] * (j == i) + (j == n))
+    return [LinearForm(QQ, [scale[i] * (j == i) + (j == n)
                             for j in range(n + 1)]) for i in range(n)]
 
 
@@ -372,7 +435,7 @@ def test_points_on_last_hyperplane_take_the_echelon(monkeypatch):
     stars = [random_star(20, 0, PrimeField(1009)),
              build_star(coordinate_forms()), build_star(coordinate_forms(GF)),
              star_with(QQ, 3, 6, [last_coordinate_form(QQ, 3)])]
-    assert any(p.coordinates[-1] == 0 for p in stars[0].point_list())
+    assert any(p[-1] == 0 for p in stars[0].point_list())
     for star in stars:
         n, npoints = star.n, len(star.points)
         assert [hilbert_function(star, t) for t in range(star.l + 3)] == \
@@ -384,8 +447,7 @@ def test_rational_echelon_short_mod_p_falls_back(monkeypatch):
     so i and i + 5 give rows that agree mod 5: run mod 5, the echelon of
     l = 7 tangents falls short of full rank, and the per-degree rational
     matrix must decide."""
-    star = build_star([LinearForm(QQ, [Fraction(1), Fraction(i),
-                                       Fraction(-i * i)])
+    star = build_star([LinearForm(QQ, [1, i, -i * i])
                        for i in range(1, 8)])
     real, fallbacks = starconfig._evaluation_rank, []
 

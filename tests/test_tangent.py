@@ -1,14 +1,17 @@
+import ast
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import starcurves
 import starcurves.tangent as tangent_mod
 
-from starcurves.fields import PrimeField, QQ
+from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
 from starcurves.matrices import ExactMatrix
 from starcurves.polynomials import (HomogeneousPoly, monomials_of_degree,
                                     poly_sum)
@@ -43,8 +46,8 @@ def random_problem(l, d, seed):
 
 def test_q_forms_l2_degree_one():
     f = QQ
-    forms = [LinearForm(f, [Fraction(1), Fraction(0), Fraction(0)]),
-             LinearForm(f, [Fraction(0), Fraction(1), Fraction(0)])]
+    forms = [LinearForm(f, [1, 0, 0]),
+             LinearForm(f, [0, 1, 0])]
     star = build_star(forms)
     q = build_q_forms(star, ones(f, 2))
     # both are the empty product times the unit multiplier
@@ -145,8 +148,8 @@ def test_tangent_direct_six_lines_d5():
 
 def test_tangent_direct_l2_d1():
     f = QQ
-    forms = [LinearForm(f, [Fraction(1), Fraction(0), Fraction(0)]),
-             LinearForm(f, [Fraction(0), Fraction(1), Fraction(0)])]
+    forms = [LinearForm(f, [1, 0, 0]),
+             LinearForm(f, [0, 1, 0])]
     star = build_star(forms)
     # the Q forms are nonzero constants, so the degree-1 component is S_1
     assert tangent_dim_direct(star, 1, ones(f, 2)) == 3
@@ -246,7 +249,8 @@ def test_perturbation_elements_lie_in_tangent_space():
 
 def drawn_problem(n, field, l, extra, seed, kind):
     """A random configuration in P^n with multipliers that are random, all
-    equal, zero, or (over Q) random with non-integral coefficients; rejects
+    equal, zero, or (over Q) random times powers of the default prime p,
+    whose rank matrix is often short mod p, so Bareiss decides; rejects
     the example when a small field runs out of draws.  The multipliers
     come from a stream of their own: drawn from the forms' stream,
     degree-1 multipliers would repeat the forms' coefficients, which is
@@ -261,10 +265,10 @@ def drawn_problem(n, field, l, extra, seed, kind):
         mult = [mult[0]] * len(mult)
     elif kind == "zero":
         mult = [HomogeneousPoly.zero(field, n + 1, extra)] * len(mult)
-    elif kind == "fractional":
-        rng = random.Random(f"denominators {seed}")
+    elif kind == "prime powers":
+        rng = random.Random(f"prime powers {seed}")
         mult = [HomogeneousPoly(field, n + 1, extra, {
-            mono: field.add(c, field.inv(field.from_int(rng.randint(2, 9))))
+            mono: c * DEFAULT_PRIME ** rng.randint(0, 2)
             for mono, c in m.terms.items()}) for m in mult]
     return star, d, mult
 
@@ -280,7 +284,7 @@ problems = st.builds(
     kind=st.sampled_from(["random", "equal", "zero"])) | st.builds(
     drawn_problem, n=st.sampled_from([2, 3]), field=st.just(QQ),
     l=st.integers(2, 6), extra=st.integers(0, 2), seed=st.integers(0, 2**20),
-    kind=st.just("fractional"))
+    kind=st.just("prime powers"))
 
 
 @settings(max_examples=90, deadline=None)
@@ -302,13 +306,37 @@ def refuse_fraction_arithmetic(monkeypatch):
 
 
 def test_rational_point_rank_needs_no_fraction_arithmetic(monkeypatch):
-    """At a drawn star over Q, the multiplier values and the rank matrix
-    are built in ints: no Fraction operator runs."""
-    star = random_star(9, 0, QQ)
-    mult = random_multipliers(star, 10, random.Random(0))
+    """Over Q the star, its points, the random and the structured
+    multipliers (with their forms through a point), the multiplier values
+    and the rank matrix are all built in ints: no Fraction operator
+    runs."""
     refuse_fraction_arithmetic(monkeypatch)
-    assert tangent_dim_points(star, 10, mult) == \
-        closed_form_dimension(10, 9).value + 1
+    star = random_star(9, 0, QQ)
+    for mult in (random_multipliers(star, 10, random.Random(0)),
+                 structured_multipliers(star, 10)):
+        assert tangent_dim_points(star, 10, mult) == \
+            closed_form_dimension(10, 9).value + 1
+
+
+def test_rational_multipliers_refuse_non_int_coefficients():
+    star = random_star(5, 0, QQ)
+    mult = random_multipliers(star, 5, random.Random(0))
+    mult[0] = HomogeneousPoly(QQ, 3, 1, {(1, 0, 0): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="lcm of their denominators"):
+        tangent_dim_points(star, 5, mult)
+
+
+def test_no_module_imports_fractions():
+    """Over Q every element is an int, so no module of the package needs
+    the fractions module."""
+    package = Path(starcurves.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert "fractions" not in imported, path.name
 
 
 @settings(max_examples=45, deadline=None)
@@ -322,8 +350,7 @@ def test_tangent_values_match_q_forms(problem):
     values = _multiplier_values(star, d, mult, star.point_keys())
     assert list(values) == star.point_keys()
     q = build_q_forms(star, mult)
-    for s, p in star.points.items():
-        x = p.integer_coordinates
+    for s, x in star.points.items():
         outside = fld.one()
         for h, form in enumerate(star.forms, start=1):
             if h not in s:
@@ -381,7 +408,7 @@ def test_multiplier_values_match_term_by_term_evaluation(problem):
         assert set(values[s]) == set(s)
         for i in s:
             m = mult_of[tuple(j for j in s if j != i)]
-            assert values[s][i] == m.evaluate(p.integer_coordinates)
+            assert values[s][i] == m.evaluate(p)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -445,7 +472,7 @@ def test_structured_multipliers_base_cases():
     g = m6[0]
     assert all(m == g for m in m6)
     for p in star.point_list():
-        assert not GF.is_zero(g.evaluate(p.coordinates))
+        assert not GF.is_zero(g.evaluate(p))
 
 
 def test_structured_multipliers_degrees():
@@ -456,16 +483,15 @@ def test_structured_multipliers_degrees():
 
 
 def test_structured_multipliers_incidence():
-    star = build_star(six_line_forms(GF))
-    mult = structured_multipliers(star, 8)
-    # M_4 and M_5 are powers of G: nonzero at every configuration point
-    for i in (3, 4):
-        for p in star.point_list():
-            assert not GF.is_zero(mult[i].evaluate(p.coordinates))
-    # M_2 = G_3 * G^2 vanishes exactly at p_{2,6}
-    vanishing = [key for key, p in sorted(star.points.items())
-                 if GF.is_zero(mult[1].evaluate(p.coordinates))]
-    assert vanishing == [(2, 6)]
+    """Each M_i vanishes exactly at the points its forms G_j pass through
+    (M_4 and M_5 are powers of G: nowhere), over GF(p) and over Q, where
+    some of those points have last nonzero entry 2."""
+    zeros = [[(1, 2), (1, 5)], [(2, 6)], [(3, 4)], [], [], [(4, 6)]]
+    for field in (GF, QQ):
+        star = build_star(six_line_forms(field))
+        mult = structured_multipliers(star, 8)
+        assert [[key for key, p in sorted(star.points.items())
+                 if field.is_zero(m.evaluate(p))] for m in mult] == zeros
 
 
 def test_structured_multipliers_need_l6():
