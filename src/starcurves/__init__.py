@@ -5,7 +5,7 @@ the n = 2 case of one star-configuration core."""
 from .fields import DEFAULT_PRIME, PrimeField, QQ, RationalField
 from .formulas import (TheoremValue, closed_form_dimension, min_upper_bound,
                        pn_upper_bound, upper_bounds)
-from .matrices import ExactMatrix
+from .matrices import rank
 from .polynomials import HomogeneousPoly, monomials_of_degree
 from .pnstar import conjecture_row
 from .starconfig import (GenericityError, LinearForm, StarConfiguration,
@@ -22,7 +22,7 @@ __all__ = [
     "DEFAULT_PRIME", "PrimeField", "QQ", "RationalField",
     "TheoremValue", "closed_form_dimension", "min_upper_bound",
     "pn_upper_bound", "upper_bounds",
-    "ExactMatrix",
+    "rank",
     "HomogeneousPoly", "monomials_of_degree",
     "conjecture_row",
     "GenericityError", "LinearForm", "StarConfiguration", "build_star",

@@ -21,7 +21,6 @@ from math import comb
 
 from .fields import DEFAULT_PRIME, PrimeField, QQ, Field, is_prime
 from .formulas import min_upper_bound
-from .polynomials import HomogeneousPoly
 from .pnstar import conjecture_row
 from .reference_cases import (block_matrix_rank, five_line_forms,
                               luroth_case_dimension, six_line_forms,
@@ -123,7 +122,7 @@ def run_one(d: int, l: int, fld: Field, trials: int, seed: int,
             usage_error("--paper-forms only available for l = 5 or 6")
         stars = [build_star(forms)] * trials
         if d == l - 1:
-            multipliers = [HomogeneousPoly.one(fld, 3)] * l
+            multipliers = [[fld.one()] for _ in range(l)]
     cert = certify(d, l, fld, trials=trials, seed=seed, stars=stars,
                    multipliers=multipliers)
     elapsed_ms = int((time.monotonic() - start) * 1000)

@@ -1,61 +1,47 @@
-"""Dense exact matrices and rank computation.
+"""Exact rank of a stream of rows.
 
 Every rank is read from one mod-p elimination, `EchelonModP`, which keeps
-vectors mod p in echelon form as they are added one at a time.  A rank
-over a prime field is its size.  Over Q the entries are ints, read mod the
-fixed prime `DEFAULT_PRIME`; a full echelon (`EchelonModP.full`) gives the
-rational rank, and fraction-free (Bareiss) elimination decides otherwise.
+vectors mod p in echelon form as they are added one at a time.  `rank`
+stops reading its rows once the echelon holds one vector per column.
+Over a prime field the rank is the echelon's size.  Over Q the entries are
+ints, read mod the fixed prime `DEFAULT_PRIME`; a full echelon
+(`EchelonModP.full`) gives the rational rank, and fraction-free (Bareiss)
+elimination of every row decides otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fields import (DEFAULT_PRIME, Element, Field, FieldMismatchError,
-                     PrimeField, RationalField)
+                     PrimeField, RationalField, check_integral)
 
 
-class ExactMatrix:
-    """Immutable row-major matrix of exact field elements."""
-
-    def __init__(self, field: Field, rows: Sequence[Sequence[Element]],
-                 ncols: int | None = None):
-        self.field = field
-        self.nrows = len(rows)
-        if self.nrows:
-            self.ncols = len(rows[0])
-            for r in rows:
-                if len(r) != self.ncols:
-                    raise ValueError("ragged rows")
-        else:
-            self.ncols = 0 if ncols is None else ncols
-        self.rows = tuple(tuple(r) for r in rows)
-
-    def rank(self) -> int:
-        """Rows go into one `EchelonModP` until it holds one vector per
-        column.  Over Q the echelon reads the integer rows mod
-        `DEFAULT_PRIME`; Bareiss decides when it is not full."""
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
-        exact = isinstance(self.field, PrimeField)
-        if exact:
-            p, rows = self.field.p, self.rows
-        elif isinstance(self.field, RationalField):
-            p = DEFAULT_PRIME
-            rows = ([x % p for x in r] for r in self.rows)
-        else:
-            raise FieldMismatchError(f"unsupported field {self.field!r}")
-        echelon = EchelonModP(p, self.ncols)
-        for row in rows:
-            echelon.add(row)
-            if len(echelon) == self.ncols:
-                break
-        if exact or echelon.full():
-            return len(echelon)
-        return _rank_bareiss([list(r) for r in self.rows])
-
-    def __repr__(self):
-        return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field!r})"
+def rank(field: Field, rows: Iterable[Sequence[Element]], ncols: int) -> int:
+    """The rank of the matrix with these rows of `ncols` entries.  Rows
+    go into one `EchelonModP` until it holds `ncols` vectors, and the rest
+    are not read.  Over Q a row with a non-int entry is refused as it is
+    read, and the rows read are kept for Bareiss."""
+    if isinstance(field, PrimeField):
+        p, kept = field.p, None
+    elif isinstance(field, RationalField):
+        p, kept = DEFAULT_PRIME, []
+    else:
+        raise FieldMismatchError(f"unsupported field {field!r}")
+    echelon = EchelonModP(p, ncols)
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"a row of {len(row)} entries, not {ncols}")
+        if kept is not None:
+            check_integral(field, row, "matrix entries")
+            kept.append(row)
+            row = [x % p for x in row]
+        echelon.add(row)
+        if len(echelon) == ncols:
+            break
+    if kept is None or echelon.full():
+        return len(echelon)
+    return _rank_bareiss([list(r) for r in kept])
 
 
 class EchelonModP:

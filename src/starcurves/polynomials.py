@@ -71,12 +71,8 @@ class HomogeneousPoly:
         return cls(field, nvars, degree, {})
 
     @classmethod
-    def constant(cls, field: Field, nvars: int, value: Element) -> "HomogeneousPoly":
-        return cls(field, nvars, 0, {(0,) * nvars: value})
-
-    @classmethod
     def one(cls, field: Field, nvars: int) -> "HomogeneousPoly":
-        return cls.constant(field, nvars, field.one())
+        return cls(field, nvars, 0, {(0,) * nvars: field.one()})
 
     @classmethod
     def variable(cls, field: Field, nvars: int, index: int) -> "HomogeneousPoly":

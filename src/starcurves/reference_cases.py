@@ -9,7 +9,6 @@ with its 12x12 evaluation matrix, and a seven-line block extension whose
 from __future__ import annotations
 
 from .fields import Field
-from .polynomials import HomogeneousPoly
 from .starconfig import (GenericityError, LinearForm, StarConfiguration,
                          build_star)
 from .tangent import (evaluation_submatrix_rank, tangent_dim_direct,
@@ -97,7 +96,7 @@ def luroth_case_dimension(fld: Field) -> int:
     """dim_k I_4 for the five fixed lines with unit multipliers (expect 14),
     by the coefficient-matrix rank, which needs no outside theorem."""
     star = _published_star(fld, FIVE_LINE_COEFFS)
-    ones = [HomogeneousPoly.one(fld, 3)] * 5
+    ones = [[fld.one()] for _ in range(5)]
     return tangent_dim_direct(star, 4, ones)
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .fields import (DEFAULT_PRIME, Element, Field, PrimeField, check_integral,
                      check_same_field)
-from .matrices import EchelonModP, ExactMatrix
+from .matrices import EchelonModP, rank
 from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
                           poly_product)
 
@@ -309,10 +309,10 @@ class _HilbertRanks:
             size, full = self.ranks[t]
             if self.exact or full:
                 return size
-        rank = _evaluation_rank(star, t)
-        if rank == self.npoints:    # and t is below any degree known full
+        found = _evaluation_rank(star, t)
+        if found == self.npoints:   # and t is below any degree known full
             self.saturated = t
-        return rank
+        return found
 
     def _extend(self, t: int) -> None:
         """Add the columns of each degree up to t, stopping once full."""
@@ -350,10 +350,10 @@ def _chart_values(star: StarConfiguration) -> list[Element] | None:
 
 
 def _evaluation_rank(star: StarConfiguration, t: int) -> int:
-    """The rank of the degree-t evaluation matrix, built whole: rows are
-    the points at integer coordinates, columns the degree-t monomials."""
+    """The rank of the degree-t evaluation matrix: rows are the points at
+    integer coordinates, columns the degree-t monomials."""
     basis = monomials_of_degree(star.n + 1, t)
     field = star.field
-    rows = [[field.from_int(v) for v in monomial_values(field, p, t, basis)]
-            for p in star.point_list()]
-    return ExactMatrix(field, rows, ncols=len(basis)).rank()
+    rows = ([field.from_int(v) for v in monomial_values(field, p, t, basis)]
+            for p in star.point_list())
+    return rank(field, rows, len(basis))

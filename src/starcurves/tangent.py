@@ -25,41 +25,56 @@ points.  As L_i * Q_i vanishes at every point, B drops one x_k * Q_i per
 i and ranks a C(l,n) x l*n matrix, of full rank at random data in every
 case tried but the Luroth case (4, 5).  Certificates use B; the tests
 cross-check it against A.
+
+A multiplier M_T is its coefficient vector over monomials_of_degree(n + 1,
+m), m = d - (l - n + 1); only A builds polynomials from it.  B streams its
+rows into one `matrices.rank`, in band order (`_band_order`), and builds a
+point's monomial table and multiplier values only when the rank reads its
+row.  The rank stops reading once it holds l*n independent rows, which at
+random data over a large prime is after the n*l rows of the band.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from math import comb
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .fields import Field, check_integral, check_same_field
+from .fields import Element, Field, check_integral, check_same_field
 from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                        closed_form_dimension, upper_bounds)
-from .matrices import ExactMatrix
+from .matrices import rank
 from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
                           poly_product, poly_sum)
 from .starconfig import (RETRY_BUDGET, GenericityError, LinearForm,
                          StarConfiguration, random_star)
 
 
+#: A multiplier M_T: its coefficient vector over monomials_of_degree(n + 1, m).
+Multiplier = Sequence[Element]
+
+
 def _multiplier_degree(star: StarConfiguration,
-                       multipliers: Sequence[HomogeneousPoly],
+                       multipliers: Sequence[Multiplier],
                        d: int | None = None) -> int:
-    """The common degree of the multipliers, one per generator key; given
-    d, it must be d - (l - n + 1).  Over Q their coefficients are ints."""
+    """The common degree m of the multipliers, one per generator key, read
+    from their length C(m + n, n); given d, m must be d - (l - n + 1).
+    Over Q their coefficients are ints."""
     count = len(star.generator_keys())
     if len(multipliers) != count:
         raise ValueError(f"expected {count} multipliers, "
                          f"got {len(multipliers)}")
-    mdeg = multipliers[0].degree
+    n, mdeg = star.n, 0
+    while comb(mdeg + n, n) < len(multipliers[0]):
+        mdeg += 1
     for m in multipliers:
-        check_same_field(m.field, star.field)
-        check_integral(m.field, m.terms.values(), "multiplier coefficients")
-        if m.degree != mdeg:
-            raise ValueError("multipliers must share one degree")
+        if len(m) != comb(mdeg + n, n):
+            raise ValueError("multipliers must share one degree m, each a "
+                             "vector of C(m + n, n) coefficients")
+        check_integral(star.field, m, "multiplier coefficients")
     if d is not None and mdeg != d - star.generator_degree:
         raise ValueError(f"need d >= l - n + 1 = {star.generator_degree} and "
                          f"multipliers of degree d - (l - n + 1), got d = {d}"
@@ -68,44 +83,55 @@ def _multiplier_degree(star: StarConfiguration,
 
 
 def build_q_forms(star: StarConfiguration,
-                  multipliers: Sequence[HomogeneousPoly]) -> list[HomogeneousPoly]:
+                  multipliers: Sequence[Multiplier]) -> list[HomogeneousPoly]:
     """The l forms Q_i of degree d - 1, from one product of the forms
     outside each n-subset s, shared by the Q_i with i in s.
 
     `multipliers` are the M_T in generator-key order.
     """
     mdeg = _multiplier_degree(star, multipliers)
-    mult = dict(zip(star.generator_keys(), multipliers))
+    nvars = star.n + 1
+    basis = monomials_of_degree(nvars, mdeg)
+    mult = {key: HomogeneousPoly(star.field, nvars, mdeg, dict(zip(basis, m)))
+            for key, m in zip(star.generator_keys(), multipliers)}
     parts: list[list[HomogeneousPoly]] = [[] for _ in range(star.l)]
     for s in star.point_keys():
         outside = star.hat_product_without(*s)
         for i in s:
             rest = tuple(j for j in s if j != i)
             parts[i - 1].append(mult[rest] * outside)
-    return [poly_sum(p, star.field, star.n + 1, mdeg + star.l - star.n)
+    return [poly_sum(p, star.field, nvars, mdeg + star.l - star.n)
             for p in parts]
 
 
-def _multiplier_values(star, d, multipliers, keys) -> dict[tuple, dict]:
-    """M_{s - i}(p_s) at the integer vector of p_s, for every point
-    key s in `keys` and every i in s, once the multipliers pass the checks
-    against d.
-
-    Each point gets one table of its degree-d - (l - n + 1) monomial
-    values, and each M_T(p_s) is the dot product of that table with the
-    coefficient vector of M_T.  Over Q, integer coefficients keep every
-    sum in ints."""
+def _multiplier_values(star, d, multipliers,
+                       keys) -> Iterator[tuple[tuple, dict]]:
+    """(s, {i: M_{s - i}(p_s)}) at the integer vector of p_s for each key
+    s in `keys`, computed when the iterator reaches s, once the multipliers
+    pass the checks against d.  Each M_T(p_s) is the dot product of one
+    table of the point's monomial values with the coefficient vector of
+    M_T; over Q, integer coefficients keep every sum in ints."""
     mdeg = _multiplier_degree(star, multipliers, d)
     fld, basis = star.field, monomials_of_degree(star.n + 1, mdeg)
-    vectors = {key: m.coefficient_vector()
-               for key, m in zip(star.generator_keys(), multipliers)}
-    values = {}
-    for s in keys:
+    vectors = dict(zip(star.generator_keys(), multipliers))
+
+    def at(s):
         monos = monomial_values(fld, star.points[s], mdeg, basis)
-        values[s] = {i: fld.from_int(sum(map(
-            mul, vectors[tuple(j for j in s if j != i)], monos)))
-            for i in s}
-    return values
+        return s, {i: fld.from_int(sum(map(
+            mul, vectors[tuple(j for j in s if j != i)], monos))) for i in s}
+    return map(at, keys)
+
+
+def _band_order(star: StarConfiguration) -> list[tuple[int, ...]]:
+    """The point keys, the band first: for each i, the n-subsets that
+    contain i inside the cyclic window {i, ..., i + n} (n*l keys once l is
+    large, one per column of the tangent matrix); then the rest in order."""
+    l, n = star.l, star.n
+    band = dict.fromkeys(
+        tuple(sorted({i, *(h % l + 1 for h in rest)})) for i in range(1, l + 1)
+        for rest in itertools.combinations(range(i, i + n), n - 1))
+    return [s for s in band if len(s) == n] + [
+        s for s in star.point_keys() if s not in band]
 
 
 def ideal_component_dim(generators: Sequence[HomogeneousPoly], d: int) -> int:
@@ -122,26 +148,23 @@ def ideal_component_dim(generators: Sequence[HomogeneousPoly], d: int) -> int:
         return 0
     fld = gens[0].field
     nvars = gens[0].nvars
-    basis = monomials_of_degree(nvars, d)
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
     for g in gens:
         check_same_field(g.field, fld)
-        if g.degree > d:
-            continue
-        for mono in monomials_of_degree(nvars, d - g.degree):
-            row = [fld.zero()] * len(basis)
-            for gm, c in g.terms.items():
-                shifted = tuple(a + b for a, b in zip(mono, gm))
-                row[index[shifted]] = c
-            rows.append(row)
-    if not rows:
-        return 0
-    return ExactMatrix(fld, rows, ncols=len(basis)).rank()
+    basis = monomials_of_degree(nvars, d)
+    index = {m: i for i, m in enumerate(basis)}
+
+    def row(g, mono):
+        out = [fld.zero()] * len(basis)
+        for gm, c in g.terms.items():
+            out[index[tuple(a + b for a, b in zip(mono, gm))]] = c
+        return out
+    return rank(fld, (row(g, mono) for g in gens if g.degree <= d
+                      for mono in monomials_of_degree(nvars, d - g.degree)),
+                len(basis))
 
 
 def tangent_dim_direct(star: StarConfiguration, d: int,
-                       multipliers: Sequence[HomogeneousPoly]) -> int:
+                       multipliers: Sequence[Multiplier]) -> int:
     """dim_k I_d via the coefficient-matrix rank (algorithm A)."""
     _multiplier_degree(star, multipliers, d)
     gens = star.generators + build_q_forms(star, multipliers)
@@ -149,7 +172,7 @@ def tangent_dim_direct(star: StarConfiguration, d: int,
 
 
 def tangent_dim_points(star: StarConfiguration, d: int,
-                       multipliers: Sequence[HomogeneousPoly]) -> int:
+                       multipliers: Sequence[Multiplier]) -> int:
     """dim_k I_d via point evaluation (algorithm B).
 
     The rank of the C(l,n) x l*n matrix with entries p_s[k] * Q_i(p_s),
@@ -159,26 +182,30 @@ def tangent_dim_points(star: StarConfiguration, d: int,
     C(d+n,n) - C(l,n) of the configuration ideal in degree d.  Row s is
     built as p_s[k] * M_{s - i}(p_s) at integer coordinates of p_s: the
     same row up to nonzero factors, prod_{h not in s} L_h(p_s) among them.
+
+    The rows come in `_band_order`, each built only when `rank` reads it,
+    and the rank stops reading once it holds l*n independent rows.  When
+    it does not, as over Q in the Luroth case, every row is read.
     """
-    values = _multiplier_values(star, d, multipliers, star.point_keys())
+    values = _multiplier_values(star, d, multipliers, _band_order(star))
     fld, width = star.field, star.n
     dropped = [next(k for k, c in enumerate(form.coefficients)
                     if not fld.is_zero(c)) for form in star.forms]
-    rows = []
-    for s, ms in values.items():
+
+    def row(s, ms):
         coords = star.points[s]
-        row = [fld.zero()] * (star.l * width)
+        out = [fld.zero()] * (star.l * width)
         for i, m in ms.items():
             xs = coords[:dropped[i - 1]] + coords[dropped[i - 1] + 1:]
             for k, x in enumerate(xs):
-                row[(i - 1) * width + k] = fld.mul(x, m)
-        rows.append(row)
-    rank = ExactMatrix(fld, rows, ncols=star.l * width).rank()
-    return rank + comb(d + star.n, star.n) - comb(star.l, star.n)
+                out[(i - 1) * width + k] = fld.mul(x, m)
+        return out
+    found = rank(fld, itertools.starmap(row, values), star.l * width)
+    return found + comb(d + star.n, star.n) - comb(star.l, star.n)
 
 
 def evaluation_submatrix_rank(star: StarConfiguration, d: int,
-                              multipliers: Sequence[HomogeneousPoly],
+                              multipliers: Sequence[Multiplier],
                               row_points: Sequence[tuple[int, ...]],
                               columns: Sequence[tuple[int, int]]) -> int:
     """Rank of a hand-picked evaluation sub-matrix.
@@ -199,12 +226,10 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
             raise KeyError(f"unknown column label ({r}, {t})")
     values = _multiplier_values(star, d, multipliers, keys)
     fld = star.field
-    data = []
-    for s in keys:
-        point = star.points[s]
-        data.append([fld.mul(star.forms[r - 1].evaluate(point),
-                             values[s].get(t, fld.zero())) for r, t in columns])
-    return ExactMatrix(fld, data, ncols=len(columns)).rank()
+    rows = ([fld.mul(star.forms[r - 1].evaluate(star.points[s]),
+                     ms.get(t, fld.zero())) for r, t in columns]
+            for s, ms in values)
+    return rank(fld, rows, len(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +277,9 @@ def _avoiding_linear_form(star: StarConfiguration,
 
 
 def structured_multipliers(star: StarConfiguration, d: int,
-                          seed: int = 0) -> list[HomogeneousPoly]:
-    """Structured multipliers realizing the block evaluation matrix.
+                           seed: int = 0) -> list[list[Element]]:
+    """Structured multipliers realizing the block evaluation matrix, as
+    coefficient vectors.
 
     Requires l >= 6 and d >= l - 1.  Three regimes:
     d = l - 1: all multipliers 1; d = l: all equal to a linear form G
@@ -269,41 +295,33 @@ def structured_multipliers(star: StarConfiguration, d: int,
         raise ValueError("need d >= l - 1")
     fld = star.field
     if d == l - 1:
-        return [HomogeneousPoly.one(fld, 3)] * l
+        return [[fld.one()] for _ in range(l)]
     rng = random.Random(seed)
     g = _avoiding_linear_form(star, rng).poly()
-    if d == l:
-        return [g] * l
-    special = [(1, 5), (1, 2), (2, 6), (3, 4), (4, 6)]
-    g1, g2, g3, g4, g5 = (
-        _linear_form_through(star, key, rng).poly() for key in special)
+    m = [g] * l
+    if d > l:
+        special = [(1, 5), (1, 2), (2, 6), (3, 4), (4, 6)]
+        g1, g2, g3, g4, g5 = (
+            _linear_form_through(star, key, rng).poly() for key in special)
 
-    def gpow(e: int) -> HomogeneousPoly:
-        return poly_product([g] * e, fld, 3)
+        def gpow(e: int) -> HomogeneousPoly:
+            return poly_product([g] * e, fld, 3)
 
-    m = [
-        g1 * g2 * gpow(d - l - 1),
-        g3 * gpow(d - l),
-        g4 * gpow(d - l),
-        gpow(d - l + 1),
-        gpow(d - l + 1),
-        g5 * gpow(d - l),
-    ]
-    m += [gpow(d - l + 1)] * (l - 6)
-    return m
+        top = gpow(d - l + 1)
+        m = [g1 * g2 * gpow(d - l - 1), g3 * gpow(d - l), g4 * gpow(d - l),
+             top, top, g5 * gpow(d - l)] + [top] * (l - 6)
+    return [p.coefficient_vector() for p in m]
 
 
 def random_multipliers(star: StarConfiguration, d: int,
-                       rng: random.Random) -> list[HomogeneousPoly]:
+                       rng: random.Random) -> list[list[Element]]:
     """Random dense forms of degree d - l + n - 1, one per generator, in
-    generator-key order."""
+    generator-key order, as coefficient vectors."""
     mdeg = d - star.generator_degree
     if mdeg < 0:
         raise ValueError("need d >= l - n + 1")
-    fld, nvars = star.field, star.n + 1
-    basis = monomials_of_degree(nvars, mdeg)
-    return [HomogeneousPoly(fld, nvars, mdeg,
-                            {m: fld.random(rng) for m in basis})
+    fld, size = star.field, comb(mdeg + star.n, star.n)
+    return [[fld.random(rng) for _ in range(size)]
             for _ in star.generator_keys()]
 
 
@@ -346,7 +364,7 @@ class TrialStars:
 def lower_bound_dim_S(d: int, l: int, fld: Field, trials: int = 3,
                       seed: int = 0,
                       stars: Sequence[StarConfiguration] | None = None,
-                      multipliers: Sequence[HomogeneousPoly] | None = None,
+                      multipliers: Sequence[Multiplier] | None = None,
                       n: int = 2) -> LowerBoundResult:
     """Semicontinuity lower bound: max over random trials of dim_k I_d - 1,
     for l hyperplanes in P^n (lines in the plane by default).
@@ -409,7 +427,7 @@ class DimensionCertificate:
 
 def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
             stars: Sequence[StarConfiguration] | None = None,
-            multipliers: Sequence[HomogeneousPoly] | None = None
+            multipliers: Sequence[Multiplier] | None = None
             ) -> DimensionCertificate:
     """Full verification of one (d, l) pair.
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ, is_prime
-from starcurves.matrices import EchelonModP, ExactMatrix, _rank_bareiss
+from starcurves.matrices import EchelonModP, _rank_bareiss, rank
 
 P = DEFAULT_PRIME
 
@@ -49,21 +49,25 @@ def naive_rank_mod_p(rows, p):
     return rank
 
 
-def qmat(rows):
-    return ExactMatrix(QQ, rows)
+def matrix_rank(field, rows):
+    return rank(field, rows, len(rows[0]))
+
+
+def qrank(rows):
+    return matrix_rank(QQ, rows)
 
 
 def test_identity_rank():
-    assert qmat([[1, 0], [0, 1]]).rank() == 2
+    assert qrank([[1, 0], [0, 1]]) == 2
 
 
 def test_all_ones_rank():
-    assert qmat([[1, 1, 1]] * 3).rank() == 1
+    assert qrank([[1, 1, 1]] * 3) == 1
 
 
 def test_empty_matrix_rank():
-    assert ExactMatrix(QQ, [], ncols=4).rank() == 0
-    assert ExactMatrix(QQ, [[], [], []]).rank() == 0
+    assert rank(QQ, [], 4) == 0
+    assert rank(QQ, [[], [], []], 0) == 0
 
 
 def test_rank_equals_transpose_rank():
@@ -74,19 +78,19 @@ def test_rank_equals_transpose_rank():
         for _ in range(rng.randint(0, 5)):
             rows.append([rng.randint(-9, 9) for _ in range(nc)])
         columns = [list(c) for c in zip(*rows)]
-        assert qmat(rows).rank() == qmat(columns).rank()
+        assert qrank(rows) == qrank(columns)
 
 
 def test_rank_invariant_under_scaling_and_permutation():
     rng = random.Random(5)
     rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
-    base = qmat(rows).rank()
+    base = qrank(rows)
     scaled = [[-21 * x for x in r] for r in rows]
-    assert qmat(scaled).rank() == base
+    assert qrank(scaled) == base
     perm = [rows[2], rows[0], rows[3], rows[1]]
-    assert qmat(perm).rank() == base
+    assert qrank(perm) == base
     colscaled = [[x * (c + 1) for c, x in enumerate(r)] for r in rows]
-    assert qmat(colscaled).rank() == base
+    assert qrank(colscaled) == base
 
 
 def test_bareiss_agrees_with_naive_elimination():
@@ -96,13 +100,13 @@ def test_bareiss_agrees_with_naive_elimination():
         nc = rng.randint(1, 10)
         rows = [[rng.randint(-6, 6) * rng.randint(1, 4)
                  for _ in range(nc)] for _ in range(nr)]
-        assert ExactMatrix(QQ, rows).rank() == naive_rational_rank(rows)
+        assert matrix_rank(QQ, rows) == naive_rational_rank(rows)
 
 
 def test_rank_deficient_bareiss():
     # rows 3 and 4 are combinations of rows 1 and 2
     rows = [[1, 2, 3], [4, 5, 6], [5, 7, 9], [3, 3, 3]]
-    assert qmat(rows).rank() == 2
+    assert qrank(rows) == 2
 
 
 def test_rational_vs_prime_field_agreement():
@@ -114,18 +118,18 @@ def test_rational_vs_prime_field_agreement():
             primes.append(c)
     for _ in range(100):
         rows = [[rng.randint(-50, 50) for _ in range(8)] for _ in range(8)]
-        rq = qmat(rows).rank()
+        rq = qrank(rows)
         for p in primes:
             fp = PrimeField(p)
-            rp = ExactMatrix(fp, [[x % p for x in r] for r in rows]).rank()
+            rp = matrix_rank(fp, [[x % p for x in r] for r in rows])
             assert rp == rq
 
 
 def test_prime_field_rank_examples():
     f = PrimeField(7)
-    assert ExactMatrix(f, [[1, 0], [0, 1]]).rank() == 2
+    assert matrix_rank(f, [[1, 0], [0, 1]]) == 2
     # second row is 7 * first row, hence zero mod 7
-    assert ExactMatrix(f, [[1, 2], [0, 7 % 7]]).rank() == 1
+    assert matrix_rank(f, [[1, 2], [0, 7 % 7]]) == 1
 
 
 #: Small integers that are often multiples of P, so that the matrix is
@@ -152,9 +156,9 @@ def matrices_of_prescribed_rank(draw):
 @given(matrices_of_prescribed_rank())
 def test_rational_rank_matches_bareiss(case):
     rows, r = case
-    rank = ExactMatrix(QQ, rows).rank()
-    assert rank == _rank_bareiss([list(row) for row in rows])
-    assert rank <= r
+    found = qrank(rows)
+    assert found == _rank_bareiss([list(row) for row in rows])
+    assert found <= r
 
 
 @pytest.mark.parametrize("rows", [
@@ -165,9 +169,9 @@ def test_rational_rank_matches_bareiss(case):
 def test_rank_singular_mod_prime_only(rows):
     """Full rank over Q, rank 1 once reduced mod P: the rational rank must
     come from the exact elimination."""
-    assert ExactMatrix(PrimeField(P), [[x % P for x in r]
-                                       for r in rows]).rank() == 1
-    assert qmat(rows).rank() == naive_rational_rank(rows) == 2
+    assert matrix_rank(PrimeField(P), [[x % P for x in r]
+                                       for r in rows]) == 1
+    assert qrank(rows) == naive_rational_rank(rows) == 2
     echelon = EchelonModP(P, 2)
     for row in rows:
         echelon.add(row)
@@ -216,9 +220,9 @@ def residue_matrices_of_prescribed_rank(draw):
 @given(residue_matrices_of_prescribed_rank())
 def test_prime_field_rank_matches_naive_elimination(case):
     p, rows, r = case
-    rank = ExactMatrix(PrimeField(p), rows).rank()
-    assert rank == naive_rank_mod_p(rows, p)
-    assert rank <= r
+    found = matrix_rank(PrimeField(p), rows)
+    assert found == naive_rank_mod_p(rows, p)
+    assert found <= r
 
 
 def test_tall_rank_stops_once_the_echelon_is_full(monkeypatch):
@@ -231,6 +235,22 @@ def test_tall_rank_stops_once_the_echelon_is_full(monkeypatch):
         real(self, v)
 
     monkeypatch.setattr(EchelonModP, "add", counting)
-    rows = [[1, 0, 0], [0, 8, 0], [5, 5, 5]] + [[9, 9, 9]] * 7
-    assert ExactMatrix(PrimeField(7), rows).rank() == 3
+    rows = iter([[1, 0, 0], [0, 8, 0], [5, 5, 5]] + [[9, 9, 9]] * 7)
+    assert rank(PrimeField(7), rows, 3) == 3
     assert len(added) == 3
+    assert list(rows) == [[9, 9, 9]] * 7     # the rest is never read
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, Fraction(2, 1)])
+def test_rational_rank_refuses_non_int_entries(bad):
+    """A non-int entry over Q is refused as its row is read, the first
+    row or a later one, with the one message for non-int input."""
+    for rows in ([[bad, 1], [1, 0]], [[1, 0], [bad, 1]]):
+        with pytest.raises(ValueError, match="lcm of their denominators"):
+            rank(QQ, rows, 2)
+
+
+def test_rank_refuses_rows_of_the_wrong_length():
+    for field in (QQ, PrimeField(7)):
+        with pytest.raises(ValueError, match="a row of 3 entries, not 2"):
+            rank(field, [[1, 0], [0, 1, 2]], 2)

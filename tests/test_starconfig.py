@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from starcurves import polynomials, starconfig
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
-from starcurves.matrices import ExactMatrix
+from starcurves.matrices import rank
 from starcurves.polynomials import monomials_of_degree
 from starcurves.reference_cases import five_line_forms, six_line_forms
 from starcurves.starconfig import (GenericityError, LinearForm, build_star,
@@ -333,7 +333,7 @@ def evaluation_rank(star, t):
     rows = [[reduce(f.mul, map(pow, p, mono), f.one())
              for mono in monomials_of_degree(star.n + 1, t)]
             for p in star.point_list()]
-    return ExactMatrix(f, rows).rank()
+    return rank(f, rows, len(rows[0]))
 
 
 def last_coordinate_form(field, n):

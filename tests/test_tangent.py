@@ -12,7 +12,7 @@ import starcurves
 import starcurves.tangent as tangent_mod
 
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
-from starcurves.matrices import ExactMatrix
+from starcurves.matrices import rank
 from starcurves.polynomials import (HomogeneousPoly, monomials_of_degree,
                                     poly_sum)
 from starcurves.reference_cases import (TWELVE_COLUMNS, TWELVE_ROWS,
@@ -33,7 +33,14 @@ GF = PrimeField()
 
 
 def ones(field, count):
-    return [HomogeneousPoly.one(field, 3)] * count
+    return [[field.one()] for _ in range(count)]
+
+
+def poly_of(field, nvars, degree, vector):
+    """The form with this coefficient vector over the degree-`degree`
+    monomials."""
+    return HomogeneousPoly(field, nvars, degree, dict(zip(
+        monomials_of_degree(nvars, degree), vector)))
 
 
 def random_problem(l, d, seed):
@@ -66,7 +73,7 @@ def test_q_forms_five_lines_structure():
 
 def test_q_forms_six_lines_with_linear_multiplier():
     star = build_star(six_line_forms(QQ))
-    g = LinearForm(QQ, [1, 5, 7]).poly()
+    g = [1, 5, 7]       # x0 + 5*x1 + 7*x2
     q = build_q_forms(star, [g] * 6)
     assert all(qi.degree == 5 for qi in q)
 
@@ -79,7 +86,7 @@ def test_q_forms_wrong_count_rejected():
 
 def test_q_forms_mixed_degrees_rejected():
     star = build_star(five_line_forms(QQ))
-    mult = ones(QQ, 4) + [HomogeneousPoly.variable(QQ, 3, 0)]
+    mult = ones(QQ, 4) + [[1, 0, 0]]     # x0, of degree 1
     with pytest.raises(ValueError):
         build_q_forms(star, mult)
 
@@ -99,13 +106,14 @@ def test_q_forms_match_product_rule(n, field, l, extra, seed):
     q = build_q_forms(star, mult)
     nvars = n + 1
     zero1 = HomogeneousPoly.zero(field, nvars, 1)
+    polys = [poly_of(field, nvars, extra, m) for m in mult]
     for i in range(1, l + 1):
         for k in range(nvars):
             xk = HomogeneousPoly.variable(field, nvars, k)
             parts = [m * perturbation_coefficient(
                          [(star.forms[j - 1].poly(), xk if j == i else zero1)
                           for j in range(1, l + 1) if j not in key])
-                     for key, m in zip(star.generator_keys(), mult)]
+                     for key, m in zip(star.generator_keys(), polys)]
             assert xk * q[i - 1] == poly_sum(parts, field, nvars, d)
 
 
@@ -168,7 +176,7 @@ def test_tangent_points_six_lines_d5():
 def test_tangent_points_zero_multipliers():
     star = random_star(5, 9, GF)
     d = 5
-    zero = HomogeneousPoly.zero(GF, 3, d - star.l + 1)
+    zero = [0] * comb(d - star.l + 1 + 2, 2)
     expected = comb(d + 2, 2) - comb(5, 2)
     assert tangent_dim_points(star, d, [zero] * 5) == expected
     assert tangent_dim_direct(star, d, [zero] * 5) == expected
@@ -187,6 +195,63 @@ def test_rational_tangent_rank_needs_no_bareiss(monkeypatch):
     mult = random_multipliers(star, 10, random.Random(0))
     assert tangent_dim_points(star, 10, mult) == \
         closed_form_dimension(10, 9).value + 1
+
+
+def counting_rows(monkeypatch):
+    """A list that grows by one per tangent row built: each row takes one
+    table of monomial values."""
+    built = []
+    real = tangent_mod.monomial_values
+
+    def counting(field, coords, degree, monomials):
+        built.append(coords)
+        return real(field, coords, degree, monomials)
+
+    monkeypatch.setattr(tangent_mod, "monomial_values", counting)
+    return built
+
+
+@pytest.mark.parametrize("n, lmax", [(2, 15), (3, 12), (4, 10)])
+def test_full_echelon_reads_at_most_n_l_rows(monkeypatch, n, lmax):
+    """Over the default prime, a tangent rank of l*n is read from at most
+    n*l rows, the band; a smaller rank reads every row."""
+    built = counting_rows(monkeypatch)
+    full = 0
+    for l in range(n, lmax + 1):
+        star = random_star(l, l, GF, n)
+        for d in range(l - n + 1, l + 4):
+            mult = random_multipliers(star, d,
+                                      random.Random(f"multipliers {d}"))
+            built.clear()
+            found = tangent_dim_points(star, d, mult) - comb(d + n, n) + \
+                comb(l, n)
+            if found == l * n:
+                full += 1
+                assert len(built) <= n * l, (l, d)
+            else:
+                assert len(built) == comb(l, n), (l, d)
+    assert full >= 10
+
+
+def test_luroth_pair_reads_every_row_into_bareiss(monkeypatch):
+    """At (d, l) = (4, 5) over Q the tangent rank is 9 of 10, so the echelon
+    is not full: every row is built and Bareiss decides."""
+    import starcurves.matrices as matrices_mod
+
+    built = counting_rows(monkeypatch)
+    shapes = []
+    real = matrices_mod._rank_bareiss
+
+    def recording(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return real(rows)
+
+    monkeypatch.setattr(matrices_mod, "_rank_bareiss", recording)
+    star = random_star(5, 0, QQ)
+    mult = random_multipliers(star, 4, random.Random(0))
+    assert tangent_dim_points(star, 4, mult) == 14
+    assert len(built) == comb(5, 2)
+    assert shapes == [(10, 10)]
 
 
 def test_algorithm_agreement_random():
@@ -231,7 +296,8 @@ def test_perturbation_elements_lie_in_tangent_space():
         parts.append(m_dirs[i] * star.hat_product_without(i + 1))
         factors = [(star.forms[j].poly(), l_dirs[j]) for j in range(star.l)
                    if j != i]
-        parts.append(mult[i] * perturbation_coefficient(factors))
+        parts.append(poly_of(GF, 3, mdeg, mult[i])
+                     * perturbation_coefficient(factors))
     tangent_vector = poly_sum(parts, GF, 3, d)
 
     gens = list(star.generators) + build_q_forms(star, mult)
@@ -244,7 +310,7 @@ def test_perturbation_elements_lie_in_tangent_space():
                      for gm, c in g.terms.items()}
             rows.append(HomogeneousPoly(GF, 3, d, shift).coefficient_vector())
     rows.append(tangent_vector.coefficient_vector())
-    assert ExactMatrix(GF, rows, ncols=len(basis)).rank() == base_rank
+    assert rank(GF, rows, len(basis)) == base_rank
 
 
 def drawn_problem(n, field, l, extra, seed, kind):
@@ -264,12 +330,11 @@ def drawn_problem(n, field, l, extra, seed, kind):
     if kind == "equal":
         mult = [mult[0]] * len(mult)
     elif kind == "zero":
-        mult = [HomogeneousPoly.zero(field, n + 1, extra)] * len(mult)
+        mult = [[field.zero()] * len(mult[0])] * len(mult)
     elif kind == "prime powers":
         rng = random.Random(f"prime powers {seed}")
-        mult = [HomogeneousPoly(field, n + 1, extra, {
-            mono: c * DEFAULT_PRIME ** rng.randint(0, 2)
-            for mono, c in m.terms.items()}) for m in mult]
+        mult = [[c * DEFAULT_PRIME ** rng.randint(0, 2) if c else c
+                 for c in m] for m in mult]
     return star, d, mult
 
 
@@ -291,6 +356,73 @@ problems = st.builds(
 @given(problem=problems)
 def test_point_rank_matches_coefficient_rank(problem):
     assert tangent_dim_points(*problem) == tangent_dim_direct(*problem)
+
+
+def naive_rank(field, rows):
+    """Gaussian elimination of the whole matrix, over Fractions for Q and
+    mod p for GF(p)."""
+    p = getattr(field, "p", None)
+    m = [[Fraction(x) if p is None else x % p for x in r] for r in rows]
+    found = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(found, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[found], m[piv] = m[piv], m[found]
+        top = m[found]
+        inv = 1 / top[col] if p is None else pow(top[col], -1, p)
+        for r in range(found + 1, len(m)):
+            f = m[r][col] * inv
+            m[r] = [a - f * b if p is None else (a - f * b) % p
+                    for a, b in zip(m[r], top)]
+        found += 1
+    return found
+
+
+def eager_tangent_dim(star, d, mult):
+    """Algorithm B built whole: all C(l,n) rows of the l*n columns
+    p_s[k] * M_{s - i}(p_s), k past the first nonzero coefficient of L_i,
+    in key order, each value from the multiplier's polynomial."""
+    fld, n, l = star.field, star.n, star.l
+    mdeg = d - star.generator_degree
+    mult_of = {key: poly_of(fld, n + 1, mdeg, m)
+               for key, m in zip(star.generator_keys(), mult)}
+    rows = []
+    for s in star.point_keys():
+        p = star.points[s]
+        row = [fld.zero()] * (l * n)
+        for i in s:
+            coeffs = star.forms[i - 1].coefficients
+            skip = next(k for k, c in enumerate(coeffs) if not fld.is_zero(c))
+            value = mult_of[tuple(j for j in s if j != i)].evaluate(p)
+            row[(i - 1) * n:i * n] = [fld.mul(x, value)
+                                      for k, x in enumerate(p) if k != skip]
+        rows.append(row)
+    return naive_rank(fld, rows) + comb(d + n, n) - comb(l, n)
+
+
+def streamed_problem(n, field, extra_l, extra, seed, equal):
+    """A star of l = n + extra_l hyperplanes in P^n with random
+    multipliers, all equal when `equal` (often a short rank)."""
+    try:
+        star = random_star(n + extra_l, seed, field, n)
+    except ValueError:      # past the arc bound, or no general draw
+        reject()
+    d = star.generator_degree + extra
+    mult = random_multipliers(star, d, random.Random(f"multipliers {seed}"))
+    if equal:
+        mult = [mult[0]] * len(mult)
+    return star, d, mult
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=st.builds(
+    streamed_problem, n=st.sampled_from([2, 3, 4]),
+    field=st.sampled_from([GF, PrimeField(7), QQ]),
+    extra_l=st.integers(0, 4), extra=st.integers(0, 2),
+    seed=st.integers(0, 2**20), equal=st.booleans()))
+def test_streamed_rank_matches_eager_matrix(problem):
+    assert tangent_dim_points(*problem) == eager_tangent_dim(*problem)
 
 
 def refuse_fraction_arithmetic(monkeypatch):
@@ -321,9 +453,23 @@ def test_rational_point_rank_needs_no_fraction_arithmetic(monkeypatch):
 def test_rational_multipliers_refuse_non_int_coefficients():
     star = random_star(5, 0, QQ)
     mult = random_multipliers(star, 5, random.Random(0))
-    mult[0] = HomogeneousPoly(QQ, 3, 1, {(1, 0, 0): Fraction(1, 2)})
+    mult[0] = [Fraction(1, 2), 0, 0]
     with pytest.raises(ValueError, match="lcm of their denominators"):
         tangent_dim_points(star, 5, mult)
+
+
+def test_ideal_component_refuses_rational_non_int_coefficients():
+    """A generator with a Fraction coefficient over Q is refused as its
+    rows are read."""
+    half = HomogeneousPoly(QQ, 3, 1, {(1, 0, 0): Fraction(1, 2),
+                                      (0, 1, 0): 1})
+    with pytest.raises(ValueError, match="lcm of their denominators"):
+        ideal_component_dim([half], 2)
+
+
+def test_every_export_resolves():
+    for name in starcurves.__all__:
+        assert hasattr(starcurves, name), name
 
 
 def test_no_module_imports_fractions():
@@ -347,7 +493,7 @@ def test_tangent_values_match_q_forms(problem):
     other Q_j."""
     star, d, mult = problem
     fld = star.field
-    values = _multiplier_values(star, d, mult, star.point_keys())
+    values = dict(_multiplier_values(star, d, mult, star.point_keys()))
     assert list(values) == star.point_keys()
     q = build_q_forms(star, mult)
     for s, x in star.points.items():
@@ -375,8 +521,7 @@ def evaluation_problem(field, n, l, extra, seed, kind):
             mult = random_multipliers(star, d, random.Random(seed))
         elif kind == "one":
             d = star.generator_degree
-            mult = [HomogeneousPoly.one(field, n + 1)] * len(
-                star.generator_keys())
+            mult = ones(field, len(star.generator_keys()))
         else:
             mult = structured_multipliers(star, d, seed)
     except ValueError:      # not general, past the arc bound, or no line G
@@ -401,8 +546,10 @@ def test_multiplier_values_match_term_by_term_evaluation(problem):
     """Each M_{s - i}(p_s) from the one monomial table of p_s equals
     `HomogeneousPoly.evaluate` at the integer coordinates of p_s."""
     star, d, mult = problem
-    mult_of = dict(zip(star.generator_keys(), mult))
-    values = _multiplier_values(star, d, mult, star.point_keys())
+    mdeg = d - star.generator_degree
+    mult_of = {key: poly_of(star.field, star.n + 1, mdeg, m)
+               for key, m in zip(star.generator_keys(), mult)}
+    values = dict(_multiplier_values(star, d, mult, star.point_keys()))
     assert list(values) == star.point_keys()
     for s, p in star.points.items():
         assert set(values[s]) == set(s)
@@ -465,12 +612,11 @@ def test_evaluation_submatrix_rank_unknown_labels():
 
 def test_structured_multipliers_base_cases():
     star = build_star(six_line_forms(GF))
-    assert all(m == HomogeneousPoly.one(GF, 3)
-               for m in structured_multipliers(star, 5))
+    assert structured_multipliers(star, 5) == [[1]] * 6
     m6 = structured_multipliers(star, 6)
-    assert all(m.degree == 1 for m in m6)
-    g = m6[0]
-    assert all(m == g for m in m6)
+    assert all(len(m) == 3 for m in m6)     # linear forms
+    assert all(m == m6[0] for m in m6)
+    g = poly_of(GF, 3, 1, m6[0])
     for p in star.point_list():
         assert not GF.is_zero(g.evaluate(p))
 
@@ -479,7 +625,7 @@ def test_structured_multipliers_degrees():
     star = build_star(six_line_forms(GF))
     for d in (7, 8, 9):
         mult = structured_multipliers(star, d)
-        assert all(m.degree == d - 6 + 1 for m in mult)
+        assert all(len(m) == comb(d - 6 + 1 + 2, 2) for m in mult)
 
 
 def test_structured_multipliers_incidence():
@@ -489,7 +635,8 @@ def test_structured_multipliers_incidence():
     zeros = [[(1, 2), (1, 5)], [(2, 6)], [(3, 4)], [], [], [(4, 6)]]
     for field in (GF, QQ):
         star = build_star(six_line_forms(field))
-        mult = structured_multipliers(star, 8)
+        mult = [poly_of(field, 3, 3, m)
+                for m in structured_multipliers(star, 8)]
         assert [[key for key, p in sorted(star.points.items())
                  if field.is_zero(m.evaluate(p))] for m in mult] == zeros
 
@@ -498,6 +645,33 @@ def test_structured_multipliers_need_l6():
     star = build_star(five_line_forms(GF))
     with pytest.raises(ValueError):
         structured_multipliers(star, 5)
+
+
+# -- random multipliers -----------------------------------------------------
+
+def dense_poly_draw(star, d, rng):
+    """The draw as dense polynomials: one coefficient per degree-m
+    monomial, in basis order, for each generator key in turn."""
+    mdeg = d - star.generator_degree
+    fld, nvars = star.field, star.n + 1
+    basis = monomials_of_degree(nvars, mdeg)
+    return [HomogeneousPoly(fld, nvars, mdeg,
+                            {m: fld.random(rng) for m in basis})
+            for _ in star.generator_keys()]
+
+
+@pytest.mark.parametrize("field", [GF, PrimeField(7), QQ])
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_multipliers_are_the_dense_draw(field, n):
+    """Each vector is the dense polynomial's `coefficient_vector()`, and
+    the stream is left where the dense draw leaves it."""
+    star = random_star(n + 3, 5, field, n)
+    for extra in range(4):
+        d = star.generator_degree + extra
+        rng, old = random.Random(extra), random.Random(extra)
+        assert random_multipliers(star, d, rng) == \
+            [m.coefficient_vector() for m in dense_poly_draw(star, d, old)]
+        assert rng.random() == old.random()
 
 
 # -- lower bounds and certificates ------------------------------------------
@@ -533,9 +707,8 @@ def test_certify_empty():
 def test_certify_gap_when_data_degenerate():
     # zero multipliers can never reach the generic dimension
     star = random_star(6, 3, GF)
-    zero = HomogeneousPoly.zero(GF, 3, 0)
     cert = certify(5, 6, GF, trials=1, seed=0, stars=[star],
-                   multipliers=[zero] * 6)
+                   multipliers=[[0]] * 6)
     assert cert.verdict == "GAP"
 
 
