@@ -4,7 +4,7 @@ the n = 2 case of one star-configuration core."""
 
 from .fields import DEFAULT_PRIME, PrimeField, QQ, RationalField
 from .formulas import (TheoremValue, closed_form_dimension, min_upper_bound,
-                       pn_upper_bound, upper_bounds)
+                       upper_bounds)
 from .matrices import rank
 from .polynomials import HomogeneousPoly, monomials_of_degree
 from .pnstar import conjecture_row
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_PRIME", "PrimeField", "QQ", "RationalField",
     "TheoremValue", "closed_form_dimension", "min_upper_bound",
-    "pn_upper_bound", "upper_bounds",
+    "upper_bounds",
     "rank",
     "HomogeneousPoly", "monomials_of_degree",
     "conjecture_row",

@@ -51,6 +51,8 @@ def usage_error(msg: str):
 
 def field_from_args(args) -> Field:
     if args.field == "rational":
+        if args.prime is not None:
+            usage_error("--prime applies only to --field prime")
         return QQ
     prime = args.prime
     if prime is None:
@@ -142,21 +144,31 @@ def cmd_verify(args) -> int:
     return exit_status([row["verdict"]])
 
 
+def row_cases(args, fld: Field, n: int, empty_message: str,
+              include_empty: bool = False):
+    """The (d, l, stars) of each row of `sweep` (n = 2) and `pn`: l from
+    max(2, n) to --lmax, d from l - 1 (from 0 with `include_empty`) to
+    --dmax.  An empty range, then l past the arc bound, is a usage error
+    raised before the first case."""
+    cases = {l: range(0 if include_empty else l - 1, args.dmax + 1)
+             for l in range(max(2, n), args.lmax + 1)}
+    if not any(cases.values()):
+        usage_error(empty_message)
+    # the largest l with a row that draws a star (d >= l - 1)
+    check_arc_bound(min(args.lmax, args.dmax + 1), n, fld)
+    for l, degrees in cases.items():
+        # one draw per trial, by the first row that needs it, kept for l
+        stars = TrialStars(l, fld, args.seed, n)
+        for d in degrees:
+            yield d, l, stars
+
+
 def cmd_sweep(args) -> int:
     fld = field_from_args(args)
-    cases = {l: range(0 if args.include_empty else l - 1, args.dmax + 1)
-             for l in range(2, args.lmax + 1)}
-    if not any(cases.values()):
-        usage_error("empty sweep range")
-    # the largest l with a row that draws a star (d >= l - 1)
-    check_arc_bound(min(args.lmax, args.dmax + 1), 2, fld)
-
-    rows = []
-    for l, degrees in cases.items():
-        # one draw per trial, made by the first row that needs it
-        stars = TrialStars(l, fld, args.seed)
-        rows += [run_one(d, l, fld, args.trials, args.seed, False, stars,
-                         args.verbose) for d in degrees]
+    rows = [run_one(d, l, fld, args.trials, args.seed, False, stars,
+                    args.verbose)
+            for d, l, stars in row_cases(args, fld, 2, "empty sweep range",
+                                         args.include_empty)]
     verdicts = [r["verdict"] for r in rows]
     emit_rows(rows, args.format, args.output)
     summary = ", ".join(f"{verdicts.count(v)} {v}"
@@ -190,18 +202,9 @@ def cmd_pn(args) -> int:
     if args.n < 2:
         usage_error("ambient dimension n must be at least 2")
     fld = field_from_args(args)
-    check_arc_bound(args.lmax, args.n, fld)
-    rows = []
-    for l in range(max(2, args.n), args.lmax + 1):
-        stars = TrialStars(l, fld, args.seed, args.n)
-        for d in range(l - 1, args.dmax + 1):
-            r = conjecture_row(args.n, d, l, fld, trials=args.trials,
-                               seed=args.seed, stars=stars)
-            rows.append({"n": r.n, "d": r.d, "l": r.l,
-                         "lower_bound": r.lower_bound,
-                         "formula_min": r.formula_min, "status": r.status})
-    if not rows:
-        usage_error("empty range")
+    rows = [conjecture_row(args.n, d, l, fld, trials=args.trials,
+                           seed=args.seed, stars=stars)
+            for d, l, stars in row_cases(args, fld, args.n, "empty range")]
     emit_rows(rows, args.format, args.output, table=lambda rows: [
         f"n={r['n']} d={r['d']} l={r['l']}  lower={r['lower_bound']}  "
         f"formula={r['formula_min']}  {r['status']}" for r in rows])

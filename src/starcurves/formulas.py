@@ -1,11 +1,14 @@
-"""Closed-form dimension values and upper bounds for the locus S(d, l) of
-degree-d plane curves containing a star configuration of l lines.
+"""Closed-form values and upper bounds for dim S(d, l), the locus of
+degree-d hypersurfaces of P^n containing a star configuration of l
+hyperplanes.  The paper's theorem gives the value for plane curves
+(n = 2).  In P^n the ambient and incidence bounds are the same two counts,
+and the `pn` rows test whether the least of them is attained.
 
-The one exceptional pair is (d, l) = (4, 5): quartics through an X(5) are
-the Luroth quartics, a hypersurface, so the dimension drops by one below
-the otherwise-expected value.  That external fact enters as a constant
-with an explicit source tag, as does the generation of star-configuration
-ideals that the tangent rank relies on.
+The one exceptional pair is the plane's (d, l) = (4, 5): quartics through
+an X(5) are the Luroth quartics, a hypersurface, so the dimension drops by
+one below the otherwise-expected value.  That external fact enters as a
+constant with an explicit source tag, as does the generation of
+star-configuration ideals that the tangent rank relies on.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class TheoremValue:
 
 
 def closed_form_dimension(d: int, l: int) -> TheoremValue:
-    """Piecewise dimension of S(d, l); empty when d < l - 1."""
+    """Piecewise dimension of S(d, l) in the plane; empty when d < l - 1."""
     if d < 0 or l < 2:
         raise ValueError("need d >= 0 and l >= 2")
     if d < l - 1:
@@ -51,31 +54,24 @@ def closed_form_dimension(d: int, l: int) -> TheoremValue:
                         "incidence-bound-attained")
 
 
-def upper_bounds(d: int, l: int) -> list[tuple[str, int]]:
-    """All known upper bounds on dim S(d, l), tagged by source.
+def upper_bounds(d: int, l: int, n: int = 2) -> list[tuple[str, int]]:
+    """All known upper bounds on dim S(d, l) in P^n, tagged by source.
 
-    Always contains the ambient bound C(d+2,2)-1 and the incidence-count
-    bound C(d+2,2)-C(l,2)+2l-1; for (4, 5) additionally the Luroth bound.
+    Always contains the ambient bound C(d+n,n)-1 and the incidence-count
+    bound C(d+n,n)-C(l,n)+nl-1; for the plane pair (4, 5) additionally the
+    Luroth bound.
     """
-    if d < l - 1:
-        raise ValueError("upper bounds only defined for d >= l - 1")
+    if n < 2 or l < n or d < l - 1:
+        raise ValueError("upper bounds need n >= 2, l >= n, d >= l - 1")
+    total = comb(d + n, n)
     bounds = [
-        ("ambient", comb(d + 2, 2) - 1),
-        ("incidence", comb(d + 2, 2) - comb(l, 2) + 2 * l - 1),
+        ("ambient", total - 1),
+        ("incidence", total - comb(l, n) + n * l - 1),
     ]
-    if (d, l) == (4, 5):
+    if (n, d, l) == (2, 4, 5):
         bounds.append((LUROTH_SOURCE, LUROTH_BOUND))
     return bounds
 
 
 def min_upper_bound(d: int, l: int) -> int:
     return min(v for _, v in upper_bounds(d, l))
-
-
-def pn_upper_bound(n: int, d: int, l: int) -> int:
-    """Upper bound for hyperplane star configurations of points in P^n:
-    min{C(d+n,n)-1, C(d+n,n)-C(l,n)+nl-1}."""
-    if n < 2 or l < n or d < l - 1:
-        raise ValueError("need n >= 2, l >= n, d >= l - 1")
-    total = comb(d + n, n)
-    return min(total - 1, total - comb(l, n) + n * l - 1)

@@ -5,8 +5,9 @@ vectors mod p in echelon form as they are added one at a time.  `rank`
 stops reading its rows once the echelon holds one vector per column.
 Over a prime field the rank is the echelon's size.  Over Q the entries are
 ints, read mod the fixed prime `DEFAULT_PRIME`; a full echelon
-(`EchelonModP.full`) gives the rational rank, and fraction-free (Bareiss)
-elimination of every row decides otherwise.
+(`EchelonModP.full`) gives the rational rank, and the exact fraction-free
+elimination of every row (`fraction_free`, which also finds the points of
+a star configuration) decides otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ def rank(field: Field, rows: Iterable[Sequence[Element]], ncols: int) -> int:
     """The rank of the matrix with these rows of `ncols` entries.  Rows
     go into one `EchelonModP` until it holds `ncols` vectors, and the rest
     are not read.  Over Q a row with a non-int entry is refused as it is
-    read, and the rows read are kept for Bareiss."""
+    read, and the rows read are kept for `_rank_bareiss`."""
     if isinstance(field, PrimeField):
         p, kept = field.p, None
     elif isinstance(field, RationalField):
@@ -84,29 +85,27 @@ class EchelonModP:
                 return
 
 
-def _rank_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free elimination; pivot = first nonzero entry, lowest row."""
-    nr, nc = len(m), len(m[0])
-    prev = 1
-    row = 0
-    for col in range(nc):
-        if row >= nr:
-            break
-        piv = next((r for r in range(row, nr) if m[r][col] != 0), None)
-        if piv is None:
+def fraction_free(rows: list[list[int]]) -> list[int | None]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place, in
+    row order: each row takes its first nonzero entry as pivot and clears
+    that column in every other row.  Returns each row's pivot column, or
+    None for a row that became 0.  Every division is exact (Sylvester's
+    identity), and each pivot row ends with the last pivot minor at its
+    pivot."""
+    prev, pivots = 1, []
+    for top in rows:
+        col = next((c for c, x in enumerate(top) if x), None)
+        pivots.append(col)
+        if col is None:
             continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        pval = m[row][col]
-        for r in range(row + 1, nr):
-            mrc = m[r][col]
-            if mrc == 0 and pval == prev:
-                continue
-            mr, mrow = m[r], m[row]
-            for c in range(col + 1, nc):
-                # exact by Sylvester's identity
-                mr[c] = (mr[c] * pval - mrc * mrow[c]) // prev
-            mr[col] = 0
-        prev = pval
-        row += 1
-    return row
+        for r in rows:
+            if r is not top:
+                r[:] = [(x * top[col] - r[col] * y) // prev
+                        for x, y in zip(r, top)]
+        prev = top[col]
+    return pivots
+
+
+def _rank_bareiss(m: list[list[int]]) -> int:
+    """The rank of the integer rows `m`, by `fraction_free`."""
+    return len(m) - fraction_free(m).count(None)

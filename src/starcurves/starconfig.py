@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .fields import (DEFAULT_PRIME, Element, Field, PrimeField, check_integral,
                      check_same_field)
-from .matrices import EchelonModP, rank
+from .matrices import EchelonModP, fraction_free, rank
 from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
                           poly_product)
 
@@ -78,29 +78,21 @@ def intersection_point(*forms: LinearForm) -> Point:
     primitive integer vector: over Q with no common factor and the last
     nonzero entry positive; over GF(p) residues, last nonzero entry 1.
 
-    Fraction-free Gauss-Jordan elimination of the coefficient rows (over
-    GF(p), of the residues as ints) leaves the pivot minor D at each pivot
-    and 0 at the others; D at the free column and minus each row's free
-    entry at its pivot are the signed maximal minors, up to sign."""
+    `fraction_free` elimination of the coefficient rows (over GF(p), of
+    the residues as ints) leaves the pivot minor D at each pivot and 0 at
+    the others; D at the free column and minus each row's free entry at
+    its pivot are the signed maximal minors, up to sign."""
     field, n = forms[0].field, len(forms)
     for f in forms:
         check_same_field(field, f.field)
         if f.nvars != n + 1:
             raise ValueError("need n forms in n + 1 variables")
     m = [list(f.coefficients) for f in forms]
-    prev, pivots = 1, []
-    for top in m:
-        col = next((c for c, x in enumerate(top) if x), None)
-        if col is None:     # a combination of the rows before it
-            raise GenericityError("forms are linearly dependent")
-        for r in m:
-            if r is not top:    # exact by Sylvester's identity
-                r[:] = [(x * top[col] - r[col] * y) // prev
-                        for x, y in zip(r, top)]
-        prev = top[col]
-        pivots.append(col)
+    pivots = fraction_free(m)
+    if None in pivots:
+        raise GenericityError("forms are linearly dependent")
     free = next(c for c in range(n + 1) if c not in pivots)
-    v = [prev] * (n + 1)
+    v = [m[-1][pivots[-1]]] * (n + 1)
     for r, col in zip(m, pivots):
         v[col] = -r[free]
     if isinstance(field, PrimeField):

@@ -7,7 +7,7 @@ import time
 from math import comb
 
 from starcurves.fields import PrimeField, QQ
-from starcurves.formulas import closed_form_dimension, pn_upper_bound
+from starcurves.formulas import closed_form_dimension, upper_bounds
 from starcurves.pnstar import conjecture_row
 from starcurves.reference_cases import (block_matrix_rank,
                                         luroth_case_dimension,
@@ -146,14 +146,15 @@ def test_criterion_9_pn_extension():
         for d in range(max(l - 1, l - 3 + 1), 7):
             lower = lower_bound_dim_S(d, l, GF, trials=1, seed=13,
                                       n=3).lower_bound
-            formula = pn_upper_bound(3, d, l)
+            formula = min(v for _, v in upper_bounds(d, l, 3))
             if lower > formula:
                 violations.append((d, l, lower, formula))
             rows.append(conjecture_row(3, d, l, GF, trials=1, seed=13))
     elapsed = time.monotonic() - start
     for r in rows:
-        print(f"  conjecture n={r.n} d={r.d} l={r.l}: lower={r.lower_bound} "
-              f"formula={r.formula_min} {r.status}")
+        print(f"  conjecture n={r['n']} d={r['d']} l={r['l']}: "
+              f"lower={r['lower_bound']} formula={r['formula_min']} "
+              f"{r['status']}")
     report(9, "P^3 lower bounds respect the closed-form bound; n=2 "
               "specialization matches the plane computation",
            not mismatch and not violations and elapsed < 120.0,

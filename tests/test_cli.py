@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -149,9 +150,7 @@ def test_pn_draws_each_star_once(capsys, monkeypatch):
     assert [(r["d"], r["l"]) for r in rows] == [
         (d, l) for l in range(3, 7) for d in range(l - 1, 8)]
     for r in rows:
-        row = conjecture_row(3, r["d"], r["l"], fld, trials=2, seed=4)
-        assert (row.lower_bound, row.formula_min, row.status) == \
-            (r["lower_bound"], r["formula_min"], r["status"])
+        assert r == conjecture_row(3, r["d"], r["l"], fld, trials=2, seed=4)
 
 
 def test_star_reuse_ends_with_the_command(capsys, monkeypatch):
@@ -161,6 +160,24 @@ def test_star_reuse_ends_with_the_command(capsys, monkeypatch):
     first = list(calls)
     run_cli(capsys, *args)
     assert len(first) == 3 * 2 and calls == first + first
+
+
+def test_sweep_frees_the_stars_of_each_l(capsys, monkeypatch):
+    """A sweep holds the stars of one l at a time: when the rows of l + 1
+    start, those of l are freed."""
+    import starcurves.cli as cli_mod
+
+    real, refs, alive = cli_mod.run_one, {}, []
+
+    def recording(*args):
+        l = args[1]
+        refs.setdefault(l, weakref.ref(args[6]))
+        alive.extend(k for k, ref in refs.items() if k < l and ref())
+        return real(*args)
+
+    monkeypatch.setattr(cli_mod, "run_one", recording)
+    run_cli(capsys, "sweep", "--dmax", "5", "--lmax", "5", "--trials", "1")
+    assert sorted(refs) == [2, 3, 4, 5] and alive == []
 
 
 def test_verbose_after_a_quiet_run_in_one_process(capsys):
@@ -205,6 +222,9 @@ def test_pn_invalid_dimension(capsys):
      "ambient dimension n must be at least 2"),
     (("pn", "--n", "5", "--dmax", "0", "--lmax", "5"), "empty range"),
     (("hilbert", "--l", "4", "--tmax", "-1"), "empty range"),
+    # an empty range is reported before the arc bound, as in sweep
+    (("pn", "--n", "3", "--dmax", "1", "--lmax", "9", "--prime", "3"),
+     "empty range"),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -301,6 +321,52 @@ def test_pn_refuses_lmax_past_arc_bound_before_any_row(capsys, monkeypatch):
     assert calls == []
     assert out == ""
     assert "arc bound" in err
+
+
+def test_pn_arc_bound_ignores_rows_it_cannot_reach(capsys, monkeypatch):
+    """With dmax = 4 no row has l > 5, so lmax = 8 over GF(3) in P^3 gives
+    the rows of lmax = 5 and draws no larger star."""
+    calls = count_draws(monkeypatch)
+    argv = ("pn", "--n", "3", "--dmax", "4", "--prime", "3", "--trials", "1")
+    code, out, err = run_cli(capsys, *argv, "--lmax", "8")
+    assert code == 0 and err == ""
+    assert calls and max(l for l, _, _ in calls) == 5
+    assert (code, out) == run_cli(capsys, *argv, "--lmax", "5")[:2]
+
+
+def test_pn_n2_is_the_plane(capsys):
+    """pn --n 2 and sweep read the same lower bounds; the pn formula is the
+    least bound from no outside fact, so only the Luroth pair differs."""
+    args = ("--dmax", "7", "--lmax", "7", "--trials", "1", "--seed", "2",
+            "--format", "json")
+    pn_rows = json.loads(run_cli(capsys, "pn", "--n", "2", *args)[1])
+    sweep_rows = json.loads(run_cli(capsys, "sweep", *args)[1])
+    assert [(r["d"], r["l"]) for r in pn_rows] == \
+        [(r["d"], r["l"]) for r in sweep_rows]
+    for pn, sweep in zip(pn_rows, sweep_rows):
+        assert pn["lower_bound"] == sweep["lower_bound"]
+        if (pn["d"], pn["l"]) == (4, 5):
+            assert (pn["formula_min"], pn["status"]) == (14, "OPEN")
+            assert (sweep["min_upper_bound"], sweep["verdict"]) == \
+                (13, "CERTIFIED")
+        else:
+            assert pn["formula_min"] == sweep["min_upper_bound"]
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--d", "4", "--l", "5"),
+    ("sweep", "--dmax", "4", "--lmax", "4"),
+    ("pn", "--n", "3", "--dmax", "4", "--lmax", "4"),
+    ("paper-examples",),
+    ("hilbert", "--l", "4"),
+], ids=lambda command: command[0])
+def test_prime_refused_over_the_rationals(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--field", "rational", "--prime", "7"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --prime applies only to --field prime\n"
 
 
 def test_sweep_refuses_lmax_past_arc_bound_before_any_row(capsys,

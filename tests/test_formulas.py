@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from starcurves.formulas import (closed_form_dimension, min_upper_bound,
-                                 pn_upper_bound, upper_bounds)
+                                 upper_bounds)
 
 
 def test_luroth_pair():
@@ -82,18 +82,25 @@ def test_small_l_attains_ambient_bound():
 
 
 def test_pn_upper_bound_specializes_to_plane():
-    for l in range(6, 10):
+    """At n = 2 the two counts are the plane's bounds; only the Luroth pair
+    has a lower one, from an outside fact."""
+    for l in range(2, 10):
         for d in range(l - 1, 12):
-            assert pn_upper_bound(2, d, l) == min_upper_bound(d, l)
+            counts = min(v for s, v in upper_bounds(d, l, 2) if s != "luroth")
+            assert counts == min_upper_bound(d, l) + ((d, l) == (4, 5))
 
 
 def test_pn_upper_bound_examples():
-    assert pn_upper_bound(3, 4, 4) == 34
-    assert pn_upper_bound(3, 7, 8) == 87
+    assert upper_bounds(4, 4, 3) == [("ambient", 34), ("incidence", 42)]
+    assert upper_bounds(7, 8, 3) == [("ambient", 119), ("incidence", 87)]
+    # the Luroth bound is a fact about plane quartics only
+    assert upper_bounds(4, 5, 3) == [("ambient", 34), ("incidence", 39)]
 
 
 def test_pn_upper_bound_preconditions():
     with pytest.raises(ValueError):
-        pn_upper_bound(1, 4, 4)
+        upper_bounds(4, 4, 1)
     with pytest.raises(ValueError):
-        pn_upper_bound(3, 2, 4)
+        upper_bounds(2, 4, 3)
+    with pytest.raises(ValueError):
+        upper_bounds(3, 5)

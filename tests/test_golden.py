@@ -34,6 +34,8 @@ COMMANDS = {
                                "--trials", "1", "--format", "json"],
     "pn_n4_d7_l7_rational": ["pn", "--n", "4", "--dmax", "7", "--lmax", "7",
                              "--field", "rational", "--trials", "1"],
+    "pn_n2_d7_l7_prime_json": ["pn", "--n", "2", "--dmax", "7", "--lmax", "7",
+                               "--trials", "1", "--format", "json"],
     "pn_n3_d13_l12_prime_json": ["pn", "--n", "3", "--dmax", "13",
                                  "--lmax", "12", "--trials", "1",
                                  "--format", "json"],

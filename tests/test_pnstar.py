@@ -2,7 +2,7 @@ import pytest
 
 import starcurves.pnstar as pnstar
 from starcurves.fields import PrimeField
-from starcurves.formulas import pn_upper_bound
+from starcurves.formulas import upper_bounds
 from starcurves.pnstar import conjecture_row
 from starcurves.starconfig import (GenericityError, LinearForm,
                                    StarConfiguration, build_star,
@@ -83,23 +83,23 @@ def test_n3_never_exceeds_formula():
         for d in range(l - 1, l + 2):
             lower = lower_bound_dim_S(d, l, GF, trials=1, seed=2,
                                       n=3).lower_bound
-            assert lower <= pn_upper_bound(3, d, l)
+            assert lower <= min(v for _, v in upper_bounds(d, l, 3))
 
 
 def test_conjecture_row_fields():
     row = conjecture_row(3, 3, 4, GF, trials=1, seed=5)
-    assert (row.n, row.d, row.l) == (3, 3, 4)
-    assert row.formula_min == 19
-    assert row.status in ("CONFIRMED", "OPEN")
-    assert row.lower_bound <= row.formula_min
+    assert (row["n"], row["d"], row["l"]) == (3, 3, 4)
+    assert row["formula_min"] == 19
+    assert row["status"] in ("CONFIRMED", "OPEN")
+    assert row["lower_bound"] <= row["formula_min"]
 
 
 def test_conjecture_row_luroth_case_is_open():
     # the plane formula overshoots the certified Luroth dimension 13 by one;
     # a lower bound from random data leaves the row open, never refuted
     row = conjecture_row(2, 4, 5, GF, trials=1, seed=0)
-    assert (row.lower_bound, row.formula_min) == (13, 14)
-    assert row.status == "OPEN"
+    assert (row["lower_bound"], row["formula_min"]) == (13, 14)
+    assert row["status"] == "OPEN"
 
 
 def test_conjecture_row_contradiction(monkeypatch):
@@ -108,8 +108,8 @@ def test_conjecture_row_contradiction(monkeypatch):
                         lambda d, l, *a, **k: LowerBoundResult(d, l, 20, [21],
                                                                [0]))
     row = conjecture_row(3, 3, 4, GF, trials=1)
-    assert (row.lower_bound, row.formula_min) == (20, 19)
-    assert row.status == "CONTRADICTION"
+    assert (row["lower_bound"], row["formula_min"]) == (20, 19)
+    assert row["status"] == "CONTRADICTION"
 
 
 def test_degree_precondition():
