@@ -22,11 +22,9 @@ from math import comb
 from .fields import DEFAULT_PRIME, PrimeField, QQ, Field, is_prime
 from .formulas import min_upper_bound
 from .pnstar import conjecture_row
-from .reference_cases import (block_matrix_rank, five_line_forms,
-                              luroth_case_dimension, six_line_forms,
-                              six_line_matrix_rank)
-from .starconfig import (build_star, check_arc_bound, hilbert_function,
-                         random_star)
+from .reference_cases import (block_matrix_rank, luroth_case_dimension,
+                              published_star, six_line_matrix_rank)
+from .starconfig import check_arc_bound, hilbert_function, random_star
 from .tangent import TrialStars, certify
 
 EXIT_OK = 0
@@ -116,13 +114,9 @@ def run_one(d: int, l: int, fld: Field, trials: int, seed: int,
     start = time.monotonic()
     multipliers = None
     if paper_forms:
-        if l == 5:
-            forms = five_line_forms(fld)
-        elif l == 6:
-            forms = six_line_forms(fld)
-        else:
+        if l not in (5, 6):
             usage_error("--paper-forms only available for l = 5 or 6")
-        stars = [build_star(forms)] * trials
+        stars = [published_star(fld, l)] * trials
         if d == l - 1:
             multipliers = [[fld.one()] for _ in range(l)]
     cert = certify(d, l, fld, trials=trials, seed=seed, stars=stars,

@@ -42,6 +42,13 @@ COMMANDS = {
     "verify_d30_l20_rational_json": ["verify", "--d", "30", "--l", "20",
                                      "--field", "rational", "--trials", "1",
                                      "--format", "json"],
+    # the six published lines: unit multipliers at d = 5, random at d = 7
+    **{f"verify_d{d}_l6_paper_{tag}_json":
+       ["verify", "--d", str(d), "--l", "6", "--paper-forms", *flags,
+        "--trials", "2", "--format", "json"]
+       for d in (5, 7)
+       for tag, flags in (("rational", ["--field", "rational"]),
+                          ("prime13", ["--prime", "13"]))},
 }
 
 

@@ -15,7 +15,7 @@ from starcurves import polynomials, starconfig
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
 from starcurves.matrices import rank
 from starcurves.polynomials import monomials_of_degree
-from starcurves.reference_cases import five_line_forms, six_line_forms
+from starcurves.reference_cases import published_star
 from starcurves.starconfig import (GenericityError, LinearForm, build_star,
                                    hilbert_function, intersection_point,
                                    arc_bound, random_star)
@@ -52,7 +52,7 @@ def test_is_general_concurrent_lines():
 
 
 def test_is_general_reference_five_lines():
-    assert is_general(five_line_forms(QQ))
+    assert is_general(published_star(QQ, 5).forms)
 
 
 def test_is_general_two_forms():
@@ -176,7 +176,7 @@ def test_integer_coordinates_are_the_point(field, n):
     that lie on them, residues over GF(p)."""
     stars = [random_star(6, 2, field, n)]
     if n == 2:
-        stars.append(build_star(five_line_forms(field)))
+        stars.append(published_star(field, 5))
     for star in stars:
         for s, p in star.points.items():
             assert all(type(x) is int for x in p)
@@ -209,8 +209,8 @@ def test_build_star_triangle():
 
 
 def test_build_star_counts():
-    assert len(build_star(six_line_forms(QQ)).points) == 15
-    star5 = build_star(five_line_forms(QQ))
+    assert len(published_star(QQ, 6).points) == 15
+    star5 = published_star(QQ, 5)
     assert len(star5.points) == 10
     assert all(h.degree == 4 for h in star5.generators)
 
@@ -314,8 +314,8 @@ def test_exhausted_draws_suggest_larger_prime(monkeypatch):
 
 def test_hilbert_function_examples():
     assert hilbert_function(build_star(coordinate_forms()), 1) == 3
-    assert hilbert_function(build_star(five_line_forms(QQ)), 3) == 10
-    assert hilbert_function(build_star(six_line_forms(QQ)), 2) == 6
+    assert hilbert_function(published_star(QQ, 5), 3) == 10
+    assert hilbert_function(published_star(QQ, 6), 2) == 6
 
 
 def test_hilbert_function_formula_small():

@@ -16,7 +16,7 @@ from starcurves.matrices import rank
 from starcurves.polynomials import (HomogeneousPoly, monomials_of_degree,
                                     poly_sum)
 from starcurves.reference_cases import (TWELVE_COLUMNS, TWELVE_ROWS,
-                                        five_line_forms, six_line_forms)
+                                        published_star)
 from starcurves.formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                                  closed_form_dimension)
 from starcurves.starconfig import (GenericityError, LinearForm, build_star,
@@ -63,7 +63,7 @@ def test_q_forms_l2_degree_one():
 
 
 def test_q_forms_five_lines_structure():
-    star = build_star(five_line_forms(QQ))
+    star = published_star(QQ, 5)
     q = build_q_forms(star, ones(QQ, 5))
     assert all(qi.degree == 3 for qi in q)
     expected = poly_sum([star.hat_product_without(1, i) for i in (2, 3, 4, 5)],
@@ -72,20 +72,20 @@ def test_q_forms_five_lines_structure():
 
 
 def test_q_forms_six_lines_with_linear_multiplier():
-    star = build_star(six_line_forms(QQ))
+    star = published_star(QQ, 6)
     g = [1, 5, 7]       # x0 + 5*x1 + 7*x2
     q = build_q_forms(star, [g] * 6)
     assert all(qi.degree == 5 for qi in q)
 
 
 def test_q_forms_wrong_count_rejected():
-    star = build_star(five_line_forms(QQ))
+    star = published_star(QQ, 5)
     with pytest.raises(ValueError):
         build_q_forms(star, ones(QQ, 4))
 
 
 def test_q_forms_mixed_degrees_rejected():
-    star = build_star(five_line_forms(QQ))
+    star = published_star(QQ, 5)
     mult = ones(QQ, 4) + [[1, 0, 0]]     # x0, of degree 1
     with pytest.raises(ValueError):
         build_q_forms(star, mult)
@@ -125,13 +125,13 @@ def test_ideal_component_single_variable():
 
 
 def test_ideal_component_five_line_hats():
-    star = build_star(five_line_forms(QQ))
+    star = published_star(QQ, 5)
     # complement of HF(X(5), 4) = 10 inside dim S_4 = 15
     assert ideal_component_dim(star.generators, 4) == 5
 
 
 def test_ideal_component_below_degree():
-    star = build_star(six_line_forms(QQ))
+    star = published_star(QQ, 6)
     assert ideal_component_dim(star.generators, 4) == 0
 
 
@@ -143,12 +143,12 @@ def test_ideal_component_constant_generator():
 # -- tangent dimensions -----------------------------------------------------
 
 def test_tangent_direct_quartic_case():
-    star = build_star(five_line_forms(QQ))
+    star = published_star(QQ, 5)
     assert tangent_dim_direct(star, 4, ones(QQ, 5)) == 14
 
 
 def test_tangent_direct_six_lines_d5():
-    star = build_star(six_line_forms(QQ))
+    star = published_star(QQ, 6)
     # rank-12 evaluation block plus dim of the configuration ideal in
     # degree 5: C(7,2) - C(6,2) = 6
     assert tangent_dim_direct(star, 5, ones(QQ, 6)) == 18
@@ -164,12 +164,12 @@ def test_tangent_direct_l2_d1():
 
 
 def test_tangent_points_quartic_case():
-    star = build_star(five_line_forms(QQ))
+    star = published_star(QQ, 5)
     assert tangent_dim_points(star, 4, ones(QQ, 5)) == 14
 
 
 def test_tangent_points_six_lines_d5():
-    star = build_star(six_line_forms(QQ))
+    star = published_star(QQ, 6)
     assert tangent_dim_points(star, 5, ones(QQ, 6)) == 18
 
 
@@ -583,7 +583,7 @@ def test_tangent_functions_reject_wrong_multipliers(n):
 # -- hand-picked evaluation sub-matrices ------------------------------------
 
 def test_evaluation_submatrix_rank_twelve():
-    star = build_star(six_line_forms(QQ))
+    star = published_star(QQ, 6)
     assert evaluation_submatrix_rank(star, 5, ones(QQ, 6), TWELVE_ROWS,
                                      TWELVE_COLUMNS) == 12
 
@@ -591,7 +591,7 @@ def test_evaluation_submatrix_rank_twelve():
 def test_published_matrix_needs_no_fraction_arithmetic(monkeypatch):
     """Over Q the published 12 x 12 matrix is built and ranked in ints, at
     d = 5 with unit multipliers and at d = 6 with M_i = G."""
-    star = build_star(six_line_forms(QQ))
+    star = published_star(QQ, 6)
     cases = [(5, ones(QQ, 6)), (6, structured_multipliers(star, 6))]
     refuse_fraction_arithmetic(monkeypatch)
     for d, mult in cases:
@@ -600,7 +600,7 @@ def test_published_matrix_needs_no_fraction_arithmetic(monkeypatch):
 
 
 def test_evaluation_submatrix_rank_unknown_labels():
-    star = build_star(six_line_forms(QQ))
+    star = published_star(QQ, 6)
     with pytest.raises(KeyError):
         evaluation_submatrix_rank(star, 5, ones(QQ, 6), [(1, 9)],
                                   TWELVE_COLUMNS)
@@ -611,7 +611,7 @@ def test_evaluation_submatrix_rank_unknown_labels():
 # -- structured multipliers -------------------------------------------------
 
 def test_structured_multipliers_base_cases():
-    star = build_star(six_line_forms(GF))
+    star = published_star(GF, 6)
     assert structured_multipliers(star, 5) == [[1]] * 6
     m6 = structured_multipliers(star, 6)
     assert all(len(m) == 3 for m in m6)     # linear forms
@@ -622,7 +622,7 @@ def test_structured_multipliers_base_cases():
 
 
 def test_structured_multipliers_degrees():
-    star = build_star(six_line_forms(GF))
+    star = published_star(GF, 6)
     for d in (7, 8, 9):
         mult = structured_multipliers(star, d)
         assert all(len(m) == comb(d - 6 + 1 + 2, 2) for m in mult)
@@ -634,7 +634,7 @@ def test_structured_multipliers_incidence():
     some of those points have last nonzero entry 2."""
     zeros = [[(1, 2), (1, 5)], [(2, 6)], [(3, 4)], [], [], [(4, 6)]]
     for field in (GF, QQ):
-        star = build_star(six_line_forms(field))
+        star = published_star(field, 6)
         mult = [poly_of(field, 3, 3, m)
                 for m in structured_multipliers(star, 8)]
         assert [[key for key, p in sorted(star.points.items())
@@ -642,7 +642,7 @@ def test_structured_multipliers_incidence():
 
 
 def test_structured_multipliers_need_l6():
-    star = build_star(five_line_forms(GF))
+    star = published_star(GF, 5)
     with pytest.raises(ValueError):
         structured_multipliers(star, 5)
 
