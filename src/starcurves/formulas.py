@@ -13,7 +13,6 @@ star-configuration ideals that the tangent rank relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 LUROTH_BOUND = 13       # dim of the Luroth hypersurface in P^14
@@ -25,12 +24,12 @@ LUROTH_SOURCE = "luroth"
 STAR_IDEAL_SOURCE = "star-ideal-generation"
 
 
-@dataclass(frozen=True)
 class TheoremValue:
-    d: int
-    l: int
-    value: int | None     # None means the locus is empty
-    branch: str
+    """The theorem's value of dim S(d, l) and the branch that gives it."""
+
+    def __init__(self, d: int, l: int, value: int | None, branch: str):
+        self.d, self.l, self.branch = d, l, branch
+        self.value = value      # None means the locus is empty
 
     @property
     def is_empty(self) -> bool:

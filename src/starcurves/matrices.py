@@ -1,13 +1,24 @@
 """Exact rank of a stream of rows.
 
-Every rank is read from one mod-p elimination, `EchelonModP`, which keeps
-vectors mod p in echelon form as they are added one at a time.  `rank`
-stops reading its rows once the echelon holds one vector per column.
-Over a prime field the rank is the echelon's size.  Over Q the entries are
-ints, read mod the fixed prime `DEFAULT_PRIME`; a full echelon
-(`EchelonModP.full`) gives the rational rank, and the exact fraction-free
-elimination of every row (`fraction_free`, which also finds the points of
-a star configuration) decides otherwise.
+Every rank is read from a mod-p elimination that keeps vectors in echelon
+form as they are added one at a time, in one of two forms with one
+interface (`add`, `len`, `full`).  `EchelonModP` keeps each vector as a
+list of residues and reduces entry by entry from each stored pivot on.
+It serves `rank`, whose heaviest load is the tangent rows of
+`tangent.tangent_dim_points`: n*l entries, n^2 of them nonzero.
+`PackedEchelonModP` keeps each vector as one int of fixed-width slots and
+reduces by one multiply-add of whole ints.  It serves the Hilbert
+function's evaluation columns (`starconfig`): C(l, n) entries, mostly
+nonzero.  Each form is the faster one on its own load; packing the
+tangent rows too made the tangent workloads of `bench/` slower (see the
+README).
+
+`rank` stops reading its rows once the echelon holds one vector per
+column.  Over a prime field the rank is the echelon's size.  Over Q the
+entries are ints, read mod the fixed prime `DEFAULT_PRIME`; a full
+echelon (`EchelonModP.full`) gives the rational rank, and the exact
+fraction-free elimination of every row (`fraction_free`, which also finds
+the points of a star configuration) decides otherwise.
 """
 
 from __future__ import annotations
@@ -83,6 +94,51 @@ class EchelonModP:
                 scale = pow(x, -1, p)
                 self.basis.append((piv, [y * scale % p for y in v[piv:]]))
                 return
+
+
+class PackedEchelonModP(EchelonModP):
+    """`EchelonModP` with each vector packed into one int: entry i in the
+    little-endian byte slot i, wide enough for (p - 1) + length*(p - 1)^2.
+
+    Stored vectors hold residues in [0, p), are 1 at their pivot and 0
+    before it and at every earlier pivot.  A vector is packed from its
+    residues, and each stored vector T with c = (entry at T's pivot) mod p
+    nonzero adds (p - c)*T to it: one multiply-add of whole ints.  Each of
+    at most `length` such steps adds at most (p - 1)^2 to a slot, so no
+    slot carries into the next and each stays the plain sum of its entry's
+    terms."""
+
+    def __init__(self, p: int, length: int):
+        super().__init__(p, length)
+        bound = (p - 1) + length * (p - 1) ** 2
+        self.size = (bound.bit_length() + 7) // 8    # bytes per slot
+        self.mask = (1 << 8 * self.size) - 1
+        self.basis: list[tuple[int, int]] = []   # (pivot bit offset, vector)
+
+    def _pack(self, v: Iterable[int], scale: int = 1) -> int:
+        """The residues of scale*x for the entries x of `v`, packed."""
+        p, size = self.p, self.size
+        return int.from_bytes(b"".join([(x * scale % p).to_bytes(
+            size, "little") for x in v]), "little")
+
+    def add(self, v: Sequence[int]) -> None:
+        """Store `v` reduced by the stored vectors, unless it reduces to 0;
+        its slots are read one by one only to find the new pivot and to
+        scale the stored vector to 1 there."""
+        p, mask, size = self.p, self.mask, self.size
+        self.added += 1
+        packed = self._pack(v)
+        for offset, stored in self.basis:
+            c = (packed >> offset & mask) % p
+            if c:
+                packed += (p - c) * stored
+        data = packed.to_bytes(size * self.length, "little")
+        entries = [int.from_bytes(data[i:i + size], "little")
+                   for i in range(0, len(data), size)]
+        piv = next((i for i, x in enumerate(entries) if x % p), None)
+        if piv is not None:
+            self.basis.append((8 * size * piv, self._pack(
+                entries, pow(entries[piv], -1, p))))
 
 
 def fraction_free(rows: list[list[int]]) -> list[int | None]:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .fields import (DEFAULT_PRIME, Element, Field, PrimeField, check_integral,
                      check_same_field)
-from .matrices import EchelonModP, fraction_free, rank
+from .matrices import PackedEchelonModP, fraction_free, rank
 from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
                           poly_product)
 
@@ -246,10 +246,14 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     degree-(t-1) columns are among those of degree t, and degree t adds
     only the degree-t monomials in x_0..x_{n-1}, valued at the affine
     coordinates x_k / c by `monomial_values`.  One mod-p echelon stored on
-    the star takes them degree by degree; HF(t) is its size after degree
-    t.  Once that size is the number of points, every later degree has it
-    too (rank <= #rows) and builds no monomial basis.  s = 0 gives c = x_n,
-    which serves unless a point lies on x_n = 0.
+    the star takes them degree by degree, each column a vector of C(l, n)
+    values, mostly nonzero; HF(t) is its size after degree t.  The
+    echelon is a `PackedEchelonModP`, which reduces such long dense
+    columns by one multiply-add of whole ints, where the list form of
+    `matrices.rank` works entry by entry.  Once that size is the number of
+    points, every later degree has it too (rank <= #rows) and builds no
+    monomial basis.  s = 0 gives c = x_n, which serves unless a point lies
+    on x_n = 0.
 
     Over Q the echelon runs mod `DEFAULT_PRIME` and gives the rational
     rank when it is full (`EchelonModP.full`).  The whole per-degree
@@ -289,7 +293,7 @@ class _HilbertRanks:
         # unless p | C(X): p | C(X) and p | X_k for k < n give p | X_n.
         self.affine = [[x * pow(c, -1, p) % p for x in pt[:-1]]
                        for pt, c in zip(star.point_list(), charts)]
-        self.echelon = EchelonModP(p, self.npoints)
+        self.echelon = PackedEchelonModP(p, self.npoints)
 
     def rank(self, star: StarConfiguration, t: int) -> int:
         """HF(star, t), for the star this state was built from."""

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
 from math import comb
 from operator import mul
 from typing import Iterator, Sequence
@@ -328,13 +327,13 @@ def random_multipliers(star: StarConfiguration, d: int,
 # ---------------------------------------------------------------------------
 # semicontinuity lower bounds and certificates
 
-@dataclass
 class LowerBoundResult:
-    d: int
-    l: int
-    lower_bound: int
-    trial_dims: list[int]
-    seeds: list[int]
+    """`lower_bound_dim_S`'s bound, with each trial's dimension and seed."""
+
+    def __init__(self, d: int, l: int, lower_bound: int,
+                 trial_dims: list[int], seeds: list[int]):
+        self.d, self.l, self.lower_bound = d, l, lower_bound
+        self.trial_dims, self.seeds = trial_dims, seeds
 
 
 def trial_seed(seed: int, trial: int) -> int:
@@ -396,18 +395,21 @@ def lower_bound_dim_S(d: int, l: int, fld: Field, trials: int = 3,
     return LowerBoundResult(d, l, max(dims) - 1, dims, seeds)
 
 
-@dataclass
 class DimensionCertificate:
-    d: int
-    l: int
-    field_descriptor: dict
-    seeds: list[int]
-    lower_bound: int | None
-    theorem_value: int | None
-    upper_bounds: list[tuple[str, int]]
-    verdict: str                       # CERTIFIED | GAP | CONTRADICTION | EMPTY
-    trial_dims: list[int] = dc_field(default_factory=list)
-    external_facts: list[str] = dc_field(default_factory=list)
+    """The verdict on one (d, l) pair and the data it was read from."""
+
+    def __init__(self, d: int, l: int, field_descriptor: dict,
+                 seeds: list[int], lower_bound: int | None,
+                 theorem_value: int | None,
+                 upper_bounds: list[tuple[str, int]], verdict: str,
+                 trial_dims: list[int] | None = None,
+                 external_facts: list[str] | None = None):
+        self.d, self.l, self.field_descriptor = d, l, field_descriptor
+        self.seeds, self.lower_bound = seeds, lower_bound
+        self.theorem_value, self.upper_bounds = theorem_value, upper_bounds
+        self.verdict = verdict      # CERTIFIED | GAP | CONTRADICTION | EMPTY
+        self.trial_dims = [] if trial_dims is None else trial_dims
+        self.external_facts = [] if external_facts is None else external_facts
 
     def to_json(self) -> dict:
         out = {

@@ -22,6 +22,13 @@ COMMANDS = {
     "paper_examples_prime13": ["paper-examples", "--prime", "13"],
     "hilbert_l8_t10_rational": ["hilbert", "--l", "8", "--tmax", "10",
                                 "--field", "rational"],
+    "hilbert_l16_t20_prime": ["hilbert", "--l", "16", "--tmax", "20"],
+    # over GF(13), l = 8 at seed 0: l = 9..14 find no configuration in
+    # RETRY_BUDGET draws
+    "hilbert_l8_t10_prime13": ["hilbert", "--l", "8", "--tmax", "10",
+                               "--prime", "13"],
+    "hilbert_l8_t9_prime_2p89m1": ["hilbert", "--l", "8", "--tmax", "9",
+                                   "--prime", str(2**89 - 1)],
     "pn_n3_d7_l6_rational": ["pn", "--n", "3", "--dmax", "7", "--lmax", "6",
                              "--field", "rational", "--trials", "1"],
     "sweep_d13_l10_prime_json": ["sweep", "--dmax", "13", "--lmax", "10",

@@ -6,9 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ, is_prime
-from starcurves.matrices import EchelonModP, _rank_bareiss, rank
+from starcurves.matrices import (EchelonModP, PackedEchelonModP,
+                                 _rank_bareiss, rank)
 
 P = DEFAULT_PRIME
+MERSENNE_89 = 2**89 - 1     # the largest prime the tests feed an echelon
+
+
+class BothEchelons:
+    """An `EchelonModP` and a `PackedEchelonModP` fed the same vectors,
+    which must agree on their size and on `full` after every `add`."""
+
+    def __init__(self, p, length):
+        self.listed = EchelonModP(p, length)
+        self.packed = PackedEchelonModP(p, length)
+
+    def add(self, v):
+        self.listed.add(v)
+        self.packed.add(v)
+        assert len(self.packed) == len(self.listed)
+        assert self.packed.full() == self.listed.full()
+
+    def __len__(self):
+        return len(self.listed)
+
+    def full(self):
+        return self.listed.full()
 
 
 def naive_rational_rank(rows):
@@ -173,7 +196,7 @@ def test_rank_singular_mod_prime_only(rows):
     assert matrix_rank(PrimeField(P), [[x % P for x in r]
                                        for r in rows]) == 1
     assert qrank(rows) == naive_rational_rank(rows) == 2
-    echelon = EchelonModP(P, 2)
+    echelon = BothEchelons(P, 2)
     for row in rows:
         echelon.add(row)
     assert len(echelon) == 1 and not echelon.full()
@@ -181,7 +204,7 @@ def test_rank_singular_mod_prime_only(rows):
 
 def test_echelon_full():
     """Full: one pivot per vector added, or per coordinate."""
-    echelon = EchelonModP(7, 3)
+    echelon = BothEchelons(7, 3)
     echelon.add([0, 3, 0])
     assert echelon.full()                 # 1 vector, rank 1
     echelon.add([0, 10, 0])
@@ -189,30 +212,40 @@ def test_echelon_full():
     echelon.add([1, 0, 0])
     echelon.add([-6, 0, 8])
     assert len(echelon) == 3 and echelon.full()   # 4 vectors of length 3
-    wide = EchelonModP(7, 4)
+    wide = BothEchelons(7, 4)
     for row in ([1, 2, 3, 4], [0, 0, 7, 1]):
         wide.add(row)
     assert len(wide) == 2 and wide.full()
 
 
 @st.composite
-def residue_matrices_of_prescribed_rank(draw):
+def residue_matrices_of_prescribed_rank(draw, widths=st.integers(1, 7)):
     """(p, rows, r): an nr x nc product of nr x r and r x nc integer
     matrices over GF(p), so of rank at most r.  Its entries lie anywhere,
     mostly outside [0, p).  Tall shapes have up to three times as many
-    rows as columns, so a full-rank echelon fills before the last row."""
-    p = draw(st.sampled_from([2, 7, P]))
-    nc = draw(st.integers(1, 7))
+    rows as columns (at most 16 more), so a full-rank echelon fills before
+    the last row.  Rows of more than 7 entries take their factors from a
+    drawn `random.Random`, as hypothesis draws too few values per example
+    for them."""
+    p = draw(st.sampled_from([2, 7, P, MERSENNE_89]))
+    nc = draw(widths)
     nr = draw(st.sampled_from([
-        draw(st.integers(nc + 1, 3 * nc + 1)),     # tall
+        draw(st.integers(nc + 1, nc + 1 + min(2 * nc, 16))),     # tall
         draw(st.integers(1, nc)),                  # wide or square
     ]))
     r = draw(st.integers(0, min(nr, nc)))
-    entry = st.integers(-3 * p, 3 * p)
-    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
-                         min_size=nr, max_size=nr))
-    right = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
-                          min_size=r, max_size=r))
+    if nc <= 7:
+        entry = st.integers(-3 * p, 3 * p)
+        left = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                             min_size=nr, max_size=nr))
+        right = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                              min_size=r, max_size=r))
+    else:
+        rng = draw(st.randoms(use_true_random=False))
+        left = [[rng.randint(-3 * p, 3 * p) for _ in range(r)]
+                for _ in range(nr)]
+        right = [[rng.randint(-3 * p, 3 * p) for _ in range(nc)]
+                 for _ in range(r)]
     return p, [[sum(left[i][k] * right[k][j] for k in range(r))
                 for j in range(nc)] for i in range(nr)], r
 
@@ -224,6 +257,36 @@ def test_prime_field_rank_matches_naive_elimination(case):
     found = matrix_rank(PrimeField(p), rows)
     assert found == naive_rank_mod_p(rows, p)
     assert found <= r
+
+
+@settings(max_examples=100, deadline=None)
+@given(residue_matrices_of_prescribed_rank(
+    widths=st.one_of(st.integers(1, 7), st.integers(100, 120))))
+def test_packed_echelon_matches_list_echelon(case):
+    """The packed echelon agrees with the list one after every vector, on
+    vectors of up to 120 entries and over primes up to 2^89 - 1."""
+    p, rows, r = case
+    echelon = BothEchelons(p, len(rows[0]))
+    for row in rows:
+        echelon.add(row)
+    assert len(echelon) <= r
+
+
+@pytest.mark.parametrize("p", [2, 7, P, MERSENNE_89])
+@pytest.mark.parametrize("length", [1, 2, 9, 130])
+def test_packed_echelon_slots_do_not_overflow(p, length):
+    """The largest slot values: a full basis of vectors 1 at their pivot
+    and p - 1 after it, then a vector that reads c = 1 at every pivot, so
+    that each stored vector adds (p - 1)*(p - 1) to every later slot, and
+    the vector with every entry p - 1.  Both reduce to 0 on the full
+    basis."""
+    echelon = BothEchelons(p, length)
+    for k in range(length):
+        echelon.add([0] * k + [1] + [p - 1] * (length - k - 1))
+    assert len(echelon) == length and echelon.full()
+    echelon.add([(1 - k) % p for k in range(length)])
+    echelon.add([p - 1] * length)
+    assert len(echelon) == length and echelon.full()
 
 
 def test_tall_rank_stops_once_the_echelon_is_full(monkeypatch):
