@@ -17,8 +17,9 @@ README).
 column.  Over a prime field the rank is the echelon's size.  Over Q the
 entries are ints, read mod the fixed prime `DEFAULT_PRIME`; a full
 echelon (`EchelonModP.full`) gives the rational rank, and the exact
-fraction-free elimination of every row (`fraction_free`, which also finds
-the points of a star configuration) decides otherwise.
+fraction-free elimination of every row (`fraction_free`) decides
+otherwise.  `fraction_free` also gives `starconfig` the line where n - 1
+hyperplanes of P^n meet, over Q and, run mod p, over GF(p).
 """
 
 from __future__ import annotations
@@ -141,23 +142,31 @@ class PackedEchelonModP(EchelonModP):
                 entries, pow(entries[piv], -1, p))))
 
 
-def fraction_free(rows: list[list[int]]) -> list[int | None]:
+def fraction_free(rows: list[list[int]],
+                  p: int | None = None) -> list[int | None]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place, in
     row order: each row takes its first nonzero entry as pivot and clears
     that column in every other row.  Returns each row's pivot column, or
     None for a row that became 0.  Every division is exact (Sylvester's
     identity), and each pivot row ends with the last pivot minor at its
-    pivot."""
+    pivot.  Given a prime p, the rows hold residues mod p and stay so:
+    a pivot is nonzero mod p, and each division multiplies by an inverse
+    mod p, so the same holds of the minors mod p."""
     prev, pivots = 1, []
     for top in rows:
         col = next((c for c, x in enumerate(top) if x), None)
         pivots.append(col)
         if col is None:
             continue
+        inverse = None if p is None else pow(prev, -1, p)
         for r in rows:
             if r is not top:
-                r[:] = [(x * top[col] - r[col] * y) // prev
-                        for x, y in zip(r, top)]
+                a, b = top[col], r[col]
+                if p is None:
+                    r[:] = [(x * a - b * y) // prev for x, y in zip(r, top)]
+                else:
+                    r[:] = [(x * a - b * y) * inverse % p
+                            for x, y in zip(r, top)]
         prev = top[col]
     return pivots
 

@@ -78,31 +78,66 @@ def intersection_point(*forms: LinearForm) -> Point:
     primitive integer vector: over Q with no common factor and the last
     nonzero entry positive; over GF(p) residues, last nonzero entry 1.
 
-    `fraction_free` elimination of the coefficient rows (over GF(p), of
-    the residues as ints) leaves the pivot minor D at each pivot and 0 at
-    the others; D at the free column and minus each row's free entry at
-    its pivot are the signed maximal minors, up to sign."""
+    It is the last form met with the line of the others (`_line`,
+    `_meet`): the path by which `StarConfiguration` finds every point."""
     field, n = forms[0].field, len(forms)
     for f in forms:
         check_same_field(field, f.field)
         if f.nvars != n + 1:
             raise ValueError("need n forms in n + 1 variables")
-    m = [list(f.coefficients) for f in forms]
-    pivots = fraction_free(m)
+    line = _line(field, forms[:-1])
+    point = None if line is None else _meet(field, line, forms[-1])
+    if point is None:
+        raise GenericityError("forms are linearly dependent")
+    return point
+
+
+def _line(field: Field, forms: Sequence[LinearForm]) -> list[list[int]] | None:
+    """A basis (u, w) of the common zeros of n - 1 forms in n + 1
+    variables, the line where their hyperplanes meet, or None when the
+    forms are dependent.
+
+    `fraction_free` elimination of the coefficient rows leaves the pivot
+    minor D at each pivot and 0 at the other pivots.  Each of the two free
+    columns f gives a kernel vector: D at f, 0 at the other free column,
+    and minus each row's entry in column f at that row's pivot.  Over
+    GF(p) the elimination runs mod p: a pivot minor of the residues taken
+    over the integers can be 0 mod p while the forms are independent mod
+    p, and the vectors read off it would then not span the line."""
+    p = field.p if isinstance(field, PrimeField) else None
+    rows = [[x % p for x in f.coefficients] if p else list(f.coefficients)
+            for f in forms]
+    pivots = fraction_free(rows, p)
     if None in pivots:
-        raise GenericityError("forms are linearly dependent")
-    free = next(c for c in range(n + 1) if c not in pivots)
-    v = [m[-1][pivots[-1]]] * (n + 1)
-    for r, col in zip(m, pivots):
-        v[col] = -r[free]
+        return None
+    minor, size = rows[-1][pivots[-1]] if rows else 1, len(forms) + 2
+    basis = []
+    for free in (c for c in range(size) if c not in pivots):
+        v = [0] * size
+        v[free] = minor
+        for row, col in zip(rows, pivots):
+            v[col] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def _meet(field: Field, line: list[list[int]],
+          form: LinearForm) -> Point | None:
+    """The point where the line spanned by (u, w) meets the form's
+    hyperplane, L(w)*u - L(u)*w, as its primitive integer vector; None
+    when the line lies in the hyperplane (that vector is 0)."""
+    u, w = line
+    a, b = (sum(map(mul, form.coefficients, v)) for v in line)
+    v = [b * x - a * y for x, y in zip(u, w)]
     if isinstance(field, PrimeField):
-        v = [x % field.p for x in v]
+        p = field.p
+        v = [x % p for x in v]
     last = next((x for x in reversed(v) if x), 0)
-    if not last:    # dependent mod p
-        raise GenericityError("forms are linearly dependent")
+    if not last:
+        return None
     if isinstance(field, PrimeField):
-        scale = pow(last, -1, field.p)
-        return tuple(x * scale % field.p for x in v)
+        scale = pow(last, -1, p)
+        return tuple(x * scale % p for x in v)
     scale = gcd(*v) if last > 0 else -gcd(*v)
     return tuple(x // scale for x in v)
 
@@ -134,26 +169,26 @@ class StarConfiguration:
             raise ValueError("ambient dimension must be at least 2")
         if self.l < self.n:
             raise ValueError(f"need at least n = {self.n} forms")
-        labels = range(1, self.l + 1)
+        # Line by line: the line of each (n-1)-subset t with max(t) < l
+        # meets each later form k at the point of t + (k,), so one
+        # elimination of n - 1 rows serves l - max(t) points.
         self.points = {}
-        for s in itertools.combinations(labels, self.n):
-            try:
-                self.points[s] = intersection_point(
-                    *(forms[i - 1] for i in s))
-            except GenericityError:
-                self.points[s] = None
-        # General position: every n + 1 forms are independent.  Expanding
-        # that determinant along its last row gives L_k(p_s) up to sign,
-        # so each point must exist and lie on no other form.
-        subsets = (itertools.combinations(labels, self.n + 1)
-                   if self.l > self.n else [tuple(labels)])
-        for c in subsets:
-            p = self.points[c[:self.n]]
-            if p is None or (len(c) > self.n and self.field.is_zero(
-                    forms[c[-1] - 1].evaluate(p))):
-                names = ", ".join(f"L{i}" for i in c)
-                raise GenericityError(
-                    f"forms {names} are linearly dependent", names)
+        for t in itertools.combinations(range(1, self.l), self.n - 1):
+            line = _line(self.field, [forms[i - 1] for i in t])
+            for k in range(t[-1] + 1, self.l + 1):
+                self.points[t + (k,)] = None if line is None else \
+                    _meet(self.field, line, forms[k - 1])
+        # General position: every n + 1 forms are independent.  That holds
+        # iff every point exists and no two coincide.  If n + 1 forms are
+        # dependent while their n-subsets are independent, a common zero of
+        # all n + 1 is the point of each n-subset; a point shared by two
+        # n-subsets lies on at least n + 1 forms.  Points are canonical, so
+        # one set of tuples decides.
+        points = self.points.values()
+        if None in points or len(set(points)) < len(points):
+            names = _first_dependent(self.forms, self.points, self.n)
+            raise GenericityError(
+                f"forms {names} are linearly dependent", names)
 
     @property
     def generator_degree(self) -> int:
@@ -194,6 +229,24 @@ def build_star(forms: Sequence[LinearForm]) -> StarConfiguration:
     return StarConfiguration(forms)
 
 
+def _first_dependent(forms: Sequence[LinearForm], points: dict,
+                     n: int) -> str:
+    """The labels of the lexicographically first n + 1 dependent forms
+    (of all forms when there are only n), read from the points of their
+    n-subsets: n + 1 forms are dependent iff the first n are, or the last
+    vanishes at their point (expanding the determinant along its last row
+    gives that value up to sign)."""
+    field, labels = forms[0].field, range(1, len(forms) + 1)
+    subsets = (itertools.combinations(labels, n + 1)
+               if len(forms) > n else [tuple(labels)])
+    for c in subsets:
+        p = points[c[:n]]
+        if p is None or (len(c) > n and field.is_zero(
+                forms[c[-1] - 1].evaluate(p))):
+            return ", ".join(f"L{i}" for i in c)
+    raise AssertionError("the forms are in general position")
+
+
 def arc_bound(n: int, q: int) -> int:
     """The most hyperplanes of P^n over GF(q), q prime, in general
     position: the largest arc of the dual space.  That is at most q + 1
@@ -214,7 +267,10 @@ def check_arc_bound(l: int, n: int, field: Field) -> None:
 def random_star(l: int, seed: int, field: Field,
                 n: int = 2) -> StarConfiguration:
     """Deterministic-in-seed configuration of l random hyperplanes in
-    general position in P^n; each draw is checked once, by building it."""
+    general position in P^n; each draw is checked once, by building it.
+    When RETRY_BUDGET draws fail over GF(q) with l <= q + 1, the
+    hyperplanes dual to l points of the normal rational curve, under a
+    random change of coordinates from the same stream (`_curve_forms`)."""
     if l < n:
         raise ValueError(f"need l >= {n}")
     check_arc_bound(l, n, field)
@@ -231,9 +287,30 @@ def random_star(l: int, seed: int, field: Field,
             return build_star(forms)
         except GenericityError:
             pass
+    if isinstance(field, PrimeField) and l <= field.p + 1:
+        return build_star(_curve_forms(l, n, field, rng))
     raise GenericityError(
         f"no l = {l} hyperplanes of P^{n} in general position found over "
         f"{field!r} in {RETRY_BUDGET} draws; try a larger prime")
+
+
+def _curve_forms(l: int, n: int, field: PrimeField,
+                 rng: random.Random) -> list[LinearForm]:
+    """l <= q + 1 hyperplanes of P^n over GF(q) in general position: the
+    forms (1, a, ..., a^n) for a = 0, 1, ..., and (0, ..., 0, 1) as the
+    (q + 1)-th, each composed with one random invertible matrix A.  Their
+    coefficient vectors are points of the normal rational curve, so any
+    n + 1 of them form a Vandermonde matrix, or with (0, ..., 0, 1) one
+    bordered by a unit row, and A keeps every determinant nonzero."""
+    q, size = field.p, n + 1
+    rows = [[pow(a, e, q) for e in range(size)] for a in range(min(l, q))]
+    rows += [[0] * n + [1]] * (l - len(rows))
+    while True:
+        a = [[field.random(rng) for _ in range(size)] for _ in range(size)]
+        if rank(field, a, size) == size:
+            break
+    return [LinearForm(field, [sum(r[i] * a[i][j] for i in range(size)) % q
+                               for j in range(size)]) for r in rows]
 
 
 def hilbert_function(star: StarConfiguration, t: int) -> int:

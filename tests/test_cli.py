@@ -461,6 +461,22 @@ def test_lines_past_arc_bound_rejected(capsys, argv, l, n, q):
     assert "arc bound" in err
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (("verify", "--d", "8", "--l", "7", "--prime", "7"), "verdict",
+     "CERTIFIED"),
+    (("pn", "--n", "3", "--dmax", "9", "--lmax", "8", "--prime", "7"),
+     "status", "CONFIRMED"),
+])
+def test_small_field_below_arc_bound_completes(capsys, argv, key, value):
+    """Every random draw of l = 7 lines over GF(7) at seed 0 fails, and so
+    does every draw of 7 and 8 planes of P^3; the hyperplanes dual to the
+    normal rational curve serve."""
+    code, out, _ = run_cli(capsys, *argv, "--trials", "1", "--format",
+                           "json")
+    rows = json.loads(out)
+    assert code == 0 and rows and all(r[key] == value for r in rows)
+
+
 @pytest.mark.parametrize("argv", [
     ("paper-examples", "--prime", "5"),
     ("verify", "--d", "5", "--l", "6", "--prime", "5", "--paper-forms"),

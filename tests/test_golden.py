@@ -23,9 +23,11 @@ COMMANDS = {
     "hilbert_l8_t10_rational": ["hilbert", "--l", "8", "--tmax", "10",
                                 "--field", "rational"],
     "hilbert_l16_t20_prime": ["hilbert", "--l", "16", "--tmax", "20"],
-    # over GF(13), l = 8 at seed 0: l = 9..14 find no configuration in
-    # RETRY_BUDGET draws
     "hilbert_l8_t10_prime13": ["hilbert", "--l", "8", "--tmax", "10",
+                               "--prime", "13"],
+    # over GF(13) at seed 0 every random draw of l = 9 lines fails, and the
+    # lines dual to a conic serve
+    "hilbert_l9_t10_prime13": ["hilbert", "--l", "9", "--tmax", "10",
                                "--prime", "13"],
     "hilbert_l8_t9_prime_2p89m1": ["hilbert", "--l", "8", "--tmax", "9",
                                    "--prime", str(2**89 - 1)],

@@ -164,6 +164,61 @@ def test_intersection_point_is_the_scaled_minors(case):
                for (a, x), (b, y) in combinations(zip(v, minors), 2))
 
 
+def test_line_is_taken_mod_p():
+    """Eliminating (2,1,0,0) and (1,3,1,0) over the integers leaves the
+    pivot minor 5, so over GF(5) a line read off integer minors does not
+    span the common zeros, and would call these general forms dependent."""
+    f = PrimeField(5)
+    forms = [LinearForm(f, c) for c in ((2, 1, 0, 0), (1, 3, 1, 0),
+                                        (0, 0, 0, 1), (0, 1, 0, 0))]
+    assert build_star(forms).points == {
+        (1, 2, 3): (2, 1, 0, 0), (1, 2, 4): (0, 0, 0, 1),
+        (1, 3, 4): (0, 0, 1, 0), (2, 3, 4): (4, 0, 1, 0)}
+
+
+@st.composite
+def small_form_rows(draw):
+    """(field, n, rows): l = n..n+3 coefficient rows of length n + 1 with
+    small entries, so dependent subsets are common; no row is 0 in the
+    field."""
+    field = draw(st.sampled_from([QQ, GF, PrimeField(5), PrimeField(7),
+                                  PrimeField(11)]))
+    n = draw(st.integers(2, 4))
+    l = draw(st.integers(n, n + 3))
+    row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1
+                   ).filter(lambda r: any(map(field.from_int, r)))
+    return field, n, draw(st.lists(row, min_size=l, max_size=l))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_form_rows())
+@example((PrimeField(5), 3, [[2, 1, 0, 0], [1, 3, 1, 0], [0, 0, 0, 1],
+                             [0, 1, 0, 0]]))
+def test_build_star_is_general_position(case):
+    """`build_star` gives each n-subset the point `intersection_point`
+    gives it, or names the lexicographically first n + 1 forms whose
+    determinant is 0 (mod p); with l = n, all l forms when their maximal
+    minors all vanish."""
+    field, n, rows = case
+    forms = [LinearForm(field, r) for r in rows]
+    labels = range(1, len(rows) + 1)
+    if len(rows) == n:
+        dependent = [] if any(map(field.from_int, signed_maximal_minors(
+            rows))) else [tuple(labels)]
+    else:
+        dependent = [c for c in combinations(labels, n + 1) if field.is_zero(
+            field.from_int(cofactor_det([rows[i - 1] for i in c])))]
+    if dependent:
+        with pytest.raises(GenericityError) as refused:
+            build_star(forms)
+        assert refused.value.labels == ", ".join(f"L{i}"
+                                                 for i in dependent[0])
+    else:
+        assert build_star(forms).points == {
+            s: intersection_point(*(forms[i - 1] for i in s))
+            for s in combinations(labels, n)}
+
+
 def test_rational_forms_refuse_non_int_coefficients():
     with pytest.raises(ValueError, match="lcm of their denominators"):
         LinearForm(QQ, [Fraction(1, 2), 1, 0])
@@ -307,9 +362,37 @@ def test_small_prime_rejects_l_past_arc_bound():
 
 
 def test_exhausted_draws_suggest_larger_prime(monkeypatch):
+    """Five planes of P^3 over GF(3) are within the arc bound, but the
+    normal rational curve has only q + 1 = 4 points to fall back on."""
     monkeypatch.setattr(starconfig, "RETRY_BUDGET", 0)
     with pytest.raises(GenericityError, match="try a larger prime"):
-        random_star(3, 0, PrimeField(5))
+        random_star(5, 0, PrimeField(3), n=3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exhausted_draws_fall_back_to_the_curve(monkeypatch, q, n):
+    """With no random draw, every l <= q + 1 hyperplanes dual to points of
+    the normal rational curve are in general position, at every seed."""
+    monkeypatch.setattr(starconfig, "RETRY_BUDGET", 0)
+    for l in range(n, q + 2):
+        for seed in range(3):
+            star = random_star(l, seed, PrimeField(q), n)
+            assert len(star.points) == comb(l, n)
+            assert star.forms == random_star(l, seed, PrimeField(q), n).forms
+
+
+def test_general_position_needs_no_subset_scan(monkeypatch):
+    """A general star is accepted from its distinct points alone: the scan
+    of (n + 1)-subsets runs only to name dependent forms."""
+    def refuse(*args):
+        raise AssertionError("(n + 1)-subsets scanned")
+
+    stars = [random_star(l, 0, field, n) for field, n, l in (
+        (GF, 2, 40), (QQ, 2, 30), (PrimeField(101), 3, 12), (QQ, 4, 9))]
+    monkeypatch.setattr(starconfig, "_first_dependent", refuse)
+    for star in stars:
+        assert build_star(star.forms).points == star.points
 
 
 def test_hilbert_function_examples():
