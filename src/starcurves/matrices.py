@@ -9,17 +9,18 @@ It serves `rank`, whose heaviest load is the tangent rows of
 `PackedEchelonModP` keeps each vector as one int of fixed-width slots and
 reduces by one multiply-add of whole ints.  It serves the Hilbert
 function's evaluation columns (`starconfig`): C(l, n) entries, mostly
-nonzero.  Each form is the faster one on its own load; packing the
-tangent rows too made the tangent workloads of `bench/` slower (see the
-README).
+nonzero, which arrive as residues (`add_residues`).  Each form is the
+faster one on its own load; packing the tangent rows too made the
+tangent workloads of `bench/` slower (see the README).
 
 `rank` stops reading its rows once the echelon holds one vector per
 column.  Over a prime field the rank is the echelon's size.  Over Q the
 entries are ints, read mod the fixed prime `DEFAULT_PRIME`; a full
 echelon (`EchelonModP.full`) gives the rational rank, and the exact
-fraction-free elimination of every row (`fraction_free`) decides
-otherwise.  `fraction_free` also gives `starconfig` the line where n - 1
-hyperplanes of P^n meet, over Q and, run mod p, over GF(p).
+forward-only fraction-free elimination of every row (`_rank_bareiss`)
+decides otherwise.  Its Gauss-Jordan form, `fraction_free`, gives
+`starconfig` the line where n - 1 hyperplanes of P^n meet, over Q and,
+run mod p, over GF(p).
 """
 
 from __future__ import annotations
@@ -116,15 +117,17 @@ class PackedEchelonModP(EchelonModP):
         self.mask = (1 << 8 * self.size) - 1
         self.basis: list[tuple[int, int]] = []   # (pivot bit offset, vector)
 
-    def _pack(self, v: Iterable[int], scale: int = 1) -> int:
-        """The residues of scale*x for the entries x of `v`, packed."""
-        p, size = self.p, self.size
-        return int.from_bytes(b"".join([(x * scale % p).to_bytes(
-            size, "little") for x in v]), "little")
+    def _pack(self, residues: Iterable[int]) -> int:
+        size = self.size
+        return int.from_bytes(b"".join([x.to_bytes(size, "little")
+                                        for x in residues]), "little")
 
     def add(self, v: Sequence[int]) -> None:
-        """Store `v` reduced by the stored vectors, unless it reduces to 0;
-        its slots are read one by one only to find the new pivot and to
+        self.add_residues([x % self.p for x in v])
+
+    def add_residues(self, v: Sequence[int]) -> None:
+        """`add` for a vector of residues in [0, p), packed as they are.
+        Its slots are read one by one only to find the new pivot and to
         scale the stored vector to 1 there."""
         p, mask, size = self.p, self.mask, self.size
         self.added += 1
@@ -138,8 +141,9 @@ class PackedEchelonModP(EchelonModP):
                    for i in range(0, len(data), size)]
         piv = next((i for i, x in enumerate(entries) if x % p), None)
         if piv is not None:
+            scale = pow(entries[piv], -1, p)
             self.basis.append((8 * size * piv, self._pack(
-                entries, pow(entries[piv], -1, p))))
+                [x * scale % p for x in entries])))
 
 
 def fraction_free(rows: list[list[int]],
@@ -172,5 +176,20 @@ def fraction_free(rows: list[list[int]],
 
 
 def _rank_bareiss(m: list[list[int]]) -> int:
-    """The rank of the integer rows `m`, by `fraction_free`."""
-    return len(m) - fraction_free(m).count(None)
+    """The rank of the integer rows `m`, by forward-only fraction-free
+    elimination (Bareiss), in place: each pivot clears its column in the
+    rows below it only, which is all a rank needs.  Every division is
+    exact, as in `fraction_free`."""
+    prev, top = 1, 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(top, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        pivot_row, a = m[top], m[top][col]
+        for r in m[top + 1:]:
+            b = r[col]
+            r[col:] = [(x * a - b * y) // prev
+                       for x, y in zip(r[col:], pivot_row[col:])]
+        prev, top = a, top + 1
+    return top

@@ -50,8 +50,7 @@ def published_star(fld: Field, l: int) -> StarConfiguration:
     if l < 5:
         raise ValueError("the published configurations have at least "
                          "five lines")
-    forms = [LinearForm(fld, [fld.from_int(c) for c in v])
-             for v in PUBLISHED_COEFFS[:l]]
+    forms = [LinearForm(fld, v) for v in PUBLISHED_COEFFS[:l]]
     try:
         star = build_star(forms)
     except GenericityError as exc:
@@ -67,7 +66,7 @@ def published_star(fld: Field, l: int) -> StarConfiguration:
                 f"the lines x0 + a*x1 + a^2*x2 extend the published lines to "
                 f"at most {star.l} lines over {fld!r}, not {l}; use "
                 f"--field rational or a larger prime")
-        trial = LinearForm(fld, [fld.from_int(a ** e) for e in range(3)])
+        trial = LinearForm(fld, [a ** e for e in range(3)])
         try:
             star = build_star(star.forms + [trial])
         except GenericityError:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cached_property
-from math import gcd
+from math import comb, gcd
 from operator import mul
 from typing import Sequence
 
@@ -41,16 +41,17 @@ class GenericityError(ValueError):
 
 
 class LinearForm:
-    """A nonzero linear form, kept as its coefficient vector."""
+    """A nonzero linear form, kept as its coefficient vector: ints over Q,
+    residues in [0, p) over GF(p)."""
 
     __slots__ = ("field", "coefficients")
 
     def __init__(self, field: Field, coefficients: Sequence[Element]):
         check_integral(field, coefficients, "linear form coefficients")
-        if all(field.is_zero(c) for c in coefficients):
-            raise ValueError("zero linear form")
         self.field = field
-        self.coefficients = tuple(coefficients)
+        self.coefficients = tuple(map(field.from_int, coefficients))
+        if all(field.is_zero(c) for c in self.coefficients):
+            raise ValueError("zero linear form")
 
     @property
     def nvars(self) -> int:
@@ -105,8 +106,7 @@ def _line(field: Field, forms: Sequence[LinearForm]) -> list[list[int]] | None:
     over the integers can be 0 mod p while the forms are independent mod
     p, and the vectors read off it would then not span the line."""
     p = field.p if isinstance(field, PrimeField) else None
-    rows = [[x % p for x in f.coefficients] if p else list(f.coefficients)
-            for f in forms]
+    rows = [list(f.coefficients) for f in forms]
     pivots = fraction_free(rows, p)
     if None in pivots:
         return None
@@ -309,7 +309,7 @@ def _curve_forms(l: int, n: int, field: PrimeField,
         a = [[field.random(rng) for _ in range(size)] for _ in range(size)]
         if rank(field, a, size) == size:
             break
-    return [LinearForm(field, [sum(r[i] * a[i][j] for i in range(size)) % q
+    return [LinearForm(field, [sum(r[i] * a[i][j] for i in range(size))
                                for j in range(size)]) for r in rows]
 
 
@@ -322,15 +322,17 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     points scaled to c = 1, c*m and m have the same column, so the
     degree-(t-1) columns are among those of degree t, and degree t adds
     only the degree-t monomials in x_0..x_{n-1}, valued at the affine
-    coordinates x_k / c by `monomial_values`.  One mod-p echelon stored on
-    the star takes them degree by degree, each column a vector of C(l, n)
-    values, mostly nonzero; HF(t) is its size after degree t.  The
+    coordinates x_k / c.  Each such column is x_k times a column of degree
+    t - 1, entry by entry mod p (`_HilbertRanks._extend`), so no monomial
+    is ever raised to its powers.  One mod-p echelon stored on the star
+    takes them degree by degree, each column a vector of C(l, n)
+    residues, mostly nonzero; HF(t) is its size after degree t.  The
     echelon is a `PackedEchelonModP`, which reduces such long dense
     columns by one multiply-add of whole ints, where the list form of
     `matrices.rank` works entry by entry.  Once that size is the number of
     points, every later degree has it too (rank <= #rows) and builds no
-    monomial basis.  s = 0 gives c = x_n, which serves unless a point lies
-    on x_n = 0.
+    column.  s = 0 gives c = x_n, which serves unless a point lies on
+    x_n = 0.
 
     Over Q the echelon runs mod `DEFAULT_PRIME` and gives the rational
     rank when it is full (`EchelonModP.full`).  The whole per-degree
@@ -347,7 +349,10 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
 
 
 class _HilbertRanks:
-    """The degree-by-degree state behind `hilbert_function` for one star.
+    """The degree-by-degree state behind `hilbert_function` for one star:
+    the affine coordinates mod p, one column per variable x_0..x_{n-1};
+    the echelon; and the columns of the last degree it took, from which
+    the next degree's are built, dropped once the echelon is full.
 
     It keeps no reference to the star, which holds it, so reference
     counting frees both when the star's last name goes."""
@@ -359,17 +364,19 @@ class _HilbertRanks:
         self.ranks: list[tuple[int, bool]] = []  # (size, full) per degree
         field = star.field
         self.exact = isinstance(field, PrimeField)
-        self.residues = field if self.exact else PrimeField(DEFAULT_PRIME)
-        p = self.residues.p
+        self.p = p = field.p if self.exact else DEFAULT_PRIME
         self.echelon = None
         charts = _chart_values(star)
         if charts is None or any(c % p == 0 for c in charts):
             return
-        # X_k / C(X) mod p at the integer coordinates X.  These are
-        # primitive, so no X_k / C(X) has a denominator divisible by p
-        # unless p | C(X): p | C(X) and p | X_k for k < n give p | X_n.
-        self.affine = [[x * pow(c, -1, p) % p for x in pt[:-1]]
-                       for pt, c in zip(star.point_list(), charts)]
+        # X_k / C(X) mod p at the integer coordinates X, one column per
+        # k < n.  These are primitive, so no X_k / C(X) has a denominator
+        # divisible by p unless p | C(X): p | C(X) and p | X_k for k < n
+        # give p | X_n.
+        inverses = [pow(c, -1, p) for c in charts]
+        self.affine = [[x * c % p for x, c in zip(xs, inverses)]
+                       for xs in list(zip(*star.point_list()))[:-1]]
+        self.columns = [[1] * self.npoints]   # the last degree's columns
         self.echelon = PackedEchelonModP(p, self.npoints)
 
     def rank(self, star: StarConfiguration, t: int) -> int:
@@ -384,21 +391,33 @@ class _HilbertRanks:
                 return size
         found = _evaluation_rank(star, t)
         if found == self.npoints:   # and t is below any degree known full
-            self.saturated = t
+            self.saturated, self.columns = t, None
         return found
 
     def _extend(self, t: int) -> None:
-        """Add the columns of each degree up to t, stopping once full."""
+        """Add the columns of each degree up to t, stopping once full.
+
+        The degree-t columns are those of the degree-t monomials in
+        x_0..x_{n-1}, in `monomials_of_degree` order.  The ones whose first
+        variable is x_k are x_k times the degree-(t - 1) monomials in
+        x_k..x_{n-1}, which are the last C(t + n - k - 2, n - k - 1)
+        columns of degree t - 1, in order: one product of residues per
+        entry.  In the plane that is x times each column of degree t - 1,
+        then y times the last one."""
+        p, n = self.p, self.n
         while len(self.ranks) <= t and self.saturated is None:
-            degree = len(self.ranks)
-            monos = monomials_of_degree(self.n, degree)
-            rows = [monomial_values(self.residues, coords, degree, monos)
-                    for coords in self.affine]
-            for column in zip(*rows):
-                self.echelon.add(column)
+            degree, last = len(self.ranks), self.columns
+            columns = last if degree == 0 else [
+                [a * b % p for a, b in zip(x, column)]
+                for k, x in enumerate(self.affine)
+                for column in last[len(last) - comb(degree + n - k - 2,
+                                                    n - k - 1):]]
+            for column in columns:
+                self.echelon.add_residues(column)
             self.ranks.append((len(self.echelon), self.echelon.full()))
+            self.columns = columns
             if len(self.echelon) == self.npoints:
-                self.saturated = degree
+                self.saturated, self.columns = degree, None
 
 
 def _chart_values(star: StarConfiguration) -> list[Element] | None:
@@ -414,8 +433,7 @@ def _chart_values(star: StarConfiguration) -> list[Element] | None:
     if isinstance(field, PrimeField):
         tries = min(tries, field.p)
     for s in range(tries):
-        chart = LinearForm(field, [field.from_int(s ** (n - k))
-                                   for k in range(n + 1)])
+        chart = LinearForm(field, [s ** (n - k) for k in range(n + 1)])
         values = [chart.evaluate(pt) for pt in points]
         if not any(map(field.is_zero, values)):
             return values

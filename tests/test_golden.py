@@ -23,6 +23,7 @@ COMMANDS = {
     "hilbert_l8_t10_rational": ["hilbert", "--l", "8", "--tmax", "10",
                                 "--field", "rational"],
     "hilbert_l16_t20_prime": ["hilbert", "--l", "16", "--tmax", "20"],
+    "hilbert_l30_t31_prime": ["hilbert", "--l", "30", "--tmax", "31"],
     "hilbert_l8_t10_prime13": ["hilbert", "--l", "8", "--tmax", "10",
                                "--prime", "13"],
     # over GF(13) at seed 0 every random draw of l = 9 lines fails, and the

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ, is_prime
 from starcurves.matrices import (EchelonModP, PackedEchelonModP,
-                                 _rank_bareiss, rank)
+                                 _rank_bareiss, fraction_free, rank)
 
 P = DEFAULT_PRIME
 MERSENNE_89 = 2**89 - 1     # the largest prime the tests feed an echelon
@@ -183,6 +183,32 @@ def test_rational_rank_matches_bareiss(case):
     assert found == _rank_bareiss([list(row) for row in rows]) == \
         naive_rational_rank(rows)
     assert found <= r
+
+
+@st.composite
+def integer_matrices(draw):
+    """An nr x nc integer matrix: drawn entry by entry, or the product of
+    an nr x r and an r x nc one with r < min(nr, nc), so rank-deficient."""
+    nr, nc = draw(st.integers(1, 9)), draw(st.integers(0, 9))
+    small = st.integers(-20, 20)
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(small, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()) or min(nr, nc) == 0:
+        return matrix(nr, nc)
+    r = draw(st.integers(0, min(nr, nc) - 1))
+    left, right = matrix(nr, r), matrix(r, nc)
+    return [[sum(left[i][k] * right[k][j] for k in range(r))
+             for j in range(nc)] for i in range(nr)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_forward_bareiss_matches_gauss_jordan(m):
+    assert _rank_bareiss([list(r) for r in m]) == \
+        len(m) - fraction_free([list(r) for r in m]).count(None)
 
 
 @pytest.mark.parametrize("rows", [

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from starcurves import polynomials, starconfig
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
 from starcurves.matrices import rank
-from starcurves.polynomials import monomials_of_degree
+from starcurves.polynomials import monomial_values, monomials_of_degree
 from starcurves.reference_cases import published_star
 from starcurves.starconfig import (GenericityError, LinearForm, build_star,
                                    hilbert_function, intersection_point,
@@ -222,6 +222,13 @@ def test_build_star_is_general_position(case):
 def test_rational_forms_refuse_non_int_coefficients():
     with pytest.raises(ValueError, match="lcm of their denominators"):
         LinearForm(QQ, [Fraction(1, 2), 1, 0])
+
+
+def test_prime_field_forms_store_residues():
+    gf5 = PrimeField(5)
+    form = LinearForm(gf5, [6, 0, 0])
+    assert form == LinearForm(gf5, [1, 0, 0])
+    assert form.coefficients == (1, 0, 0)
 
 
 @pytest.mark.parametrize("field, n", [(QQ, 2), (QQ, 3), (GF, 2),
@@ -585,3 +592,48 @@ def test_rational_hilbert_function_needs_no_bareiss(monkeypatch):
         for t in range(l + 2):
             assert hilbert_function(star, t) == \
                 min(comb(t + n, n), comb(l, n))
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+@pytest.mark.parametrize("n, l", [(2, 7), (3, 6), (4, 6)])
+def test_hilbert_columns_are_the_monomial_values(field, n, l):
+    """The echelon takes, degree by degree up to saturation, the residues
+    of the degree-t monomials in x_0..x_{n-1} at the affine points, in
+    `monomials_of_degree` order, as `monomial_values` gives them."""
+    star = random_star(l, 1, field, n)
+    state = star._hilbert
+    p = state.p
+    added = []
+    real = state.echelon.add_residues
+
+    def recording(column):
+        added.append(list(column))
+        real(column)
+
+    state.echelon.add_residues = recording
+    hilbert_function(star, 3 * l)
+    assert state.saturated is not None and state.columns is None
+    charts = starconfig._chart_values(star)
+    affine = [[x * pow(c, -1, p) % p for x in pt[:-1]]
+              for pt, c in zip(star.point_list(), charts)]
+    expected = []
+    for t in range(state.saturated + 1):
+        monos = monomials_of_degree(n, t)
+        rows = [monomial_values(PrimeField(p), coords, t, monos)
+                for coords in affine]
+        expected += [[v % p for v in column] for column in zip(*rows)]
+    assert added == expected
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+@pytest.mark.parametrize("n, l", [(2, 9), (3, 7)])
+def test_hilbert_echelon_reads_no_monomial_values(monkeypatch, field, n, l):
+    def refuse(*args):
+        raise AssertionError("monomial_values called")
+
+    star = random_star(l, 0, field, n)
+    monkeypatch.setattr(polynomials, "monomial_values", refuse)
+    monkeypatch.setattr(starconfig, "monomial_values", refuse)
+    assert star._hilbert.echelon is not None
+    for t in range(l + 2):
+        assert hilbert_function(star, t) == min(comb(t + n, n), comb(l, n))
