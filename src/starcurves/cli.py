@@ -54,7 +54,11 @@ def field_from_args(args) -> Field:
         return QQ
     prime = args.prime
     if prime is None:
-        prime = int(os.environ.get("STARCONFIG_PRIME", DEFAULT_PRIME))
+        env = os.environ.get("STARCONFIG_PRIME", str(DEFAULT_PRIME))
+        try:
+            prime = int(env)
+        except ValueError:
+            usage_error(f"STARCONFIG_PRIME must be an integer, got {env!r}")
     if not is_prime(prime):
         usage_error(f"{prime} is not prime")
     return PrimeField(prime)
@@ -118,7 +122,7 @@ def run_one(d: int, l: int, fld: Field, trials: int, seed: int,
             usage_error("--paper-forms only available for l = 5 or 6")
         stars = [published_star(fld, l)] * trials
         if d == l - 1:
-            multipliers = [[fld.one()] for _ in range(l)]
+            multipliers = [[1] for _ in range(l)]
     cert = certify(d, l, fld, trials=trials, seed=seed, stars=stars,
                    multipliers=multipliers)
     elapsed_ms = int((time.monotonic() - start) * 1000)

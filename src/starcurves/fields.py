@@ -2,9 +2,11 @@
 
 Elements are plain ``int``s: integers for the rationals (no operation
 divides, and `check_integral` refuses other input), and residues in
-``[0, p)`` for a prime field.  A ``Field`` object carries the
-operations; containers (polynomials, matrices) hold a field reference and
-refuse to mix elements from different fields.
+``[0, p)`` for a prime field, so 0 and 1 are written as ints and sums
+are int sums.  A ``Field`` object carries the rest: the reduction of an
+int (`from_int`), the product, the zero test and the random draw;
+containers (polynomials, matrices) hold a field reference and refuse to
+mix elements from different fields.
 """
 
 from __future__ import annotations
@@ -50,16 +52,7 @@ def is_prime(n: int) -> bool:
 class Field:
     """Abstract base: exact field operations on plain element values."""
 
-    def zero(self) -> Element:
-        raise NotImplementedError
-
-    def one(self) -> Element:
-        raise NotImplementedError
-
     def from_int(self, n: int) -> Element:
-        raise NotImplementedError
-
-    def add(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
 
     def mul(self, a: Element, b: Element) -> Element:
@@ -82,17 +75,8 @@ class RationalField(Field):
     #: Random coefficients are drawn uniformly from [-RANDOM_BOUND, RANDOM_BOUND].
     RANDOM_BOUND = 10**4
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, n):
         return n
-
-    def add(self, a, b):
-        return a + b
 
     def mul(self, a, b):
         return a * b
@@ -124,17 +108,8 @@ class PrimeField(Field):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, n):
         return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p

@@ -1,7 +1,8 @@
 """Homogeneous multivariate polynomials with sparse exponent-vector storage.
 
 A polynomial is a map from exponent tuples to nonzero field elements, all
-of the same total degree.  The zero polynomial keeps an empty term map but
+of the same total degree.  Sums and products run on plain ints, and the
+constructor reduces each term once (`Field.from_int`).  The zero polynomial keeps an empty term map but
 still carries a declared degree, so degrees always add under products.
 """
 
@@ -60,6 +61,7 @@ class HomogeneousPoly:
             if sum(mono) != degree:
                 raise ValueError(f"monomial {mono} breaks homogeneity "
                                  f"(declared degree {degree})")
+            coeff = field.from_int(coeff)
             if not field.is_zero(coeff):
                 clean[tuple(mono)] = coeff
         self.terms = clean
@@ -72,22 +74,12 @@ class HomogeneousPoly:
 
     @classmethod
     def one(cls, field: Field, nvars: int) -> "HomogeneousPoly":
-        return cls(field, nvars, 0, {(0,) * nvars: field.one()})
+        return cls(field, nvars, 0, {(0,) * nvars: 1})
 
     @classmethod
     def variable(cls, field: Field, nvars: int, index: int) -> "HomogeneousPoly":
         expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(field, nvars, 1, {expo: field.one()})
-
-    @classmethod
-    def from_coefficients(cls, field: Field, nvars: int,
-                          coeffs: Sequence[Element]) -> "HomogeneousPoly":
-        """Linear form from its coefficient vector."""
-        terms = {}
-        for i, c in enumerate(coeffs):
-            expo = tuple(1 if j == i else 0 for j in range(nvars))
-            terms[expo] = c
-        return cls(field, nvars, 1, terms)
+        return cls(field, nvars, 1, {expo: 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -99,10 +91,6 @@ class HomogeneousPoly:
             return NotImplemented
         return (self.field == other.field and self.nvars == other.nvars
                 and self.degree == other.degree and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, self.degree,
-                     frozenset(self.terms.items())))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -119,31 +107,20 @@ class HomogeneousPoly:
                 return other if self.is_zero() else self
             raise ValueError("cannot add homogeneous polynomials of "
                              f"degrees {self.degree} and {other.degree}")
-        f = self.field
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = f.add(terms.get(mono, f.zero()), c)
-            if f.is_zero(s):
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
-        return HomogeneousPoly(f, self.nvars, self.degree, terms)
+            terms[mono] = terms.get(mono, 0) + c
+        return HomogeneousPoly(self.field, self.nvars, self.degree, terms)
 
     def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         self._check_compatible(other)
-        f = self.field
-        deg = self.degree + other.degree
         terms: dict[Monomial, Element] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                prod = f.mul(c1, c2)
-                s = f.add(terms.get(mono, f.zero()), prod)
-                if f.is_zero(s):
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = s
-        return HomogeneousPoly(f, self.nvars, deg, terms)
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return HomogeneousPoly(self.field, self.nvars,
+                               self.degree + other.degree, terms)
 
     # -- evaluation and encoding ------------------------------------------
 
@@ -156,8 +133,7 @@ class HomogeneousPoly:
 
     def coefficient_vector(self) -> list[Element]:
         """Coefficients against monomials_of_degree(nvars, degree)."""
-        f = self.field
-        return [self.terms.get(m, f.zero())
+        return [self.terms.get(m, 0)
                 for m in monomials_of_degree(self.nvars, self.degree)]
 
     # -- text notation -----------------------------------------------------

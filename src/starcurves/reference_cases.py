@@ -77,7 +77,7 @@ def published_star(fld: Field, l: int) -> StarConfiguration:
 def luroth_case_dimension(fld: Field) -> int:
     """dim_k I_4 for the five fixed lines with unit multipliers (expect 14),
     by the coefficient-matrix rank, which needs no outside theorem."""
-    ones = [[fld.one()] for _ in range(5)]
+    ones = [[1] for _ in range(5)]
     return tangent_dim_direct(published_star(fld, 5), 4, ones)
 
 

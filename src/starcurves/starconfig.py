@@ -2,12 +2,13 @@
 
 A configuration is built from l linear forms in n + 1 variables, any
 n + 1 of which are linearly independent.  It carries the C(l,n) points
-where n of the hyperplanes meet, and the products of the forms outside
-each (n-1)-subset, which generate the ideal of the point set
+where n of the hyperplanes meet, as integer vectors.  The products of the
+forms outside each (n-1)-subset generate the ideal of the point set
 (Geramita-Harbourne-Migliore, "Star configurations in P^n", J. Algebra
-376, 2013).  The paper's plane configuration X(l) is the case n = 2: the
-C(l,2) pairwise intersections of l lines, with the l hat products
-(product of all forms but one) as generators.
+376, 2013); only `tangent`'s algorithm A builds them as polynomials.  The
+paper's plane configuration X(l) is the case n = 2: the C(l,2) pairwise
+intersections of l lines, whose ideal the l hat products (product of all
+forms but one) generate.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from typing import Sequence
 from .fields import (DEFAULT_PRIME, Element, Field, PrimeField, check_integral,
                      check_same_field)
 from .matrices import PackedEchelonModP, fraction_free, rank
-from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
-                          poly_product)
+from .polynomials import monomial_values, monomials_of_degree
 
 RETRY_BUDGET = 100
 
@@ -57,10 +57,6 @@ class LinearForm:
     def nvars(self) -> int:
         return len(self.coefficients)
 
-    def poly(self) -> HomogeneousPoly:
-        return HomogeneousPoly.from_coefficients(self.field, self.nvars,
-                                                 self.coefficients)
-
     def evaluate(self, point: Point) -> Element:
         """The value at the point's integer vector: a nonzero multiple of
         the value at any other representative of the point."""
@@ -71,7 +67,7 @@ class LinearForm:
                 and self.coefficients == other.coefficients)
 
     def __repr__(self):
-        return f"LinearForm({self.poly()})"
+        return f"LinearForm({self.field!r}, {list(self.coefficients)})"
 
 
 def intersection_point(*forms: LinearForm) -> Point:
@@ -143,15 +139,13 @@ def _meet(field: Field, line: list[list[int]],
 
 
 class StarConfiguration:
-    """l hyperplanes in general position in P^n (lines when n = 2), their
-    C(l,n) intersection points, and the ideal generators: the products of
-    the forms outside each (n-1)-subset (the hat products Lhat_i when
-    n = 2).
+    """l hyperplanes in general position in P^n (lines when n = 2) and
+    their C(l,n) intersection points.
 
     n is the number of variables minus one.  Points, each its primitive
     integer vector (`intersection_point`), are keyed by sorted 1-based
-    n-subsets, generators by sorted (n-1)-subsets; generators are built
-    on first use.
+    n-subsets; the products of the forms outside each (n-1)-subset, which
+    generate the ideal, by sorted (n-1)-subsets (`generator_keys`).
     """
 
     def __init__(self, forms: Sequence[LinearForm]):
@@ -203,17 +197,6 @@ class StarConfiguration:
 
     def generator_keys(self) -> list[tuple[int, ...]]:
         return list(itertools.combinations(range(1, self.l + 1), self.n - 1))
-
-    @cached_property
-    def generators(self) -> list[HomogeneousPoly]:
-        """The ideal generators in generator-key order, built on first use."""
-        return [self.hat_product_without(*key) for key in self.generator_keys()]
-
-    def hat_product_without(self, *skip: int) -> HomogeneousPoly:
-        """Product of all forms L_h with 1-based h outside `skip`."""
-        factors = [f.poly() for h, f in enumerate(self.forms, start=1)
-                   if h not in skip]
-        return poly_product(factors, self.field, self.n + 1)
 
     @cached_property
     def _hilbert(self) -> "_HilbertRanks":
@@ -268,9 +251,9 @@ def random_star(l: int, seed: int, field: Field,
                 n: int = 2) -> StarConfiguration:
     """Deterministic-in-seed configuration of l random hyperplanes in
     general position in P^n; each draw is checked once, by building it.
-    When RETRY_BUDGET draws fail over GF(q) with l <= q + 1, the
-    hyperplanes dual to l points of the normal rational curve, under a
-    random change of coordinates from the same stream (`_curve_forms`)."""
+    When RETRY_BUDGET draws fail over GF(q), fixed forms in general
+    position under a random change of coordinates from the same stream
+    (`_curve_forms`); `check_arc_bound` has refused every l they miss."""
     if l < n:
         raise ValueError(f"need l >= {n}")
     check_arc_bound(l, n, field)
@@ -287,7 +270,7 @@ def random_star(l: int, seed: int, field: Field,
             return build_star(forms)
         except GenericityError:
             pass
-    if isinstance(field, PrimeField) and l <= field.p + 1:
+    if isinstance(field, PrimeField):
         return build_star(_curve_forms(l, n, field, rng))
     raise GenericityError(
         f"no l = {l} hyperplanes of P^{n} in general position found over "
@@ -296,21 +279,27 @@ def random_star(l: int, seed: int, field: Field,
 
 def _curve_forms(l: int, n: int, field: PrimeField,
                  rng: random.Random) -> list[LinearForm]:
-    """l <= q + 1 hyperplanes of P^n over GF(q) in general position: the
-    forms (1, a, ..., a^n) for a = 0, 1, ..., and (0, ..., 0, 1) as the
-    (q + 1)-th, each composed with one random invertible matrix A.  Their
-    coefficient vectors are points of the normal rational curve, so any
-    n + 1 of them form a Vandermonde matrix, or with (0, ..., 0, 1) one
-    bordered by a unit row, and A keeps every determinant nonzero."""
+    """l <= arc_bound(n, q) hyperplanes of P^n over GF(q) in general
+    position, each composed with one random invertible matrix A, which
+    keeps every determinant nonzero.  For l <= q + 1 the forms
+    (1, a, ..., a^n) for a = 0, 1, ..., and (0, ..., 0, 1) as the
+    (q + 1)-th: points of the normal rational curve, so any n + 1 of them
+    form a Vandermonde matrix, or with (0, ..., 0, 1) one bordered by a
+    unit row.  Past q + 1 (so q <= n and l <= n + 2) the frame e_0..e_n,
+    e_0 + ... + e_n, of which any n + 1 are independent."""
     q, size = field.p, n + 1
-    rows = [[pow(a, e, q) for e in range(size)] for a in range(min(l, q))]
-    rows += [[0] * n + [1]] * (l - len(rows))
+    if l <= q + 1:
+        rows = [[pow(a, e, q) for e in range(size)] for a in range(min(l, q))]
+        rows += [[0] * n + [1]] * (l - len(rows))
+    else:
+        rows = [[int(i == j) for j in range(size)] for i in range(size)]
+        rows.append([1] * size)
     while True:
         a = [[field.random(rng) for _ in range(size)] for _ in range(size)]
         if rank(field, a, size) == size:
             break
     return [LinearForm(field, [sum(r[i] * a[i][j] for i in range(size))
-                               for j in range(size)]) for r in rows]
+                               for j in range(size)]) for r in rows[:l]]
 
 
 def hilbert_function(star: StarConfiguration, t: int) -> int:

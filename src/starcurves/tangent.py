@@ -27,10 +27,11 @@ case tried but the Luroth case (4, 5).  Certificates use B; the tests
 cross-check it against A.
 
 A multiplier M_T is its coefficient vector over monomials_of_degree(n + 1,
-m), m = d - (l - n + 1); only A builds polynomials from it.  B streams its
-rows into one `matrices.rank`, in band order (`_band_order`), and builds a
-point's monomial table and multiplier values only when the rank reads its
-row.  The rank stops reading once it holds l*n independent rows, which at
+m), m = d - (l - n + 1); only A builds polynomials, from it and from the
+forms (`generators`, `build_q_forms`).  B streams its rows into one
+`matrices.rank`, in band order (`_band_order`), and builds a point's
+monomial table and multiplier values only when the rank reads its row.
+The rank stops reading once it holds l*n independent rows, which at
 random data over a large prime is after the n*l rows of the band.
 """
 
@@ -56,52 +57,110 @@ from .starconfig import (RETRY_BUDGET, GenericityError, LinearForm,
 Multiplier = Sequence[Element]
 
 
-def _multiplier_degree(star: StarConfiguration,
-                       multipliers: Sequence[Multiplier],
-                       d: int | None = None) -> int:
-    """The common degree m of the multipliers, one per generator key, read
-    from their length C(m + n, n); given d, m must be d - (l - n + 1).
-    Over Q their coefficients are ints."""
-    count = len(star.generator_keys())
+def _multiplier_degree(star: StarConfiguration, d: int,
+                       multipliers: Sequence[Multiplier]) -> int:
+    """The degree m = d - (l - n + 1) of the multipliers, after checking
+    that there is one per generator key, each a vector of C(m + n, n)
+    coefficients, ints over Q."""
+    count, n = len(star.generator_keys()), star.n
     if len(multipliers) != count:
         raise ValueError(f"expected {count} multipliers, "
                          f"got {len(multipliers)}")
-    n, mdeg = star.n, 0
-    while comb(mdeg + n, n) < len(multipliers[0]):
-        mdeg += 1
+    mdeg = d - star.generator_degree
+    if mdeg < 0:
+        raise ValueError(f"need d >= l - n + 1 = {star.generator_degree}")
     for m in multipliers:
         if len(m) != comb(mdeg + n, n):
-            raise ValueError("multipliers must share one degree m, each a "
-                             "vector of C(m + n, n) coefficients")
+            raise ValueError(f"multipliers of degree d - (l - n + 1) = {mdeg}"
+                             f" are vectors of {comb(mdeg + n, n)} "
+                             f"coefficients, not {len(m)}")
         check_integral(star.field, m, "multiplier coefficients")
-    if d is not None and mdeg != d - star.generator_degree:
-        raise ValueError(f"need d >= l - n + 1 = {star.generator_degree} and "
-                         f"multipliers of degree d - (l - n + 1), got d = {d}"
-                         f" and degree {mdeg}")
     return mdeg
 
 
-def build_q_forms(star: StarConfiguration,
+# ---------------------------------------------------------------------------
+# algorithm A: the star ideal and the Q forms as polynomials
+
+def _linear_poly(form: LinearForm) -> HomogeneousPoly:
+    """The form as a polynomial of degree 1."""
+    return HomogeneousPoly(form.field, form.nvars, 1, {
+        tuple(int(i == k) for i in range(form.nvars)): c
+        for k, c in enumerate(form.coefficients)})
+
+
+def _hat_product(star: StarConfiguration, *skip: int) -> HomogeneousPoly:
+    """Product of all forms L_h with 1-based h outside `skip`."""
+    factors = [_linear_poly(f) for h, f in enumerate(star.forms, start=1)
+               if h not in skip]
+    return poly_product(factors, star.field, star.n + 1)
+
+
+def generators(star: StarConfiguration) -> list[HomogeneousPoly]:
+    """The generators of the star's ideal in generator-key order: the
+    products of the forms outside each (n-1)-subset (Lhat_i in the plane)."""
+    return [_hat_product(star, *key) for key in star.generator_keys()]
+
+
+def build_q_forms(star: StarConfiguration, d: int,
                   multipliers: Sequence[Multiplier]) -> list[HomogeneousPoly]:
     """The l forms Q_i of degree d - 1, from one product of the forms
     outside each n-subset s, shared by the Q_i with i in s.
 
     `multipliers` are the M_T in generator-key order.
     """
-    mdeg = _multiplier_degree(star, multipliers)
+    mdeg = _multiplier_degree(star, d, multipliers)
     nvars = star.n + 1
     basis = monomials_of_degree(nvars, mdeg)
     mult = {key: HomogeneousPoly(star.field, nvars, mdeg, dict(zip(basis, m)))
             for key, m in zip(star.generator_keys(), multipliers)}
     parts: list[list[HomogeneousPoly]] = [[] for _ in range(star.l)]
     for s in star.point_keys():
-        outside = star.hat_product_without(*s)
+        outside = _hat_product(star, *s)
         for i in s:
             rest = tuple(j for j in s if j != i)
             parts[i - 1].append(mult[rest] * outside)
     return [poly_sum(p, star.field, nvars, mdeg + star.l - star.n)
             for p in parts]
 
+
+def ideal_component_dim(polys: Sequence[HomogeneousPoly], d: int) -> int:
+    """Dimension of the degree-d component of the generated ideal.
+
+    Rows of the rank matrix are coefficient vectors of m * g over the
+    degree-d monomial basis, for every generator g and every monomial m of
+    degree d - deg(g).  Generators of degree > d contribute nothing; a
+    nonzero constant generator makes the component all of S_d (its
+    monomial multiples already span the basis).
+    """
+    gens = [g for g in polys if not g.is_zero()]
+    if not gens:
+        return 0
+    fld = gens[0].field
+    nvars = gens[0].nvars
+    for g in gens:
+        check_same_field(g.field, fld)
+    basis = monomials_of_degree(nvars, d)
+    index = {m: i for i, m in enumerate(basis)}
+
+    def row(g, mono):
+        out = [0] * len(basis)
+        for gm, c in g.terms.items():
+            out[index[tuple(a + b for a, b in zip(mono, gm))]] = c
+        return out
+    return rank(fld, (row(g, mono) for g in gens if g.degree <= d
+                      for mono in monomials_of_degree(nvars, d - g.degree)),
+                len(basis))
+
+
+def tangent_dim_direct(star: StarConfiguration, d: int,
+                       multipliers: Sequence[Multiplier]) -> int:
+    """dim_k I_d via the coefficient-matrix rank (algorithm A)."""
+    gens = generators(star) + build_q_forms(star, d, multipliers)
+    return ideal_component_dim(gens, d)
+
+
+# ---------------------------------------------------------------------------
+# algorithm B: the values of the multipliers at the points
 
 def _multiplier_values(star, d, multipliers,
                        keys) -> Iterator[tuple[tuple, dict]]:
@@ -110,7 +169,7 @@ def _multiplier_values(star, d, multipliers,
     pass the checks against d.  Each M_T(p_s) is the dot product of one
     table of the point's monomial values with the coefficient vector of
     M_T; over Q, integer coefficients keep every sum in ints."""
-    mdeg = _multiplier_degree(star, multipliers, d)
+    mdeg = _multiplier_degree(star, d, multipliers)
     fld, basis = star.field, monomials_of_degree(star.n + 1, mdeg)
     vectors = dict(zip(star.generator_keys(), multipliers))
 
@@ -131,43 +190,6 @@ def _band_order(star: StarConfiguration) -> list[tuple[int, ...]]:
         for rest in itertools.combinations(range(i, i + n), n - 1))
     return [s for s in band if len(s) == n] + [
         s for s in star.point_keys() if s not in band]
-
-
-def ideal_component_dim(generators: Sequence[HomogeneousPoly], d: int) -> int:
-    """Dimension of the degree-d component of the generated ideal.
-
-    Rows of the rank matrix are coefficient vectors of m * g over the
-    degree-d monomial basis, for every generator g and every monomial m of
-    degree d - deg(g).  Generators of degree > d contribute nothing; a
-    nonzero constant generator makes the component all of S_d (its
-    monomial multiples already span the basis).
-    """
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        return 0
-    fld = gens[0].field
-    nvars = gens[0].nvars
-    for g in gens:
-        check_same_field(g.field, fld)
-    basis = monomials_of_degree(nvars, d)
-    index = {m: i for i, m in enumerate(basis)}
-
-    def row(g, mono):
-        out = [fld.zero()] * len(basis)
-        for gm, c in g.terms.items():
-            out[index[tuple(a + b for a, b in zip(mono, gm))]] = c
-        return out
-    return rank(fld, (row(g, mono) for g in gens if g.degree <= d
-                      for mono in monomials_of_degree(nvars, d - g.degree)),
-                len(basis))
-
-
-def tangent_dim_direct(star: StarConfiguration, d: int,
-                       multipliers: Sequence[Multiplier]) -> int:
-    """dim_k I_d via the coefficient-matrix rank (algorithm A)."""
-    _multiplier_degree(star, multipliers, d)
-    gens = star.generators + build_q_forms(star, multipliers)
-    return ideal_component_dim(gens, d)
 
 
 def tangent_dim_points(star: StarConfiguration, d: int,
@@ -193,7 +215,7 @@ def tangent_dim_points(star: StarConfiguration, d: int,
 
     def row(s, ms):
         coords = star.points[s]
-        out = [fld.zero()] * (star.l * width)
+        out = [0] * (star.l * width)
         for i, m in ms.items():
             xs = coords[:dropped[i - 1]] + coords[dropped[i - 1] + 1:]
             for k, x in enumerate(xs):
@@ -226,7 +248,7 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
     values = _multiplier_values(star, d, multipliers, keys)
     fld = star.field
     rows = ([fld.mul(star.forms[r - 1].evaluate(star.points[s]),
-                     ms.get(t, fld.zero())) for r, t in columns]
+                     ms.get(t, 0)) for r, t in columns]
             for s, ms in values)
     return rank(fld, rows, len(columns))
 
@@ -234,45 +256,28 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
 # ---------------------------------------------------------------------------
 # structured multipliers for the block-matrix construction (l >= 6)
 
-def _form_missing(fld: Field, coeffs, points) -> LinearForm | None:
-    """The form with these coefficients, if it is nonzero at every point."""
-    if all(fld.is_zero(c) for c in coeffs):
-        return None
-    form = LinearForm(fld, coeffs)
-    if all(not fld.is_zero(form.evaluate(p)) for p in points):
-        return form
-    return None
-
-
-def _linear_form_through(star: StarConfiguration, key: tuple[int, int],
-                         rng: random.Random) -> LinearForm:
-    """A linear form vanishing at the labelled point and at no other point
-    of the configuration: random coefficients times the point's last
-    nonzero entry off that entry, and the one there that makes it vanish."""
+def _form_through(star: StarConfiguration, key: tuple[int, int] | None,
+                  rng: random.Random) -> LinearForm:
+    """A linear form vanishing at the point labelled `key` and at no other
+    point of the configuration, or at none when `key` is None: random
+    coefficients; through a point, those times its last nonzero entry off
+    that entry, and the one there that makes the form vanish."""
     fld = star.field
-    coords = star.points[key]
-    last = max(i for i, c in enumerate(coords) if c)
+    coords = None if key is None else star.points[key]
+    last = None if key is None else max(i for i, c in enumerate(coords) if c)
     others = [p for k, p in star.points.items() if k != key]
     for _ in range(RETRY_BUDGET):
-        draws = [fld.zero() if i == last else fld.random(rng) for i in range(3)]
-        coeffs = [fld.mul(c, coords[last]) for c in draws]
-        coeffs[last] = fld.from_int(-sum(map(mul, draws, coords)))
-        form = _form_missing(fld, coeffs, others)
-        if form is not None:
-            return form
-    raise GenericityError("no linear form through the point avoiding the rest")
-
-
-def _avoiding_linear_form(star: StarConfiguration,
-                          rng: random.Random) -> LinearForm:
-    """A linear form nonzero at every point of the configuration."""
-    fld = star.field
-    for _ in range(RETRY_BUDGET):
-        form = _form_missing(fld, [fld.random(rng) for _ in range(3)],
-                             star.point_list())
-        if form is not None:
-            return form
-    raise GenericityError("no avoiding linear form found")
+        coeffs = [0 if i == last else fld.random(rng) for i in range(3)]
+        if key is not None:
+            through = -sum(map(mul, coeffs, coords))
+            coeffs = [c * coords[last] for c in coeffs]
+            coeffs[last] = through
+        if not all(map(fld.is_zero, coeffs)):
+            form = LinearForm(fld, coeffs)
+            if not any(fld.is_zero(form.evaluate(p)) for p in others):
+                return form
+    raise GenericityError("no linear form through the point avoiding the rest"
+                          if key else "no avoiding linear form found")
 
 
 def structured_multipliers(star: StarConfiguration, d: int,
@@ -294,14 +299,14 @@ def structured_multipliers(star: StarConfiguration, d: int,
         raise ValueError("need d >= l - 1")
     fld = star.field
     if d == l - 1:
-        return [[fld.one()] for _ in range(l)]
+        return [[1] for _ in range(l)]
     rng = random.Random(seed)
-    g = _avoiding_linear_form(star, rng).poly()
+    g = _linear_poly(_form_through(star, None, rng))
     m = [g] * l
     if d > l:
         special = [(1, 5), (1, 2), (2, 6), (3, 4), (4, 6)]
         g1, g2, g3, g4, g5 = (
-            _linear_form_through(star, key, rng).poly() for key in special)
+            _linear_poly(_form_through(star, key, rng)) for key in special)
 
         def gpow(e: int) -> HomogeneousPoly:
             return poly_product([g] * e, fld, 3)

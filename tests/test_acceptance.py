@@ -13,7 +13,7 @@ from starcurves.reference_cases import (block_matrix_rank,
                                         luroth_case_dimension,
                                         six_line_matrix_rank)
 from starcurves.starconfig import random_star
-from starcurves.tangent import (certify, ideal_component_dim,
+from starcurves.tangent import (certify, generators, ideal_component_dim,
                                 lower_bound_dim_S, random_multipliers,
                                 tangent_dim_direct, tangent_dim_points)
 
@@ -78,7 +78,7 @@ def test_criterion_5_emptiness():
         star = random_star(l, 100 + l, GF)
         for d in range(0, l - 1):
             cert = certify(d, l, GF)
-            ideal_dim = ideal_component_dim(star.generators, d)
+            ideal_dim = ideal_component_dim(generators(star), d)
             if cert.verdict != "EMPTY" or ideal_dim != 0:
                 bad.append((d, l, cert.verdict, ideal_dim))
     report(5, "d < l-1: verdict EMPTY and the configuration ideal is "

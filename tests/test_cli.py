@@ -438,6 +438,18 @@ def test_env_prime_override(capsys, monkeypatch):
     assert json.loads(out)[0]["field"] == "GF(1073741827)"
 
 
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_env_prime_not_an_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("STARCONFIG_PRIME", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--d", "2", "--l", "3", "--trials", "1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: STARCONFIG_PRIME must be an integer, got "
+                       f"{value!r}\n")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run_cli(capsys, "verify", "--d", "2", "--l", "3",
@@ -475,6 +487,18 @@ def test_small_field_below_arc_bound_completes(capsys, argv, key, value):
                            "json")
     rows = json.loads(out)
     assert code == 0 and rows and all(r[key] == value for r in rows)
+
+
+@pytest.mark.parametrize("n, lmax", [(4, 6), (5, 7)])
+def test_pn_over_gf2_at_the_arc_bound(capsys, n, lmax):
+    """n + 2 hyperplanes of P^n over GF(2) are in general position (a
+    frame), though random draws of them mostly fail."""
+    code, out, err = run_cli(capsys, "pn", "--n", str(n), "--dmax",
+                             str(lmax), "--lmax", str(lmax), "--prime", "2",
+                             "--trials", "1", "--format", "json")
+    rows = json.loads(out)
+    assert code == 0 and err == ""
+    assert {r["l"] for r in rows} == set(range(n, lmax + 1))
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,8 @@ from starcurves.pnstar import conjecture_row
 from starcurves.starconfig import (GenericityError, LinearForm,
                                    StarConfiguration, build_star,
                                    random_star)
-from starcurves.tangent import LowerBoundResult, lower_bound_dim_S
+from starcurves.tangent import (LowerBoundResult, _hat_product, generators,
+                                lower_bound_dim_S)
 
 GF = PrimeField()
 
@@ -25,8 +26,8 @@ def test_n2_reproduces_plane_configuration():
     for key, p in plane.points.items():
         assert pn.points[key] == p
     # generators over singleton complements are exactly the hat products
-    for i, hat in enumerate(plane.generators, start=1):
-        assert pn.generators[i - 1] == hat == plane.hat_product_without(i)
+    for i, hat in enumerate(generators(plane), start=1):
+        assert generators(pn)[i - 1] == hat == _hat_product(plane, i)
 
 
 def test_p3_coordinate_hyperplanes():
@@ -40,7 +41,7 @@ def test_p3_point_count():
     forms = random_star(5, 3, GF, n=3).forms
     config = build_star(forms)
     assert len(config.points) == 10   # C(5, 3)
-    assert all(g.degree == 3 for g in config.generators)
+    assert all(g.degree == 3 for g in generators(config))
 
 
 def test_points_lie_on_their_hyperplanes_only():
@@ -58,7 +59,7 @@ def test_points_lie_on_their_hyperplanes_only():
 def test_generators_vanish_on_configuration():
     forms = random_star(5, 8, GF, n=3).forms
     config = build_star(forms)
-    for gen in config.generators:
+    for gen in generators(config):
         for p in config.point_list():
             assert GF.is_zero(gen.evaluate(p))
 

@@ -10,6 +10,7 @@ from starcurves.fields import PrimeField, QQ
 from starcurves.polynomials import (HomogeneousPoly, monomial_values,
                                     monomials_of_degree, poly_product)
 from starcurves.starconfig import LinearForm
+from starcurves.tangent import _linear_poly
 
 from product_rule import perturbation_coefficient
 
@@ -54,8 +55,8 @@ def test_product_of_variables():
 
 
 def test_difference_of_squares():
-    p = LinearForm(QQ, [1, 1, 0]).poly()
-    q = LinearForm(QQ, [1, -1, 0]).poly()
+    p = _linear_poly(LinearForm(QQ, [1, 1, 0]))
+    q = _linear_poly(LinearForm(QQ, [1, -1, 0]))
     assert p * q == HomogeneousPoly(QQ, 3, 2, {(2, 0, 0): 1, (0, 2, 0): -1})
 
 
@@ -67,8 +68,8 @@ def test_homogeneity_enforced():
 
 
 def test_zero_coefficients_dropped():
-    p = LinearForm(GF7, [1, 1, 0]).poly()
-    q = LinearForm(GF7, [0, 6, 0]).poly()   # -x1 mod 7
+    p = _linear_poly(LinearForm(GF7, [1, 1, 0]))
+    q = _linear_poly(LinearForm(GF7, [0, 6, 0]))   # -x1 mod 7
     assert (p + q).terms == {(1, 0, 0): 1}
 
 
@@ -90,7 +91,7 @@ def test_evaluation_examples():
     point = [0, 0, 1]
     assert x0.evaluate(point) == 0
     assert x2.evaluate(point) == 1
-    l5 = LinearForm(QQ, [1, 2, 3]).poly()
+    l5 = _linear_poly(LinearForm(QQ, [1, 2, 3]))
     assert l5.evaluate(point) == 3
 
 
@@ -108,13 +109,13 @@ def evaluate_by_terms(poly, coords):
     """The definition: each coefficient times its coordinates, one
     multiplication per unit of exponent."""
     f = poly.field
-    total = f.zero()
+    total = 0
     for mono, coeff in poly.terms.items():
         val = coeff
         for x, e in zip(coords, mono):
             for _ in range(e):
                 val = f.mul(val, x)
-        total = f.add(total, val)
+        total = f.from_int(total + val)
     return total
 
 
@@ -174,8 +175,8 @@ def test_coefficient_vector_roundtrip():
 # -- perturbation expansion -------------------------------------------------
 
 def test_perturbation_single_factor():
-    l = LinearForm(QQ, [1, 1, 0]).poly()
-    lp = LinearForm(QQ, [0, 0, 1]).poly()
+    l = _linear_poly(LinearForm(QQ, [1, 1, 0]))
+    lp = _linear_poly(LinearForm(QQ, [0, 0, 1]))
     assert perturbation_coefficient([(l, lp)]) == lp
 
 

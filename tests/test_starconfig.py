@@ -19,7 +19,7 @@ from starcurves.reference_cases import published_star
 from starcurves.starconfig import (GenericityError, LinearForm, build_star,
                                    hilbert_function, intersection_point,
                                    arc_bound, random_star)
-from starcurves.tangent import ideal_component_dim
+from starcurves.tangent import generators, ideal_component_dim
 
 GF = PrimeField()
 GF3 = PrimeField(3)
@@ -274,7 +274,7 @@ def test_build_star_counts():
     assert len(published_star(QQ, 6).points) == 15
     star5 = published_star(QQ, 5)
     assert len(star5.points) == 10
-    assert all(h.degree == 4 for h in star5.generators)
+    assert all(h.degree == 4 for h in generators(star5))
 
 
 def test_build_star_reports_offending_triple():
@@ -309,23 +309,23 @@ def test_points_on_their_lines_only():
 
 def test_hat_products_vanish_on_configuration():
     star = random_star(5, 31, GF)
-    for hat in star.generators:
+    for hat in generators(star):
         for p in star.point_list():
             assert star.field.is_zero(hat.evaluate(p))
     # nonzero at a point off all lines
     rng = random.Random(7)
     while True:
         coords = [GF.random(rng) for _ in range(3)]
-        if all(not GF.is_zero(f.poly().evaluate(coords)) for f in star.forms):
+        if all(not GF.is_zero(f.evaluate(coords)) for f in star.forms):
             break
-    for hat in star.generators:
+    for hat in generators(star):
         assert not GF.is_zero(hat.evaluate(coords))
 
 
 def test_ideal_empty_below_generator_degree():
     star = random_star(6, 5, GF)
     for d in range(star.l - 1):
-        assert ideal_component_dim(star.generators, d) == 0
+        assert ideal_component_dim(generators(star), d) == 0
 
 
 def test_random_general_forms_deterministic():
@@ -368,12 +368,27 @@ def test_small_prime_rejects_l_past_arc_bound():
         random_star(7, 0, PrimeField(3), n=3)
 
 
-def test_exhausted_draws_suggest_larger_prime(monkeypatch):
-    """Five planes of P^3 over GF(3) are within the arc bound, but the
-    normal rational curve has only q + 1 = 4 points to fall back on."""
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2),
+                                  (6, 2), (6, 3)])
+def test_exhausted_draws_fall_back_to_the_frame(monkeypatch, n, q):
+    """Past q + 1 (so q <= n) the arc bound is n + 2, more than the normal
+    rational curve has points; with no random draw the frame e_0..e_n,
+    e_0 + ... + e_n serves, at every seed."""
     monkeypatch.setattr(starconfig, "RETRY_BUDGET", 0)
-    with pytest.raises(GenericityError, match="try a larger prime"):
-        random_star(5, 0, PrimeField(3), n=3)
+    for l in range(max(n, q + 2), arc_bound(n, q) + 1):
+        for seed in range(3):
+            star = random_star(l, seed, PrimeField(q), n)
+            assert len(star.points) == comb(l, n)
+
+
+@pytest.mark.parametrize("n, q, seed", [(3, 2, 8), (3, 2, 12), (4, 2, 0),
+                                        (4, 2, 1), (5, 2, 0), (6, 2, 0),
+                                        (6, 3, 5), (6, 3, 36)])
+def test_random_star_at_arc_bound_over_tiny_fields(n, q, seed):
+    """Seeds at which all RETRY_BUDGET random draws of arc_bound(n, q)
+    hyperplanes fail: the frame completes them."""
+    assert is_general(random_star(arc_bound(n, q), seed, PrimeField(q),
+                                  n).forms)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
@@ -420,7 +435,7 @@ def evaluation_rank(star, t):
     """The rank of the whole degree-t evaluation matrix: one row per point
     at its integer vector, one column per degree-t monomial."""
     f = star.field
-    rows = [[reduce(f.mul, map(pow, p, mono), f.one())
+    rows = [[reduce(f.mul, map(pow, p, mono), 1)
              for mono in monomials_of_degree(star.n + 1, t)]
             for p in star.point_list()]
     return rank(f, rows, len(rows[0]))

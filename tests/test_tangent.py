@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -21,8 +22,9 @@ from starcurves.formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                                  closed_form_dimension)
 from starcurves.starconfig import (GenericityError, LinearForm, build_star,
                                    random_star)
-from starcurves.tangent import (LowerBoundResult, _multiplier_values,
-                                build_q_forms, certify, ideal_component_dim,
+from starcurves.tangent import (LowerBoundResult, _hat_product, _linear_poly,
+                                _multiplier_values, build_q_forms, certify,
+                                generators, ideal_component_dim,
                                 lower_bound_dim_S, evaluation_submatrix_rank,
                                 random_multipliers, tangent_dim_direct,
                                 tangent_dim_points, structured_multipliers)
@@ -32,8 +34,8 @@ from product_rule import perturbation_coefficient
 GF = PrimeField()
 
 
-def ones(field, count):
-    return [[field.one()] for _ in range(count)]
+def ones(count):
+    return [[1] for _ in range(count)]
 
 
 def poly_of(field, nvars, degree, vector):
@@ -56,7 +58,7 @@ def test_q_forms_l2_degree_one():
     forms = [LinearForm(f, [1, 0, 0]),
              LinearForm(f, [0, 1, 0])]
     star = build_star(forms)
-    q = build_q_forms(star, ones(f, 2))
+    q = build_q_forms(star, 1, ones(2))
     # both are the empty product times the unit multiplier
     assert q[0] == HomogeneousPoly.one(f, 3)
     assert q[1] == HomogeneousPoly.one(f, 3)
@@ -64,9 +66,9 @@ def test_q_forms_l2_degree_one():
 
 def test_q_forms_five_lines_structure():
     star = published_star(QQ, 5)
-    q = build_q_forms(star, ones(QQ, 5))
+    q = build_q_forms(star, 4, ones(5))
     assert all(qi.degree == 3 for qi in q)
-    expected = poly_sum([star.hat_product_without(1, i) for i in (2, 3, 4, 5)],
+    expected = poly_sum([_hat_product(star, 1, i) for i in (2, 3, 4, 5)],
                         QQ, 3, 3)
     assert q[0] == expected
 
@@ -74,21 +76,21 @@ def test_q_forms_five_lines_structure():
 def test_q_forms_six_lines_with_linear_multiplier():
     star = published_star(QQ, 6)
     g = [1, 5, 7]       # x0 + 5*x1 + 7*x2
-    q = build_q_forms(star, [g] * 6)
+    q = build_q_forms(star, 6, [g] * 6)
     assert all(qi.degree == 5 for qi in q)
 
 
 def test_q_forms_wrong_count_rejected():
     star = published_star(QQ, 5)
     with pytest.raises(ValueError):
-        build_q_forms(star, ones(QQ, 4))
+        build_q_forms(star, 4, ones(4))
 
 
 def test_q_forms_mixed_degrees_rejected():
     star = published_star(QQ, 5)
-    mult = ones(QQ, 4) + [[1, 0, 0]]     # x0, of degree 1
+    mult = ones(4) + [[1, 0, 0]]     # x0, of degree 1
     with pytest.raises(ValueError):
-        build_q_forms(star, mult)
+        build_q_forms(star, 4, mult)
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,7 +105,7 @@ def test_q_forms_match_product_rule(n, field, l, extra, seed):
     star = random_star(l, seed, field, n=n)
     d = star.generator_degree + extra
     mult = random_multipliers(star, d, random.Random(seed))
-    q = build_q_forms(star, mult)
+    q = build_q_forms(star, d, mult)
     nvars = n + 1
     zero1 = HomogeneousPoly.zero(field, nvars, 1)
     polys = [poly_of(field, nvars, extra, m) for m in mult]
@@ -111,7 +113,7 @@ def test_q_forms_match_product_rule(n, field, l, extra, seed):
         for k in range(nvars):
             xk = HomogeneousPoly.variable(field, nvars, k)
             parts = [m * perturbation_coefficient(
-                         [(star.forms[j - 1].poly(), xk if j == i else zero1)
+                         [(_linear_poly(star.forms[j - 1]), xk if j == i else zero1)
                           for j in range(1, l + 1) if j not in key])
                      for key, m in zip(star.generator_keys(), polys)]
             assert xk * q[i - 1] == poly_sum(parts, field, nvars, d)
@@ -127,12 +129,12 @@ def test_ideal_component_single_variable():
 def test_ideal_component_five_line_hats():
     star = published_star(QQ, 5)
     # complement of HF(X(5), 4) = 10 inside dim S_4 = 15
-    assert ideal_component_dim(star.generators, 4) == 5
+    assert ideal_component_dim(generators(star), 4) == 5
 
 
 def test_ideal_component_below_degree():
     star = published_star(QQ, 6)
-    assert ideal_component_dim(star.generators, 4) == 0
+    assert ideal_component_dim(generators(star), 4) == 0
 
 
 def test_ideal_component_constant_generator():
@@ -144,14 +146,14 @@ def test_ideal_component_constant_generator():
 
 def test_tangent_direct_quartic_case():
     star = published_star(QQ, 5)
-    assert tangent_dim_direct(star, 4, ones(QQ, 5)) == 14
+    assert tangent_dim_direct(star, 4, ones(5)) == 14
 
 
 def test_tangent_direct_six_lines_d5():
     star = published_star(QQ, 6)
     # rank-12 evaluation block plus dim of the configuration ideal in
     # degree 5: C(7,2) - C(6,2) = 6
-    assert tangent_dim_direct(star, 5, ones(QQ, 6)) == 18
+    assert tangent_dim_direct(star, 5, ones(6)) == 18
 
 
 def test_tangent_direct_l2_d1():
@@ -160,17 +162,17 @@ def test_tangent_direct_l2_d1():
              LinearForm(f, [0, 1, 0])]
     star = build_star(forms)
     # the Q forms are nonzero constants, so the degree-1 component is S_1
-    assert tangent_dim_direct(star, 1, ones(f, 2)) == 3
+    assert tangent_dim_direct(star, 1, ones(2)) == 3
 
 
 def test_tangent_points_quartic_case():
     star = published_star(QQ, 5)
-    assert tangent_dim_points(star, 4, ones(QQ, 5)) == 14
+    assert tangent_dim_points(star, 4, ones(5)) == 14
 
 
 def test_tangent_points_six_lines_d5():
     star = published_star(QQ, 6)
-    assert tangent_dim_points(star, 5, ones(QQ, 6)) == 18
+    assert tangent_dim_points(star, 5, ones(6)) == 18
 
 
 def test_tangent_points_zero_multipliers():
@@ -271,7 +273,7 @@ def test_monotonicity_bounds():
         star, d, mult = random_problem(l, d, rng.randrange(2**30))
         dim = tangent_dim_direct(star, d, mult)
         assert dim <= comb(d + 2, 2)
-        assert dim >= ideal_component_dim(star.generators, d)
+        assert dim >= ideal_component_dim(generators(star), d)
 
 
 def test_perturbation_elements_lie_in_tangent_space():
@@ -293,14 +295,14 @@ def test_perturbation_elements_lie_in_tangent_space():
               for _ in range(star.l)]
     parts = []
     for i in range(star.l):
-        parts.append(m_dirs[i] * star.hat_product_without(i + 1))
-        factors = [(star.forms[j].poly(), l_dirs[j]) for j in range(star.l)
+        parts.append(m_dirs[i] * _hat_product(star, i + 1))
+        factors = [(_linear_poly(star.forms[j]), l_dirs[j]) for j in range(star.l)
                    if j != i]
         parts.append(poly_of(GF, 3, mdeg, mult[i])
                      * perturbation_coefficient(factors))
     tangent_vector = poly_sum(parts, GF, 3, d)
 
-    gens = list(star.generators) + build_q_forms(star, mult)
+    gens = generators(star) + build_q_forms(star, d, mult)
     base_rank = ideal_component_dim(gens, d)
     basis = monomials_of_degree(3, d)
     rows = []
@@ -330,7 +332,7 @@ def drawn_problem(n, field, l, extra, seed, kind):
     if kind == "equal":
         mult = [mult[0]] * len(mult)
     elif kind == "zero":
-        mult = [[field.zero()] * len(mult[0])] * len(mult)
+        mult = [[0] * len(mult[0])] * len(mult)
     elif kind == "prime powers":
         rng = random.Random(f"prime powers {seed}")
         mult = [[c * DEFAULT_PRIME ** rng.randint(0, 2) if c else c
@@ -390,7 +392,7 @@ def eager_tangent_dim(star, d, mult):
     rows = []
     for s in star.point_keys():
         p = star.points[s]
-        row = [fld.zero()] * (l * n)
+        row = [0] * (l * n)
         for i in s:
             coeffs = star.forms[i - 1].coefficients
             skip = next(k for k, c in enumerate(coeffs) if not fld.is_zero(c))
@@ -485,6 +487,22 @@ def test_no_module_imports_fractions():
         assert "fractions" not in imported, path.name
 
 
+def test_only_algorithm_a_imports_polynomial_objects():
+    """Polynomials serve algorithm A alone: no module but `polynomials`
+    and `tangent` imports `HomogeneousPoly`, `poly_product` or `poly_sum`,
+    apart from the package's re-exports in `__init__`."""
+    package = Path(starcurves.__file__).parent
+    names = {"HomogeneousPoly", "poly_product", "poly_sum"}
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("polynomials", "tangent", "__init__"):
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert not names & imported, path.name
+
+
 @settings(max_examples=45, deadline=None)
 @given(problem=problems)
 def test_tangent_values_match_q_forms(problem):
@@ -495,12 +513,12 @@ def test_tangent_values_match_q_forms(problem):
     fld = star.field
     values = dict(_multiplier_values(star, d, mult, star.point_keys()))
     assert list(values) == star.point_keys()
-    q = build_q_forms(star, mult)
+    q = build_q_forms(star, d, mult)
     for s, x in star.points.items():
-        outside = fld.one()
+        outside = 1
         for h, form in enumerate(star.forms, start=1):
             if h not in s:
-                outside = fld.mul(outside, form.poly().evaluate(x))
+                outside = fld.mul(outside, _linear_poly(form).evaluate(x))
         assert set(values[s]) == set(s)
         for i in range(1, star.l + 1):
             value = q[i - 1].evaluate(x)
@@ -521,7 +539,7 @@ def evaluation_problem(field, n, l, extra, seed, kind):
             mult = random_multipliers(star, d, random.Random(seed))
         elif kind == "one":
             d = star.generator_degree
-            mult = ones(field, len(star.generator_keys()))
+            mult = ones(len(star.generator_keys()))
         else:
             mult = structured_multipliers(star, d, seed)
     except ValueError:      # not general, past the arc bound, or no line G
@@ -584,7 +602,7 @@ def test_tangent_functions_reject_wrong_multipliers(n):
 
 def test_evaluation_submatrix_rank_twelve():
     star = published_star(QQ, 6)
-    assert evaluation_submatrix_rank(star, 5, ones(QQ, 6), TWELVE_ROWS,
+    assert evaluation_submatrix_rank(star, 5, ones(6), TWELVE_ROWS,
                                      TWELVE_COLUMNS) == 12
 
 
@@ -592,7 +610,7 @@ def test_published_matrix_needs_no_fraction_arithmetic(monkeypatch):
     """Over Q the published 12 x 12 matrix is built and ranked in ints, at
     d = 5 with unit multipliers and at d = 6 with M_i = G."""
     star = published_star(QQ, 6)
-    cases = [(5, ones(QQ, 6)), (6, structured_multipliers(star, 6))]
+    cases = [(5, ones(6)), (6, structured_multipliers(star, 6))]
     refuse_fraction_arithmetic(monkeypatch)
     for d, mult in cases:
         assert evaluation_submatrix_rank(star, d, mult, TWELVE_ROWS,
@@ -602,10 +620,10 @@ def test_published_matrix_needs_no_fraction_arithmetic(monkeypatch):
 def test_evaluation_submatrix_rank_unknown_labels():
     star = published_star(QQ, 6)
     with pytest.raises(KeyError):
-        evaluation_submatrix_rank(star, 5, ones(QQ, 6), [(1, 9)],
+        evaluation_submatrix_rank(star, 5, ones(6), [(1, 9)],
                                   TWELVE_COLUMNS)
     with pytest.raises(KeyError):
-        evaluation_submatrix_rank(star, 5, ones(QQ, 6), TWELVE_ROWS, [(7, 1)])
+        evaluation_submatrix_rank(star, 5, ones(6), TWELVE_ROWS, [(7, 1)])
 
 
 # -- structured multipliers -------------------------------------------------
@@ -645,6 +663,27 @@ def test_structured_multipliers_need_l6():
     star = published_star(GF, 5)
     with pytest.raises(ValueError):
         structured_multipliers(star, 5)
+
+
+PINNED_FIELDS = {"prime": GF, "rational": QQ, "prime101": PrimeField(101)}
+
+
+def test_structured_multipliers_pinned():
+    """The coefficient vectors of the published stars l = 6, 7 at
+    d = l - 1 .. l + 3 and seeds 0-2, pinned in `golden/`: past d = l the
+    forms G_1..G_5 are drawn, and no CLI golden reaches those degrees."""
+    pinned = json.loads(
+        (Path(__file__).parent / "golden" / "structured_multipliers.json")
+        .read_text())
+    got = {}
+    for tag, field in PINNED_FIELDS.items():
+        for l in (6, 7):
+            star = published_star(field, l)
+            for d in range(l - 1, l + 4):
+                for seed in range(3):
+                    got[f"{tag} l={l} d={d} seed={seed}"] = \
+                        structured_multipliers(star, d, seed)
+    assert got == pinned
 
 
 # -- random multipliers -----------------------------------------------------
