@@ -3,8 +3,7 @@ star configurations, with an experimental extension to P^n; the plane is
 the n = 2 case of one star-configuration core."""
 
 from .fields import DEFAULT_PRIME, PrimeField, QQ, RationalField
-from .formulas import (TheoremValue, closed_form_dimension, min_upper_bound,
-                       upper_bounds)
+from .formulas import closed_form_dimension, upper_bounds
 from .matrices import rank
 from .polynomials import HomogeneousPoly, monomials_of_degree
 from .pnstar import conjecture_row
@@ -20,8 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_PRIME", "PrimeField", "QQ", "RationalField",
-    "TheoremValue", "closed_form_dimension", "min_upper_bound",
-    "upper_bounds",
+    "closed_form_dimension", "upper_bounds",
     "rank",
     "HomogeneousPoly", "monomials_of_degree",
     "conjecture_row",

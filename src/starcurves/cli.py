@@ -20,7 +20,6 @@ from functools import cache
 from math import comb
 
 from .fields import DEFAULT_PRIME, PrimeField, QQ, Field, is_prime
-from .formulas import min_upper_bound
 from .pnstar import conjecture_row
 from .reference_cases import (block_matrix_rank, luroth_case_dimension,
                               published_star, six_line_matrix_rank)
@@ -74,7 +73,7 @@ def certificate_row(cert, fld, seed, elapsed_ms) -> dict:
         "d": cert.d, "l": cert.l, "field": field_label(fld),
         "lower_bound": "" if empty else cert.lower_bound,
         "theorem_value": "EMPTY" if empty else cert.theorem_value,
-        "min_upper_bound": "" if empty else min_upper_bound(cert.d, cert.l),
+        "min_upper_bound": min((v for _, v in cert.upper_bounds), default=""),
         "verdict": cert.verdict, "seed": seed, "elapsed_ms": elapsed_ms,
     }
 

@@ -4,14 +4,14 @@ Elements are plain ``int``s: integers for the rationals (no operation
 divides, and `check_integral` refuses other input), and residues in
 ``[0, p)`` for a prime field, so 0 and 1 are written as ints and sums
 are int sums.  A ``Field`` object carries the rest: the reduction of an
-int (`from_int`), the product, the zero test and the random draw;
-containers (polynomials, matrices) hold a field reference and refuse to
-mix elements from different fields.
+int (`from_int`), the product (`mul`), the zero test (`is_zero`), the
+random draw from a `random.Random` (`random`) and a JSON-friendly
+`descriptor()`; containers (polynomials, matrices) hold a field
+reference and refuse to mix elements from different fields.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterable
 
 Element = int
@@ -49,27 +49,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Field:
-    """Abstract base: exact field operations on plain element values."""
-
-    def from_int(self, n: int) -> Element:
-        raise NotImplementedError
-
-    def mul(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
-
-    def is_zero(self, a: Element) -> bool:
-        raise NotImplementedError
-
-    def random(self, rng: random.Random) -> Element:
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
-        """JSON-friendly description of the field."""
-        raise NotImplementedError
-
-
-class RationalField(Field):
+class RationalField:
     """The field Q; elements are ``int``."""
 
     #: Random coefficients are drawn uniformly from [-RANDOM_BOUND, RANDOM_BOUND].
@@ -100,7 +80,7 @@ class RationalField(Field):
         return "QQ"
 
 
-class PrimeField(Field):
+class PrimeField:
     """The field GF(p); elements are ints in ``[0, p)``."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
@@ -132,6 +112,9 @@ class PrimeField(Field):
     def __repr__(self):
         return f"GF({self.p})"
 
+
+#: A field is one of the two classes, with the interface described above.
+Field = RationalField | PrimeField
 
 QQ = RationalField()
 

@@ -24,33 +24,19 @@ LUROTH_SOURCE = "luroth"
 STAR_IDEAL_SOURCE = "star-ideal-generation"
 
 
-class TheoremValue:
-    """The theorem's value of dim S(d, l) and the branch that gives it."""
-
-    def __init__(self, d: int, l: int, value: int | None, branch: str):
-        self.d, self.l, self.branch = d, l, branch
-        self.value = value      # None means the locus is empty
-
-    @property
-    def is_empty(self) -> bool:
-        return self.value is None
-
-
-def closed_form_dimension(d: int, l: int) -> TheoremValue:
-    """Piecewise dimension of S(d, l) in the plane; empty when d < l - 1."""
+def closed_form_dimension(d: int, l: int) -> int | None:
+    """The theorem's dim S(d, l) in the plane; None (the locus is empty)
+    when d < l - 1.  For d >= l - 1 it is the least of `upper_bounds`."""
     if d < 0 or l < 2:
         raise ValueError("need d >= 0 and l >= 2")
     if d < l - 1:
-        return TheoremValue(d, l, None, "empty")
+        return None
     ambient = comb(d + 2, 2) - 1
-    if l in (2, 3, 4):
-        return TheoremValue(d, l, ambient, "dominant-small-l")
-    if l == 5:
-        if d == 4:
-            return TheoremValue(d, l, ambient - 1, "luroth")
-        return TheoremValue(d, l, ambient, "dominant-l5")
-    return TheoremValue(d, l, comb(d + 2, 2) - comb(l, 2) + 2 * l - 1,
-                        "incidence-bound-attained")
+    if (d, l) == (4, 5):
+        return ambient - 1          # the Luroth quartics
+    if l <= 5:
+        return ambient
+    return comb(d + 2, 2) - comb(l, 2) + 2 * l - 1
 
 
 def upper_bounds(d: int, l: int, n: int = 2) -> list[tuple[str, int]]:
@@ -70,7 +56,3 @@ def upper_bounds(d: int, l: int, n: int = 2) -> list[tuple[str, int]]:
     if (n, d, l) == (2, 4, 5):
         bounds.append((LUROTH_SOURCE, LUROTH_BOUND))
     return bounds
-
-
-def min_upper_bound(d: int, l: int) -> int:
-    return min(v for _, v in upper_bounds(d, l))

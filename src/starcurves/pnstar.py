@@ -2,12 +2,12 @@
 l general hyperplanes.
 
 The configuration, its generators and the tangent span are the same code
-as in the plane (`starconfig`, `tangent`), with n taken from the forms.
-The tangent dimension gives a semicontinuity lower bound on the locus of
-degree-d hypersurfaces containing such a configuration.  Its conjectured
-equality with the bound of `formulas.upper_bounds` is reported, never
-asserted: random data can confirm the formula but not refute it.
-A lower bound above the upper bound is reported as a CONTRADICTION.
+as in the plane (`starconfig`, `tangent`), with n taken from the forms,
+and each row is read from the `tangent.certify` certificate of its (d, l).
+The conjectured equality of its lower bound with the bound of
+`formulas.upper_bounds` is reported, never asserted: random data can
+confirm the formula but not refute it.  A lower bound above the upper
+bound is reported as a CONTRADICTION.
 """
 
 from __future__ import annotations
@@ -17,24 +17,20 @@ from typing import Sequence
 from .fields import Field
 from .formulas import LUROTH_SOURCE, upper_bounds
 from .starconfig import StarConfiguration
-from .tangent import lower_bound_dim_S
+from .tangent import certify, verdict
 
 
 def conjecture_row(n: int, d: int, l: int, fld: Field, trials: int = 3,
                    seed: int = 0,
                    stars: Sequence[StarConfiguration] | None = None) -> dict:
-    """The `pn` report row of one (d, l): n, d, l, the lower bound, the
-    formula (the least bound of `upper_bounds` from no outside fact, so
-    the Luroth pair reads OPEN) and the status CONFIRMED, OPEN or
-    CONTRADICTION; `stars` as in `lower_bound_dim_S`."""
-    lower = lower_bound_dim_S(d, l, fld, trials=trials, seed=seed,
-                              stars=stars, n=n).lower_bound
+    """The `pn` report row of one (d, l), a view of `certify(..., n=n)`:
+    n, d, l, the lower bound, the formula (the least bound of
+    `upper_bounds` from no outside fact, so the Luroth pair reads OPEN)
+    and its `verdict` as CONFIRMED, OPEN or CONTRADICTION; `stars` as in
+    `lower_bound_dim_S`."""
     formula = min(v for s, v in upper_bounds(d, l, n) if s != LUROTH_SOURCE)
-    if lower > formula:
-        status = "CONTRADICTION"
-    elif lower == formula:
-        status = "CONFIRMED"
-    else:
-        status = "OPEN"
+    lower = certify(d, l, fld, trials=trials, seed=seed, stars=stars,
+                    n=n).lower_bound
     return {"n": n, "d": d, "l": l, "lower_bound": lower,
-            "formula_min": formula, "status": status}
+            "formula_min": formula,
+            "status": verdict(lower, formula, "CONFIRMED", "OPEN")}

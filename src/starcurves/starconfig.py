@@ -165,7 +165,7 @@ class StarConfiguration:
             raise ValueError(f"need at least n = {self.n} forms")
         # Line by line: the line of each (n-1)-subset t with max(t) < l
         # meets each later form k at the point of t + (k,), so one
-        # elimination of n - 1 rows serves l - max(t) points.
+        # elimination of n - 1 rows serves l - max(t) points, in key order.
         self.points = {}
         for t in itertools.combinations(range(1, self.l), self.n - 1):
             line = _line(self.field, [forms[i - 1] for i in t])
@@ -189,11 +189,11 @@ class StarConfiguration:
         return self.l - self.n + 1
 
     def point_list(self) -> list[Point]:
-        """Points in deterministic (sorted key) order."""
-        return [self.points[key] for key in sorted(self.points)]
+        """Points in key order, the order `points` is filled in."""
+        return list(self.points.values())
 
     def point_keys(self) -> list[tuple[int, ...]]:
-        return sorted(self.points)
+        return list(self.points)
 
     def generator_keys(self) -> list[tuple[int, ...]]:
         return list(itertools.combinations(range(1, self.l + 1), self.n - 1))

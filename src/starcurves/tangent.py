@@ -285,7 +285,7 @@ def structured_multipliers(star: StarConfiguration, d: int,
     """Structured multipliers realizing the block evaluation matrix, as
     coefficient vectors.
 
-    Requires l >= 6 and d >= l - 1.  Three regimes:
+    Requires n = 2 (lines), l >= 6 and d >= l - 1.  Three regimes:
     d = l - 1: all multipliers 1; d = l: all equal to a linear form G
     missing every configuration point; d >= l + 1: products of G with
     linear forms G_1..G_5 each passing through exactly one prescribed
@@ -293,6 +293,9 @@ def structured_multipliers(star: StarConfiguration, d: int,
     powers of G so every multiplier has degree d - l + 1.
     """
     l = star.l
+    if star.n != 2:
+        raise ValueError("structured multipliers are for lines in the "
+                         f"plane, not hyperplanes in P^{star.n}")
     if l < 6:
         raise ValueError("structured multipliers need l >= 6")
     if d < l - 1:
@@ -417,7 +420,7 @@ class DimensionCertificate:
         self.external_facts = [] if external_facts is None else external_facts
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "d": self.d,
             "l": self.l,
             **self.field_descriptor,
@@ -429,36 +432,41 @@ class DimensionCertificate:
             "external_facts": self.external_facts,
             "verdict": self.verdict,
         }
-        return out
+
+
+def verdict(lower: int, bound: int, match: str = "CERTIFIED",
+            short: str = "GAP") -> str:
+    """The one verdict rule: CONTRADICTION when the lower bound exceeds
+    the bound, `match` when it meets it, `short` when it falls short.
+    `pn` reads CONFIRMED and OPEN, as its bound is a conjecture."""
+    if lower > bound:
+        return "CONTRADICTION"
+    return match if lower == bound else short
 
 
 def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
             stars: Sequence[StarConfiguration] | None = None,
-            multipliers: Sequence[Multiplier] | None = None
-            ) -> DimensionCertificate:
-    """Full verification of one (d, l) pair.
+            multipliers: Sequence[Multiplier] | None = None,
+            n: int = 2) -> DimensionCertificate:
+    """Full verification of one (d, l) pair for l hyperplanes in P^n.
 
-    EMPTY when d < l - 1, with no star drawn; otherwise CONTRADICTION when
-    the observed lower bound exceeds the least upper bound, CERTIFIED when
-    it matches the closed-form value, GAP when the trials fall short.
+    EMPTY, with no star drawn, when n = 2 and d < l - 1, where the plane
+    theorem says the locus is empty; otherwise the `verdict` of the
+    observed lower bound against the least of `upper_bounds`, which for
+    n = 2 is the theorem's value (`theorem_value`, None for n >= 3).
     `stars` and `multipliers` are passed to `lower_bound_dim_S`.
     `external_facts` lists the source tags of the outside theorems the
     verdict relies on.
     """
-    tv = closed_form_dimension(d, l)
-    if tv.is_empty:
+    value = closed_form_dimension(d, l) if n == 2 else None
+    if n == 2 and value is None:
         return DimensionCertificate(d, l, fld.descriptor(), [], None, None,
                                     [], "EMPTY")
+    bounds = upper_bounds(d, l, n)
     result = lower_bound_dim_S(d, l, fld, trials=trials, seed=seed,
-                               stars=stars, multipliers=multipliers)
-    bounds = upper_bounds(d, l)
-    if result.lower_bound > min(v for _, v in bounds):
-        verdict = "CONTRADICTION"
-    elif result.lower_bound == tv.value:
-        verdict = "CERTIFIED"
-    else:
-        verdict = "GAP"
+                               stars=stars, multipliers=multipliers, n=n)
     facts = [STAR_IDEAL_SOURCE] + [s for s, _ in bounds if s == LUROTH_SOURCE]
     return DimensionCertificate(
-        d, l, fld.descriptor(), result.seeds, result.lower_bound, tv.value,
-        bounds, verdict, trial_dims=result.trial_dims, external_facts=facts)
+        d, l, fld.descriptor(), result.seeds, result.lower_bound, value,
+        bounds, verdict(result.lower_bound, min(v for _, v in bounds)),
+        trial_dims=result.trial_dims, external_facts=facts)

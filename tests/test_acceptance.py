@@ -64,7 +64,7 @@ def test_criterion_4_full_sweep():
     for l in range(2, 8):
         for d in range(l - 1, 10):
             cert = certify(d, l, GF, trials=3, seed=0)
-            expected = closed_form_dimension(d, l).value
+            expected = closed_form_dimension(d, l)
             if cert.verdict != "CERTIFIED" or cert.lower_bound != expected:
                 gaps.append((d, l, cert.verdict, cert.lower_bound, expected))
     elapsed = time.monotonic() - start

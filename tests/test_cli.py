@@ -524,7 +524,6 @@ def test_verify_frontier_certified(capsys):
 
 def inflate_lower_bounds(monkeypatch, by):
     """Make every lower bound `by` above its true value."""
-    import starcurves.pnstar as pnstar
     import starcurves.tangent as tangent
 
     real = tangent.lower_bound_dim_S
@@ -535,7 +534,6 @@ def inflate_lower_bounds(monkeypatch, by):
         return result
 
     monkeypatch.setattr(tangent, "lower_bound_dim_S", inflated)
-    monkeypatch.setattr(pnstar, "lower_bound_dim_S", inflated)
 
 
 def test_verify_contradiction_exit_status(capsys, monkeypatch):

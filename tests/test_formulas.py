@@ -2,39 +2,35 @@ from math import comb
 
 import pytest
 
-from starcurves.formulas import (closed_form_dimension, min_upper_bound,
-                                 upper_bounds)
+from starcurves.formulas import closed_form_dimension, upper_bounds
 
 
 def test_luroth_pair():
-    tv = closed_form_dimension(4, 5)
-    assert tv.value == 13
-    assert tv.branch == "luroth"
+    assert closed_form_dimension(4, 5) == 13 == \
+        dict(upper_bounds(4, 5))["luroth"]
 
 
 def test_six_lines_d5():
-    assert closed_form_dimension(5, 6).value == 17
+    assert closed_form_dimension(5, 6) == 17
 
 
 def test_empty_below_threshold():
-    tv = closed_form_dimension(3, 5)
-    assert tv.is_empty
-    assert tv.branch == "empty"
+    assert closed_form_dimension(3, 5) is None
 
 
 def test_small_l_ambient():
     for l in (2, 3, 4):
         for d in range(l - 1, 10):
-            assert closed_form_dimension(d, l).value == comb(d + 2, 2) - 1
+            assert closed_form_dimension(d, l) == comb(d + 2, 2) - 1
 
 
 def test_l5_above_quartic():
     for d in range(5, 10):
-        assert closed_form_dimension(d, 5).value == comb(d + 2, 2) - 1
+        assert closed_form_dimension(d, 5) == comb(d + 2, 2) - 1
 
 
 def test_large_l_formula():
-    assert closed_form_dimension(7, 7).value == 36 - 21 + 13
+    assert closed_form_dimension(7, 7) == 36 - 21 + 13
 
 
 def test_invalid_arguments():
@@ -56,29 +52,31 @@ def test_upper_bounds_six_lines():
 def test_upper_bounds_small_l_dominated_by_ambient():
     bounds = dict(upper_bounds(9, 4))
     assert bounds == {"ambient": 54, "incidence": 56}
-    assert min_upper_bound(9, 4) == 54
+    assert min(bounds.values()) == 54
 
 
-def test_theorem_value_below_every_upper_bound():
-    for l in range(2, 13):
-        for d in range(l - 1, 16):
-            tv = closed_form_dimension(d, l)
-            assert tv.value <= min_upper_bound(d, l)
+def test_theorem_value_is_the_least_upper_bound():
+    """The one verdict rule of `certify` compares with the least bound,
+    which is the theorem's value wherever the locus is not empty."""
+    for l in range(2, 41):
+        for d in range(l - 1, 61):
+            assert closed_form_dimension(d, l) == \
+                min(v for _, v in upper_bounds(d, l))
 
 
 def test_large_l_attains_incidence_bound():
     for l in range(6, 13):
         for d in range(l - 1, 16):
-            assert closed_form_dimension(d, l).value == \
+            assert closed_form_dimension(d, l) == \
                 dict(upper_bounds(d, l))["incidence"]
 
 
 def test_small_l_attains_ambient_bound():
     for l in (2, 3, 4):
         for d in range(l - 1, 16):
-            assert closed_form_dimension(d, l).value == comb(d + 2, 2) - 1
+            assert closed_form_dimension(d, l) == comb(d + 2, 2) - 1
     for d in range(5, 16):
-        assert closed_form_dimension(d, 5).value == comb(d + 2, 2) - 1
+        assert closed_form_dimension(d, 5) == comb(d + 2, 2) - 1
 
 
 def test_pn_upper_bound_specializes_to_plane():
@@ -87,7 +85,8 @@ def test_pn_upper_bound_specializes_to_plane():
     for l in range(2, 10):
         for d in range(l - 1, 12):
             counts = min(v for s, v in upper_bounds(d, l, 2) if s != "luroth")
-            assert counts == min_upper_bound(d, l) + ((d, l) == (4, 5))
+            assert counts == min(v for _, v in upper_bounds(d, l)) + \
+                ((d, l) == (4, 5))
 
 
 def test_pn_upper_bound_examples():

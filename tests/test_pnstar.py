@@ -1,14 +1,14 @@
 import pytest
 
-import starcurves.pnstar as pnstar
+import starcurves.tangent as tangent
 from starcurves.fields import PrimeField
-from starcurves.formulas import upper_bounds
+from starcurves.formulas import LUROTH_SOURCE, STAR_IDEAL_SOURCE, upper_bounds
 from starcurves.pnstar import conjecture_row
 from starcurves.starconfig import (GenericityError, LinearForm,
                                    StarConfiguration, build_star,
                                    random_star)
-from starcurves.tangent import (LowerBoundResult, _hat_product, generators,
-                                lower_bound_dim_S)
+from starcurves.tangent import (LowerBoundResult, _hat_product, certify,
+                                generators, lower_bound_dim_S)
 
 GF = PrimeField()
 
@@ -103,9 +103,40 @@ def test_conjecture_row_luroth_case_is_open():
     assert row["status"] == "OPEN"
 
 
+def test_luroth_row_is_certified_but_open_in_pn():
+    """The Luroth bound is an outside fact: `certify` uses it and
+    certifies the row, `pn` leaves it out and reports the row open."""
+    cert = certify(4, 5, GF, trials=1, seed=0)
+    assert (cert.verdict, cert.lower_bound) == ("CERTIFIED", 13)
+    assert LUROTH_SOURCE in cert.external_facts
+    assert conjecture_row(2, 4, 5, GF, trials=1, seed=0)["status"] == "OPEN"
+
+
+#: The statuses `pn` reads for the verdicts of `certify` in P^n, n >= 3.
+PN_STATUS = {"CERTIFIED": "CONFIRMED", "GAP": "OPEN",
+             "CONTRADICTION": "CONTRADICTION"}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_pn_rows_are_certificates(seed):
+    """On every (d, l) of `pn --n 3 --dmax 8 --lmax 6`, the row carries the
+    certificate's lower bound and least bound, and its status is the
+    certificate's verdict; the certificate relies on ideal generation
+    alone and has no theorem value."""
+    for l in range(3, 7):
+        for d in range(l - 1, 9):
+            cert = certify(d, l, GF, trials=1, seed=seed, n=3)
+            row = conjecture_row(3, d, l, GF, trials=1, seed=seed)
+            assert cert.external_facts == [STAR_IDEAL_SOURCE]
+            assert cert.theorem_value is None
+            assert (row["lower_bound"], row["formula_min"]) == \
+                (cert.lower_bound, min(v for _, v in cert.upper_bounds))
+            assert row["status"] == PN_STATUS[cert.verdict]
+
+
 def test_conjecture_row_contradiction(monkeypatch):
     # the P^3 bound at (d, l) = (3, 4) is 19; a lower bound of 20 contradicts it
-    monkeypatch.setattr(pnstar, "lower_bound_dim_S",
+    monkeypatch.setattr(tangent, "lower_bound_dim_S",
                         lambda d, l, *a, **k: LowerBoundResult(d, l, 20, [21],
                                                                [0]))
     row = conjecture_row(3, 3, 4, GF, trials=1)

@@ -265,6 +265,17 @@ def test_star_freed_by_reference_counting(field):
         gc.enable()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 4), st.integers(0, 2**32),
+       st.sampled_from([QQ, GF, PrimeField(13)]))
+def test_points_come_in_key_order(n, extra, seed, field):
+    """`points` is filled in sorted key order, which `point_keys` and
+    `point_list` return as they are."""
+    star = random_star(n + extra, seed, field, n)
+    assert list(star.points) == sorted(star.points) == star.point_keys()
+    assert star.point_list() == [star.points[k] for k in sorted(star.points)]
+
+
 def test_build_star_triangle():
     star = build_star(coordinate_forms())
     assert set(star.point_list()) == {(0, 0, 1), (0, 1, 0), (1, 0, 0)}

@@ -27,7 +27,8 @@ from starcurves.tangent import (LowerBoundResult, _hat_product, _linear_poly,
                                 generators, ideal_component_dim,
                                 lower_bound_dim_S, evaluation_submatrix_rank,
                                 random_multipliers, tangent_dim_direct,
-                                tangent_dim_points, structured_multipliers)
+                                tangent_dim_points, structured_multipliers,
+                                verdict)
 
 from product_rule import perturbation_coefficient
 
@@ -196,7 +197,7 @@ def test_rational_tangent_rank_needs_no_bareiss(monkeypatch):
     star = random_star(9, 0, QQ)
     mult = random_multipliers(star, 10, random.Random(0))
     assert tangent_dim_points(star, 10, mult) == \
-        closed_form_dimension(10, 9).value + 1
+        closed_form_dimension(10, 9) + 1
 
 
 def counting_rows(monkeypatch):
@@ -449,7 +450,7 @@ def test_rational_point_rank_needs_no_fraction_arithmetic(monkeypatch):
     for mult in (random_multipliers(star, 10, random.Random(0)),
                  structured_multipliers(star, 10)):
         assert tangent_dim_points(star, 10, mult) == \
-            closed_form_dimension(10, 9).value + 1
+            closed_form_dimension(10, 9) + 1
 
 
 def test_rational_multipliers_refuse_non_int_coefficients():
@@ -665,6 +666,15 @@ def test_structured_multipliers_need_l6():
         structured_multipliers(star, 5)
 
 
+@pytest.mark.parametrize("d", [6, 7, 8])
+def test_structured_multipliers_refuse_space_stars(d):
+    """Their forms have three coefficients, so a star of P^3 is refused
+    before any draw, at d = l - 1 (unit multipliers), d = l and past it."""
+    star = random_star(7, 0, GF, n=3)
+    with pytest.raises(ValueError, match=r"not hyperplanes in P\^3"):
+        structured_multipliers(star, d)
+
+
 PINNED_FIELDS = {"prime": GF, "rational": QQ, "prime101": PrimeField(101)}
 
 
@@ -766,6 +776,22 @@ def test_certificate_records_external_facts():
     assert certify(4, 5, GF, trials=1).to_json()["external_facts"] == \
         [STAR_IDEAL_SOURCE, LUROTH_SOURCE]
     assert certify(2, 5, GF).external_facts == []
+
+
+def test_certify_in_space_keeps_the_degree_preconditions():
+    """EMPTY is the plane theorem's verdict only; in P^3 the degrees
+    below l - 1 are refused."""
+    for d in (2, 3):
+        with pytest.raises(ValueError):
+            certify(d, 5, GF, trials=1, n=3)
+
+
+@pytest.mark.parametrize("lower, expected", [
+    (13, ("CERTIFIED", "CONFIRMED")), (12, ("GAP", "OPEN")),
+    (14, ("CONTRADICTION", "CONTRADICTION"))])
+def test_verdict_rule(lower, expected):
+    assert (verdict(lower, 13), verdict(lower, 13, "CONFIRMED", "OPEN")) == \
+        expected
 
 
 def test_certify_contradiction_when_lower_exceeds_upper(monkeypatch):
