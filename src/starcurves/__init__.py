@@ -11,9 +11,9 @@ from .starconfig import (GenericityError, LinearForm, StarConfiguration,
                          build_star, hilbert_function, intersection_point,
                          random_star)
 from .tangent import (DimensionCertificate, TrialStars, build_q_forms, certify,
-                      ideal_component_dim, lower_bound_dim_S,
-                      evaluation_submatrix_rank, tangent_dim_direct,
-                      tangent_dim_points, structured_multipliers)
+                      ideal_component_dim, evaluation_submatrix_rank,
+                      tangent_dim_direct, tangent_dim_points,
+                      structured_multipliers)
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,6 @@ __all__ = [
     "GenericityError", "LinearForm", "StarConfiguration", "build_star",
     "hilbert_function", "intersection_point", "random_star",
     "DimensionCertificate", "TrialStars", "build_q_forms", "certify",
-    "ideal_component_dim", "lower_bound_dim_S", "evaluation_submatrix_rank",
-    "tangent_dim_direct", "tangent_dim_points", "structured_multipliers",
+    "ideal_component_dim", "evaluation_submatrix_rank", "tangent_dim_direct",
+    "tangent_dim_points", "structured_multipliers",
 ]

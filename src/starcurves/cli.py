@@ -111,9 +111,9 @@ def emit_rows(rows: list[dict], fmt: str, output: str | None,
 
 def run_one(d: int, l: int, fld: Field, trials: int, seed: int,
             paper_forms: bool, stars=None, verbose: bool = False) -> dict:
-    """One certificate row; `stars` as in `lower_bound_dim_S`, or the
-    published lines in every trial with `paper_forms`.  `verbose` writes
-    each trial's tangent dimension to stderr."""
+    """One certificate row; `stars` as in `certify`, or the published
+    lines in every trial with `paper_forms`.  `verbose` writes each
+    trial's tangent dimension to stderr."""
     start = time.monotonic()
     multipliers = None
     if paper_forms:

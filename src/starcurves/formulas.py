@@ -25,18 +25,13 @@ STAR_IDEAL_SOURCE = "star-ideal-generation"
 
 
 def closed_form_dimension(d: int, l: int) -> int | None:
-    """The theorem's dim S(d, l) in the plane; None (the locus is empty)
-    when d < l - 1.  For d >= l - 1 it is the least of `upper_bounds`."""
+    """The theorem's dim S(d, l) in the plane: None (the locus is empty)
+    when d < l - 1, else the least of `upper_bounds(d, l)`."""
     if d < 0 or l < 2:
         raise ValueError("need d >= 0 and l >= 2")
     if d < l - 1:
         return None
-    ambient = comb(d + 2, 2) - 1
-    if (d, l) == (4, 5):
-        return ambient - 1          # the Luroth quartics
-    if l <= 5:
-        return ambient
-    return comb(d + 2, 2) - comb(l, 2) + 2 * l - 1
+    return min(v for _, v in upper_bounds(d, l))
 
 
 def upper_bounds(d: int, l: int, n: int = 2) -> list[tuple[str, int]]:

@@ -60,6 +60,9 @@ class LinearForm:
     def evaluate(self, point: Point) -> Element:
         """The value at the point's integer vector: a nonzero multiple of
         the value at any other representative of the point."""
+        if len(point) != len(self.coefficients):
+            raise ValueError(f"a point of {len(point)} coordinates for a "
+                             f"form in {self.nvars} variables")
         return self.field.from_int(sum(map(mul, self.coefficients, point)))
 
     def __eq__(self, other):

@@ -335,15 +335,6 @@ def random_multipliers(star: StarConfiguration, d: int,
 # ---------------------------------------------------------------------------
 # semicontinuity lower bounds and certificates
 
-class LowerBoundResult:
-    """`lower_bound_dim_S`'s bound, with each trial's dimension and seed."""
-
-    def __init__(self, d: int, l: int, lower_bound: int,
-                 trial_dims: list[int], seeds: list[int]):
-        self.d, self.l, self.lower_bound = d, l, lower_bound
-        self.trial_dims, self.seeds = trial_dims, seeds
-
-
 def trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
@@ -368,51 +359,17 @@ class TrialStars:
         return self._drawn[trial]
 
 
-def lower_bound_dim_S(d: int, l: int, fld: Field, trials: int = 3,
-                      seed: int = 0,
-                      stars: Sequence[StarConfiguration] | None = None,
-                      multipliers: Sequence[Multiplier] | None = None,
-                      n: int = 2) -> LowerBoundResult:
-    """Semicontinuity lower bound: max over random trials of dim_k I_d - 1,
-    for l hyperplanes in P^n (lines in the plane by default).
-
-    Any specific choice of data gives a tangent dimension that can only be
-    smaller than the generic one, so the maximum observed dimension minus
-    one certifies a lower bound on the dimension of the locus.  Each
-    trial takes the point-evaluation rank (algorithm B).  `stars[t]` is
-    the configuration of trial t (by default a `TrialStars` of its own);
-    fixed `multipliers` override the random draw in every trial.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if d < l - n + 1:
-        raise ValueError(f"need d >= l - n + 1 = {l - n + 1}")
-    if stars is None:
-        stars = TrialStars(l, fld, seed, n)
-    dims, seeds = [], []
-    for t in range(trials):
-        ts = trial_seed(seed, t)
-        seeds.append(ts)
-        star = stars[t]
-        if (star.l, star.n) != (l, n):
-            raise ValueError(f"trial {t} has l = {star.l} hyperplanes in "
-                             f"P^{star.n}, not l = {l} in P^{n}")
-        mult = multipliers if multipliers is not None else \
-            random_multipliers(star, d, random.Random(ts ^ 0x5EED))
-        dims.append(tangent_dim_points(star, d, mult))
-    return LowerBoundResult(d, l, max(dims) - 1, dims, seeds)
-
-
 class DimensionCertificate:
-    """The verdict on one (d, l) pair and the data it was read from."""
+    """The verdict on one (d, l) pair in P^n and the data it was read from."""
 
     def __init__(self, d: int, l: int, field_descriptor: dict,
                  seeds: list[int], lower_bound: int | None,
                  theorem_value: int | None,
                  upper_bounds: list[tuple[str, int]], verdict: str,
                  trial_dims: list[int] | None = None,
-                 external_facts: list[str] | None = None):
-        self.d, self.l, self.field_descriptor = d, l, field_descriptor
+                 external_facts: list[str] | None = None, n: int = 2):
+        self.d, self.l, self.n, self.field_descriptor = \
+            d, l, n, field_descriptor
         self.seeds, self.lower_bound = seeds, lower_bound
         self.theorem_value, self.upper_bounds = theorem_value, upper_bounds
         self.verdict = verdict      # CERTIFIED | GAP | CONTRADICTION | EMPTY
@@ -423,6 +380,7 @@ class DimensionCertificate:
         return {
             "d": self.d,
             "l": self.l,
+            "n": self.n,
             **self.field_descriptor,
             "seeds": self.seeds,
             "lower_bound": self.lower_bound,
@@ -451,22 +409,38 @@ def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
     """Full verification of one (d, l) pair for l hyperplanes in P^n.
 
     EMPTY, with no star drawn, when n = 2 and d < l - 1, where the plane
-    theorem says the locus is empty; otherwise the `verdict` of the
-    observed lower bound against the least of `upper_bounds`, which for
-    n = 2 is the theorem's value (`theorem_value`, None for n >= 3).
-    `stars` and `multipliers` are passed to `lower_bound_dim_S`.
-    `external_facts` lists the source tags of the outside theorems the
-    verdict relies on.
+    theorem says the locus is empty.  Otherwise trial t takes the
+    point-evaluation rank (algorithm B) at `stars[t]` (a `TrialStars` of
+    its own by default) with the fixed `multipliers`, or with multipliers
+    drawn from trial_seed(seed, t).  Specific data gives a tangent
+    dimension no larger than the generic one, so the largest dim_k I_d
+    minus one is a semicontinuity lower bound.  Its `verdict` against the
+    least of `upper_bounds` (for n = 2 the theorem's `theorem_value`, None
+    for n >= 3) is the certificate's.  `external_facts` lists the source
+    tags of the outside theorems the verdict relies on.
     """
     value = closed_form_dimension(d, l) if n == 2 else None
     if n == 2 and value is None:
         return DimensionCertificate(d, l, fld.descriptor(), [], None, None,
                                     [], "EMPTY")
     bounds = upper_bounds(d, l, n)
-    result = lower_bound_dim_S(d, l, fld, trials=trials, seed=seed,
-                               stars=stars, multipliers=multipliers, n=n)
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    stars = TrialStars(l, fld, seed, n) if stars is None else stars
+    seeds = [trial_seed(seed, t) for t in range(trials)]
+    dims = []
+    for t, ts in enumerate(seeds):
+        star = stars[t]
+        if (star.l, star.n, star.field) != (l, n, fld):
+            raise ValueError(f"trial {t} has l = {star.l} hyperplanes in "
+                             f"P^{star.n} over {star.field!r}, not l = {l} "
+                             f"in P^{n} over {fld!r}")
+        mult = multipliers if multipliers is not None else \
+            random_multipliers(star, d, random.Random(ts ^ 0x5EED))
+        dims.append(tangent_dim_points(star, d, mult))
+    lower = max(dims) - 1
     facts = [STAR_IDEAL_SOURCE] + [s for s, _ in bounds if s == LUROTH_SOURCE]
     return DimensionCertificate(
-        d, l, fld.descriptor(), result.seeds, result.lower_bound, value,
-        bounds, verdict(result.lower_bound, min(v for _, v in bounds)),
-        trial_dims=result.trial_dims, external_facts=facts)
+        d, l, fld.descriptor(), seeds, lower, value, bounds,
+        verdict(lower, min(v for _, v in bounds)), trial_dims=dims,
+        external_facts=facts, n=n)

@@ -14,8 +14,8 @@ from starcurves.reference_cases import (block_matrix_rank,
                                         six_line_matrix_rank)
 from starcurves.starconfig import random_star
 from starcurves.tangent import (certify, generators, ideal_component_dim,
-                                lower_bound_dim_S, random_multipliers,
-                                tangent_dim_direct, tangent_dim_points)
+                                random_multipliers, tangent_dim_direct,
+                                tangent_dim_points)
 
 GF = PrimeField()
 
@@ -51,7 +51,7 @@ def test_criterion_2_twelve_by_twelve_ranks():
 def test_criterion_3_block_case():
     start = time.monotonic()
     rank = block_matrix_rank(QQ, 7, 6)
-    lower = lower_bound_dim_S(6, 7, GF, trials=3, seed=0).lower_bound
+    lower = certify(6, 7, GF, trials=3, seed=0).lower_bound
     elapsed = time.monotonic() - start
     ok = rank == 14 and lower == 20 and elapsed < 5.0
     report(3, "seven-line 14x14 block matrix rank 14; lower bound 20",
@@ -135,17 +135,15 @@ def test_criterion_9_pn_extension():
     mismatch = []
     for l in range(2, 7):
         for d in range(l - 1, 9):
-            a = lower_bound_dim_S(d, l, GF, trials=1, seed=11,
-                                  n=2).lower_bound
-            b = lower_bound_dim_S(d, l, GF, trials=1, seed=11).lower_bound
+            a = certify(d, l, GF, trials=1, seed=11, n=2).lower_bound
+            b = certify(d, l, GF, trials=1, seed=11).lower_bound
             if a != b:
                 mismatch.append((d, l, a, b))
     violations = []
     rows = []
     for l in range(3, 6):
         for d in range(max(l - 1, l - 3 + 1), 7):
-            lower = lower_bound_dim_S(d, l, GF, trials=1, seed=13,
-                                      n=3).lower_bound
+            lower = certify(d, l, GF, trials=1, seed=13, n=3).lower_bound
             formula = min(v for _, v in upper_bounds(d, l, 3))
             if lower > formula:
                 violations.append((d, l, lower, formula))

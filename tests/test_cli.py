@@ -523,17 +523,16 @@ def test_verify_frontier_certified(capsys):
 
 
 def inflate_lower_bounds(monkeypatch, by):
-    """Make every lower bound `by` above its true value."""
+    """Make every lower bound `by` above its true value: each trial's
+    tangent dimension D gives the lower bound D - 1."""
     import starcurves.tangent as tangent
 
-    real = tangent.lower_bound_dim_S
+    real = tangent.tangent_dim_points
 
     def inflated(*args, **kwargs):
-        result = real(*args, **kwargs)
-        result.lower_bound += by
-        return result
+        return real(*args, **kwargs) + by
 
-    monkeypatch.setattr(tangent, "lower_bound_dim_S", inflated)
+    monkeypatch.setattr(tangent, "tangent_dim_points", inflated)
 
 
 def test_verify_contradiction_exit_status(capsys, monkeypatch):

@@ -55,13 +55,23 @@ def test_upper_bounds_small_l_dominated_by_ambient():
     assert min(bounds.values()) == 54
 
 
-def test_theorem_value_is_the_least_upper_bound():
-    """The one verdict rule of `certify` compares with the least bound,
-    which is the theorem's value wherever the locus is not empty."""
+def test_theorem_value_is_the_papers_piecewise_value():
+    """The paper's theorem case by case: empty below l - 1, the Luroth
+    quartics one below the ambient count, the ambient count C(d+2,2) - 1
+    for l <= 5 and the incidence count C(d+2,2) - C(l,2) + 2l - 1 for
+    l >= 6."""
     for l in range(2, 41):
-        for d in range(l - 1, 61):
-            assert closed_form_dimension(d, l) == \
-                min(v for _, v in upper_bounds(d, l))
+        for d in range(61):
+            ambient = comb(d + 2, 2) - 1
+            if d < l - 1:
+                expected = None
+            elif (d, l) == (4, 5):
+                expected = ambient - 1
+            elif l <= 5:
+                expected = ambient
+            else:
+                expected = comb(d + 2, 2) - comb(l, 2) + 2 * l - 1
+            assert closed_form_dimension(d, l) == expected, (d, l)
 
 
 def test_large_l_attains_incidence_bound():

@@ -7,8 +7,7 @@ from starcurves.pnstar import conjecture_row
 from starcurves.starconfig import (GenericityError, LinearForm,
                                    StarConfiguration, build_star,
                                    random_star)
-from starcurves.tangent import (LowerBoundResult, _hat_product, certify,
-                                generators, lower_bound_dim_S)
+from starcurves.tangent import _hat_product, certify, generators
 
 GF = PrimeField()
 
@@ -74,16 +73,15 @@ def test_degenerate_hyperplanes_rejected():
 def test_n2_agrees_with_plane_lower_bound():
     for l in (3, 4, 5):
         for d in range(l - 1, l + 2):
-            a = lower_bound_dim_S(d, l, GF, trials=1, seed=6, n=2).lower_bound
-            b = lower_bound_dim_S(d, l, GF, trials=1, seed=6).lower_bound
+            a = certify(d, l, GF, trials=1, seed=6, n=2).lower_bound
+            b = certify(d, l, GF, trials=1, seed=6).lower_bound
             assert a == b
 
 
 def test_n3_never_exceeds_formula():
     for l in (3, 4):
         for d in range(l - 1, l + 2):
-            lower = lower_bound_dim_S(d, l, GF, trials=1, seed=2,
-                                      n=3).lower_bound
+            lower = certify(d, l, GF, trials=1, seed=2, n=3).lower_bound
             assert lower <= min(v for _, v in upper_bounds(d, l, 3))
 
 
@@ -136,16 +134,21 @@ def test_pn_rows_are_certificates(seed):
 
 def test_conjecture_row_contradiction(monkeypatch):
     # the P^3 bound at (d, l) = (3, 4) is 19; a lower bound of 20 contradicts it
-    monkeypatch.setattr(tangent, "lower_bound_dim_S",
-                        lambda d, l, *a, **k: LowerBoundResult(d, l, 20, [21],
-                                                               [0]))
+    monkeypatch.setattr(tangent, "tangent_dim_points", lambda *a, **k: 21)
     row = conjecture_row(3, 3, 4, GF, trials=1)
     assert (row["lower_bound"], row["formula_min"]) == (20, 19)
     assert row["status"] == "CONTRADICTION"
 
 
+def test_conjecture_row_refuses_an_empty_plane_locus():
+    """Below l - 1 the plane certificate is EMPTY, with no bound to
+    compare with."""
+    with pytest.raises(ValueError, match="empty at d < l - 1 = 4"):
+        conjecture_row(2, 3, 5, GF, trials=1)
+
+
 def test_degree_precondition():
     with pytest.raises(ValueError):
-        lower_bound_dim_S(1, 4, GF, n=3)
+        certify(1, 4, GF, n=3)
     with pytest.raises(ValueError):
         StarConfiguration(coordinate_hyperplanes(1))

@@ -231,6 +231,14 @@ def test_prime_field_forms_store_residues():
     assert form.coefficients == (1, 0, 0)
 
 
+@pytest.mark.parametrize("point", [(1, 1, 1, 5), (1, 1)])
+def test_evaluate_refuses_a_point_of_another_length(point):
+    form = LinearForm(PrimeField(), [1, 2, 3])
+    assert form.evaluate((1, 1, 1)) == 6
+    with pytest.raises(ValueError, match=f"point of {len(point)}"):
+        form.evaluate(point)
+
+
 @pytest.mark.parametrize("field, n", [(QQ, 2), (QQ, 3), (GF, 2),
                                       (PrimeField(11), 3)])
 def test_integer_coordinates_are_the_point(field, n):

@@ -22,10 +22,11 @@ from starcurves.formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                                  closed_form_dimension)
 from starcurves.starconfig import (GenericityError, LinearForm, build_star,
                                    random_star)
-from starcurves.tangent import (LowerBoundResult, _hat_product, _linear_poly,
+from starcurves.tangent import (DimensionCertificate, TrialStars,
+                                _hat_product, _linear_poly,
                                 _multiplier_values, build_q_forms, certify,
                                 generators, ideal_component_dim,
-                                lower_bound_dim_S, evaluation_submatrix_rank,
+                                evaluation_submatrix_rank,
                                 random_multipliers, tangent_dim_direct,
                                 tangent_dim_points, structured_multipliers,
                                 verdict)
@@ -726,18 +727,13 @@ def test_random_multipliers_are_the_dense_draw(field, n):
 # -- lower bounds and certificates ------------------------------------------
 
 def test_lower_bound_quartic_case():
-    res = lower_bound_dim_S(4, 5, GF, trials=3, seed=0)
+    res = certify(4, 5, GF, trials=3, seed=0)
     assert res.lower_bound == 13
 
 
 def test_lower_bound_small_cases():
-    assert lower_bound_dim_S(2, 3, GF, trials=2, seed=1).lower_bound == 5
-    assert lower_bound_dim_S(5, 6, GF, trials=2, seed=1).lower_bound == 17
-
-
-def test_lower_bound_requires_valid_degree():
-    with pytest.raises(ValueError):
-        lower_bound_dim_S(3, 5, GF)
+    assert certify(2, 3, GF, trials=2, seed=1).lower_bound == 5
+    assert certify(5, 6, GF, trials=2, seed=1).lower_bound == 17
 
 
 def test_certify_certified():
@@ -778,6 +774,33 @@ def test_certificate_records_external_facts():
     assert certify(2, 5, GF).external_facts == []
 
 
+GFP = f"GF({DEFAULT_PRIME})"
+
+
+@pytest.mark.parametrize("fld, stars, has", [
+    (QQ, TrialStars(7, PrimeField(13), 0), "l = 7 hyperplanes in P^2 over "
+                                           "GF(13), not l = 7 in P^2 over QQ"),
+    (GF, TrialStars(6, GF, 0), f"l = 6 hyperplanes in P^2 over {GFP}, "
+                               f"not l = 7 in P^2 over {GFP}"),
+    (GF, TrialStars(7, GF, 0, n=3), f"l = 7 hyperplanes in P^3 over {GFP}, "
+                                    f"not l = 7 in P^2 over {GFP}")])
+def test_certify_refuses_a_star_of_another_row(fld, stars, has):
+    """A supplied star must have the row's l, n and field: a star over
+    GF(13) would make every rank of a rational certificate mod 13."""
+    with pytest.raises(ValueError) as err:
+        certify(8, 7, fld, trials=1, stars=stars)
+    assert str(err.value) == f"trial 0 has {has}"
+
+
+def test_certificate_records_n():
+    assert certify(4, 4, GF, trials=1, n=3).to_json()["n"] == 3
+    assert certify(4, 4, GF, trials=1).to_json()["n"] == 2
+    assert certify(2, 5, GF).to_json()["n"] == 2
+    cert = DimensionCertificate(5, 6, {"field": "prime"}, [0], 17, 17,
+                                [("incidence", 17)], "CERTIFIED")
+    assert cert.n == 2
+
+
 def test_certify_in_space_keeps_the_degree_preconditions():
     """EMPTY is the plane theorem's verdict only; in P^3 the degrees
     below l - 1 are refused."""
@@ -796,9 +819,8 @@ def test_verdict_rule(lower, expected):
 
 def test_certify_contradiction_when_lower_exceeds_upper(monkeypatch):
     # the incidence bound for (5, 6) is 17; a lower bound of 18 contradicts it
-    monkeypatch.setattr(tangent_mod, "lower_bound_dim_S",
-                        lambda d, l, *a, **k: LowerBoundResult(d, l, 18, [19],
-                                                               [0]))
+    monkeypatch.setattr(tangent_mod, "tangent_dim_points",
+                        lambda *a, **k: 19)
     cert = certify(5, 6, GF, trials=1)
     assert cert.verdict == "CONTRADICTION"
     assert cert.lower_bound == 18 and cert.theorem_value == 17
