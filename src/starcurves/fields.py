@@ -5,13 +5,14 @@ divides, and `check_integral` refuses other input), and residues in
 ``[0, p)`` for a prime field, so 0 and 1 are written as ints and sums
 are int sums.  A ``Field`` object carries the rest: the reduction of an
 int (`from_int`), the product (`mul`), the zero test (`is_zero`), the
-random draw from a `random.Random` (`random`) and a JSON-friendly
-`descriptor()`; containers (polynomials, matrices) hold a field
-reference and refuse to mix elements from different fields.
+random draws from a `random.Random` (`randoms`, and `random` for one)
+and a JSON-friendly `descriptor()`; containers (polynomials, matrices)
+hold a field reference and refuse to mix elements from different fields.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable
 
 Element = int
@@ -49,6 +50,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _below(rng, n: int, count: int) -> list[int]:
+    """`count` draws of `rng.randrange(n)`, leaving `rng` as they would.
+    `randrange` draws `getrandbits(n.bit_length())` until it is below n;
+    one stream of those is read for the draws still missing, as often as
+    needed, and the values below n are kept."""
+    k, out = n.bit_length(), []
+    while len(out) < count:
+        out += [r for r in map(rng.getrandbits, repeat(k, count - len(out)))
+                if r < n]
+    return out
+
+
 class RationalField:
     """The field Q; elements are ``int``."""
 
@@ -64,8 +77,13 @@ class RationalField:
     def is_zero(self, a):
         return a == 0
 
+    def randoms(self, rng, count: int) -> list[int]:
+        """`count` draws of `rng.randint(-RANDOM_BOUND, RANDOM_BOUND)`."""
+        b = self.RANDOM_BOUND
+        return [x - b for x in _below(rng, 2 * b + 1, count)]
+
     def random(self, rng):
-        return rng.randint(-self.RANDOM_BOUND, self.RANDOM_BOUND)
+        return self.randoms(rng, 1)[0]
 
     def descriptor(self):
         return {"field": "rational"}
@@ -97,8 +115,12 @@ class PrimeField:
     def is_zero(self, a):
         return a % self.p == 0
 
+    def randoms(self, rng, count: int) -> list[int]:
+        """`count` draws of `rng.randrange(p)`."""
+        return _below(rng, self.p, count)
+
     def random(self, rng):
-        return rng.randrange(self.p)
+        return self.randoms(rng, 1)[0]
 
     def descriptor(self):
         return {"field": "prime", "prime": self.p}

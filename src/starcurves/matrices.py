@@ -1,22 +1,20 @@
 """Exact rank of a stream of rows.
 
-Every rank is read from a mod-p elimination that keeps vectors in echelon
-form as they are added one at a time, in one of two forms with one
-interface (`add`, `len`, `full`).  `EchelonModP` keeps each vector as a
-list of residues and reduces entry by entry from each stored pivot on.
-It serves `rank`, whose heaviest load is the tangent rows of
-`tangent.tangent_dim_points`: n*l entries, n^2 of them nonzero.
-`PackedEchelonModP` keeps each vector as one int of fixed-width slots and
-reduces by one multiply-add of whole ints.  It serves the Hilbert
-function's evaluation columns (`starconfig`): C(l, n) entries, mostly
-nonzero, which arrive as residues (`add_residues`).  Each form is the
-faster one on its own load; packing the tangent rows too made the
-tangent workloads of `bench/` slower (see the README).
+Every rank is read from a mod-p echelon: vectors added one at a time and
+kept in echelon form, behind one interface (`add`, `len`, `full`), in one
+of two forms.  `SparseEchelonModP` keeps each vector as its nonzero
+entries, `{column: residue}`.  It serves `rank`, whose heaviest load is
+the tangent rows of `tangent.tangent_dim_points`: n*l columns, n^2 of
+them nonzero.  `PackedEchelonModP` keeps each vector as one int of
+fixed-width slots and reduces by one multiply-add of whole ints.  It
+serves the Hilbert function's dense columns (`starconfig`, which adds
+residues by `add_residues`).  Each is the faster one on its own load.
 
-`rank` stops reading its rows once the echelon holds one vector per
-column.  Over a prime field the rank is the echelon's size.  Over Q the
-entries are ints, read mod the fixed prime `DEFAULT_PRIME`; a full
-echelon (`EchelonModP.full`) gives the rational rank, and the exact
+`rank` reads rows as `{column: value}` maps, or as sequences of `ncols`
+entries, and stops once the echelon holds one vector per column.  Over a
+prime field the rank is the echelon's size.  Over Q the entries are ints,
+read mod the fixed prime `DEFAULT_PRIME`; a full echelon
+(`SparseEchelonModP.full`) gives the rational rank, and the exact
 forward-only fraction-free elimination of every row (`_rank_bareiss`)
 decides otherwise.  Its Gauss-Jordan form, `fraction_free`, gives
 `starconfig` the line where n - 1 hyperplanes of P^n meet, over Q and,
@@ -25,49 +23,55 @@ run mod p, over GF(p).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from bisect import insort
+from typing import Iterable, Mapping, Sequence
 
 from .fields import (DEFAULT_PRIME, Element, Field, FieldMismatchError,
                      PrimeField, RationalField, check_integral)
 
 
-def rank(field: Field, rows: Iterable[Sequence[Element]], ncols: int) -> int:
-    """The rank of the matrix with these rows of `ncols` entries.  Rows
-    go into one `EchelonModP` until it holds `ncols` vectors, and the rest
-    are not read.  Over Q a row with a non-int entry is refused as it is
-    read, and the rows read are kept for `_rank_bareiss`."""
+def rank(field: Field, rows: Iterable[dict[int, Element] | Sequence[Element]],
+         ncols: int) -> int:
+    """The rank of the matrix with these rows of `ncols` columns.  Rows
+    go into one `SparseEchelonModP` until it holds `ncols` vectors, and
+    the rest are not read.  Over Q a row with a non-int entry is refused
+    as it is read, and the rows read are kept, as maps, for
+    `_rank_bareiss`."""
     if isinstance(field, PrimeField):
         p, kept = field.p, None
     elif isinstance(field, RationalField):
         p, kept = DEFAULT_PRIME, []
     else:
         raise FieldMismatchError(f"unsupported field {field!r}")
-    echelon = EchelonModP(p, ncols)
+    echelon = SparseEchelonModP(p, ncols)
     for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"a row of {len(row)} entries, not {ncols}")
+        if not isinstance(row, dict):
+            if len(row) != ncols:
+                raise ValueError(f"a row of {len(row)} entries, not {ncols}")
+            row = {c: x for c, x in enumerate(row) if x}
+        elif row and not (0 <= min(row) and max(row) < ncols):
+            raise ValueError(f"a row with a column outside 0..{ncols - 1}")
         if kept is not None:
-            check_integral(field, row, "matrix entries")
+            check_integral(field, row.values(), "matrix entries")
             kept.append(row)
-            row = [x % p for x in row]
         echelon.add(row)
         if len(echelon) == ncols:
             break
     if kept is None or echelon.full():
         return len(echelon)
-    return _rank_bareiss([list(r) for r in kept])
+    return _rank_bareiss([[r.get(c, 0) for c in range(ncols)] for r in kept])
 
 
-class EchelonModP:
-    """Vectors mod p of one length, added one at a time and kept in
-    echelon form: each stored vector is 1 at its pivot, 0 before it and 0
-    at every earlier pivot, and is kept from its pivot on.  The number
-    stored is the rank mod p of the integer vectors added so far."""
+class SparseEchelonModP:
+    """Vectors mod p of one length, added one at a time as `{column:
+    int}` maps and kept in echelon form: each stored vector is 1 at its
+    pivot and 0 before it, and is kept as its other nonzero entries.  The
+    number stored is the rank mod p of the integer vectors added so far."""
 
     def __init__(self, p: int, length: int):
         self.p = p
         self.length = length
-        self.basis: list[tuple[int, list[int]]] = []
+        self.basis: dict[int, list[tuple[int, int]]] = {}   # pivot -> tail
         self.added = 0
 
     def __len__(self) -> int:
@@ -80,27 +84,37 @@ class EchelonModP:
         nonzero integer), and no rank exceeds that minimum."""
         return len(self.basis) == min(self.added, self.length)
 
-    def add(self, v: Sequence[int]) -> None:
-        """Store `v` reduced by the stored vectors, unless it reduces to 0.
-        Entries are reduced mod p once, at the end, with the scaling to 1
-        at the pivot; in between they only grow by products of residues."""
-        p = self.p
+    def add(self, v: Mapping[int, int]) -> None:
+        """Store a copy of `v` reduced by the stored vectors, unless it
+        reduces to 0.  Columns are taken in increasing order, each reduced
+        mod p: one with a stored pivot is cleared by that vector, which
+        only adds entries to its right (inserted in order among the columns
+        still to take), and the first other nonzero one is the new pivot."""
+        p, basis = self.p, self.basis
         self.added += 1
-        v = list(v)
-        for piv, tail in self.basis:
-            c = -v[piv] % p
-            if c:
-                v[piv:] = [x + c * y for x, y in zip(v[piv:], tail)]
-        for piv, x in enumerate(v):
-            if x % p:
-                scale = pow(x, -1, p)
-                self.basis.append((piv, [y * scale % p for y in v[piv:]]))
+        v = dict(v)
+        columns, i = sorted(v), 0
+        while i < len(columns):
+            col = columns[i]
+            i += 1
+            c = v.pop(col) % p
+            if not c:
+                continue
+            tail = basis.get(col)
+            if tail is None:
+                scale = pow(c, -1, p)
+                basis[col] = [(k, r) for k, x in v.items()
+                              if (r := x * scale % p)]
                 return
+            for k, y in tail:
+                if k not in v:
+                    insort(columns, k, i)
+                v[k] = v.get(k, 0) - c * y
 
 
-class PackedEchelonModP(EchelonModP):
-    """`EchelonModP` with each vector packed into one int: entry i in the
-    little-endian byte slot i, wide enough for (p - 1) + length*(p - 1)^2.
+class PackedEchelonModP(SparseEchelonModP):
+    """The echelon of dense vectors, each packed into one int: entry i in
+    the little-endian byte slot i, wide enough for (p-1) + length*(p-1)^2.
 
     Stored vectors hold residues in [0, p), are 1 at their pivot and 0
     before it and at every earlier pivot.  A vector is packed from its

@@ -79,14 +79,14 @@ def intersection_point(*forms: LinearForm) -> Point:
     nonzero entry positive; over GF(p) residues, last nonzero entry 1.
 
     It is the last form met with the line of the others (`_line`,
-    `_meet`): the path by which `StarConfiguration` finds every point."""
+    `_meets`): the path by which `StarConfiguration` finds every point."""
     field, n = forms[0].field, len(forms)
     for f in forms:
         check_same_field(field, f.field)
         if f.nvars != n + 1:
             raise ValueError("need n forms in n + 1 variables")
-    line = _line(field, forms[:-1])
-    point = None if line is None else _meet(field, line, forms[-1])
+    point = _meets(field, _line(field, forms[:-1]),
+                   [forms[-1].coefficients])[0]
     if point is None:
         raise GenericityError("forms are linearly dependent")
     return point
@@ -120,25 +120,45 @@ def _line(field: Field, forms: Sequence[LinearForm]) -> list[list[int]] | None:
     return basis
 
 
-def _meet(field: Field, line: list[list[int]],
-          form: LinearForm) -> Point | None:
-    """The point where the line spanned by (u, w) meets the form's
-    hyperplane, L(w)*u - L(u)*w, as its primitive integer vector; None
-    when the line lies in the hyperplane (that vector is 0)."""
+def _meets(field: Field, line: list[list[int]] | None,
+           forms: Sequence[Sequence[int]]) -> list[Point | None]:
+    """Where the line spanned by (u, w) meets the hyperplane of each form L
+    (its coefficients): L(w)*u - L(u)*w, from one pass over the forms, as
+    n + 1 coordinate columns.  Each point is its primitive integer vector,
+    scaled by its last nonzero entry: over GF(p) by its inverse (one
+    `_inverses` per call), over Q by the gcd of the entries, signed as that
+    entry; None when the line lies in the hyperplane (the vector is 0),
+    and for every form when there is no line."""
+    if line is None:
+        return [None] * len(forms)
     u, w = line
-    a, b = (sum(map(mul, form.coefficients, v)) for v in line)
-    v = [b * x - a * y for x, y in zip(u, w)]
-    if isinstance(field, PrimeField):
-        p = field.p
-        v = [x % p for x in v]
-    last = next((x for x in reversed(v) if x), 0)
-    if not last:
-        return None
-    if isinstance(field, PrimeField):
-        scale = pow(last, -1, p)
-        return tuple(x * scale % p for x in v)
-    scale = gcd(*v) if last > 0 else -gcd(*v)
-    return tuple(x // scale for x in v)
+    ab = [(sum(map(mul, c, u)), sum(map(mul, c, w))) for c in forms]
+    p = field.p if isinstance(field, PrimeField) else None
+    xs = [[b * s - a * t for a, b in ab] if p is None else
+          [(b * s - a * t) % p for a, b in ab] for s, t in zip(u, w)]
+    last = xs[-1]
+    for column in xs[-2::-1] if 0 in last else ():
+        last = [y or x for x, y in zip(column, last)]
+    if p is None:
+        scales = [-g if x < 0 else g for g, x in zip(map(gcd, *xs), last)]
+        xs = [[x // (s or 1) for x, s in zip(c, scales)] for c in xs]
+    else:
+        scales = _inverses(last, p)
+        xs = [[x * s % p for x, s in zip(c, scales)] for c in xs]
+    return [pt if s else None for pt, s in zip(zip(*xs), scales)]
+
+
+def _inverses(values: Sequence[int], p: int) -> list[int]:
+    """The inverse mod p of each int, 0 for 0 (none is another multiple
+    of p), from one inverse of their product (Montgomery's trick)."""
+    factors = [x or 1 for x in values]
+    prefix = list(itertools.accumulate(factors, lambda x, y: x * y % p,
+                                       initial=1))
+    inverse, out = pow(prefix.pop(), -1, p), []
+    for x, before in zip(reversed(factors), reversed(prefix)):
+        out.append(inverse * before % p)
+        inverse = inverse * x % p
+    return [y if x else 0 for x, y in zip(values, reversed(out))]
 
 
 class StarConfiguration:
@@ -170,11 +190,12 @@ class StarConfiguration:
         # meets each later form k at the point of t + (k,), so one
         # elimination of n - 1 rows serves l - max(t) points, in key order.
         self.points = {}
+        coefficients = [f.coefficients for f in forms]
         for t in itertools.combinations(range(1, self.l), self.n - 1):
             line = _line(self.field, [forms[i - 1] for i in t])
-            for k in range(t[-1] + 1, self.l + 1):
-                self.points[t + (k,)] = None if line is None else \
-                    _meet(self.field, line, forms[k - 1])
+            self.points.update(zip(
+                [t + (k,) for k in range(t[-1] + 1, self.l + 1)],
+                _meets(self.field, line, coefficients[t[-1]:])))
         # General position: every n + 1 forms are independent.  That holds
         # iff every point exists and no two coincide.  If n + 1 forms are
         # dependent while their n-subsets are independent, a common zero of
@@ -262,13 +283,11 @@ def random_star(l: int, seed: int, field: Field,
     check_arc_bound(l, n, field)
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
-        forms = []
-        for _ in range(l):
-            while True:
-                coeffs = [field.random(rng) for _ in range(n + 1)]
-                if any(not field.is_zero(c) for c in coeffs):
-                    break
-            forms.append(LinearForm(field, coeffs))
+        forms = []      # one per n + 1 coefficients drawn, unless all are 0
+        while len(forms) < l:
+            draws = iter(field.randoms(rng, (l - len(forms)) * (n + 1)))
+            forms += [LinearForm(field, c) for c in zip(*[draws] * (n + 1))
+                      if any(c)]
         try:
             return build_star(forms)
         except GenericityError:
@@ -298,7 +317,7 @@ def _curve_forms(l: int, n: int, field: PrimeField,
         rows = [[int(i == j) for j in range(size)] for i in range(size)]
         rows.append([1] * size)
     while True:
-        a = [[field.random(rng) for _ in range(size)] for _ in range(size)]
+        a = [field.randoms(rng, size) for _ in range(size)]
         if rank(field, a, size) == size:
             break
     return [LinearForm(field, [sum(r[i] * a[i][j] for i in range(size))
@@ -320,14 +339,13 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     takes them degree by degree, each column a vector of C(l, n)
     residues, mostly nonzero; HF(t) is its size after degree t.  The
     echelon is a `PackedEchelonModP`, which reduces such long dense
-    columns by one multiply-add of whole ints, where the list form of
-    `matrices.rank` works entry by entry.  Once that size is the number of
-    points, every later degree has it too (rank <= #rows) and builds no
-    column.  s = 0 gives c = x_n, which serves unless a point lies on
-    x_n = 0.
+    columns by one multiply-add of whole ints.  Once that size is the
+    number of points, every later degree has it too (rank <= #rows) and
+    builds no column.  s = 0 gives c = x_n, which serves unless a point
+    lies on x_n = 0.
 
     Over Q the echelon runs mod `DEFAULT_PRIME` and gives the rational
-    rank when it is full (`EchelonModP.full`).  The whole per-degree
+    rank when it is full (`SparseEchelonModP.full`).  The whole per-degree
     matrix (`_evaluation_rank`) decides when no chart form exists (over a
     small field), when a rational point has a chart value divisible by the
     prime, or when a rational echelon is not full.  A full per-degree rank
@@ -365,7 +383,7 @@ class _HilbertRanks:
         # k < n.  These are primitive, so no X_k / C(X) has a denominator
         # divisible by p unless p | C(X): p | C(X) and p | X_k for k < n
         # give p | X_n.
-        inverses = [pow(c, -1, p) for c in charts]
+        inverses = _inverses(charts, p)
         self.affine = [[x * c % p for x, c in zip(xs, inverses)]
                        for xs in list(zip(*star.point_list()))[:-1]]
         self.columns = [[1] * self.npoints]   # the last degree's columns

@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import random
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .fields import Element, Field, check_integral, check_same_field
@@ -143,10 +143,8 @@ def ideal_component_dim(polys: Sequence[HomogeneousPoly], d: int) -> int:
     index = {m: i for i, m in enumerate(basis)}
 
     def row(g, mono):
-        out = [0] * len(basis)
-        for gm, c in g.terms.items():
-            out[index[tuple(a + b for a, b in zip(mono, gm))]] = c
-        return out
+        return {index[tuple(map(add, mono, gm))]: c
+                for gm, c in g.terms.items()}
     return rank(fld, (row(g, mono) for g in gens if g.degree <= d
                       for mono in monomials_of_degree(nvars, d - g.degree)),
                 len(basis))
@@ -175,8 +173,8 @@ def _multiplier_values(star, d, multipliers,
 
     def at(s):
         monos = monomial_values(fld, star.points[s], mdeg, basis)
-        return s, {i: fld.from_int(sum(map(
-            mul, vectors[tuple(j for j in s if j != i)], monos))) for i in s}
+        return s, {i: fld.from_int(sum(map(mul, vectors[s[:k] + s[k + 1:]],
+                                           monos))) for k, i in enumerate(s)}
     return map(at, keys)
 
 
@@ -210,17 +208,16 @@ def tangent_dim_points(star: StarConfiguration, d: int,
     """
     values = _multiplier_values(star, d, multipliers, _band_order(star))
     fld, width = star.field, star.n
-    dropped = [next(k for k, c in enumerate(form.coefficients)
-                    if not fld.is_zero(c)) for form in star.forms]
+    pairs = {}      # i -> (column, k) of each x_k * Q_i that is kept
+    for i, form in enumerate(star.forms, start=1):
+        dropped = next(k for k, c in enumerate(form.coefficients) if c)
+        pairs[i] = list(enumerate((k for k in range(width + 1)
+                                   if k != dropped), (i - 1) * width))
 
     def row(s, ms):
         coords = star.points[s]
-        out = [0] * (star.l * width)
-        for i, m in ms.items():
-            xs = coords[:dropped[i - 1]] + coords[dropped[i - 1] + 1:]
-            for k, x in enumerate(xs):
-                out[(i - 1) * width + k] = fld.mul(x, m)
-        return out
+        return {col: coords[k] * m for i, m in ms.items()
+                for col, k in pairs[i]}
     found = rank(fld, itertools.starmap(row, values), star.l * width)
     return found + comb(d + star.n, star.n) - comb(star.l, star.n)
 
@@ -247,8 +244,8 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
             raise KeyError(f"unknown column label ({r}, {t})")
     values = _multiplier_values(star, d, multipliers, keys)
     fld = star.field
-    rows = ([fld.mul(star.forms[r - 1].evaluate(star.points[s]),
-                     ms.get(t, 0)) for r, t in columns]
+    rows = ({c: star.forms[r - 1].evaluate(star.points[s]) * ms[t]
+             for c, (r, t) in enumerate(columns) if t in ms}
             for s, ms in values)
     return rank(fld, rows, len(columns))
 
@@ -267,8 +264,9 @@ def _form_through(star: StarConfiguration, key: tuple[int, int] | None,
     last = None if key is None else max(i for i, c in enumerate(coords) if c)
     others = [p for k, p in star.points.items() if k != key]
     for _ in range(RETRY_BUDGET):
-        coeffs = [0 if i == last else fld.random(rng) for i in range(3)]
+        coeffs = fld.randoms(rng, 3 if key is None else 2)
         if key is not None:
+            coeffs.insert(last, 0)
             through = -sum(map(mul, coeffs, coords))
             coeffs = [c * coords[last] for c in coeffs]
             coeffs[last] = through
@@ -328,8 +326,7 @@ def random_multipliers(star: StarConfiguration, d: int,
     if mdeg < 0:
         raise ValueError("need d >= l - n + 1")
     fld, size = star.field, comb(mdeg + star.n, star.n)
-    return [[fld.random(rng) for _ in range(size)]
-            for _ in star.generator_keys()]
+    return [fld.randoms(rng, size) for _ in star.generator_keys()]
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +405,9 @@ def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
             n: int = 2) -> DimensionCertificate:
     """Full verification of one (d, l) pair for l hyperplanes in P^n.
 
-    EMPTY, with no star drawn, when n = 2 and d < l - 1, where the plane
-    theorem says the locus is empty.  Otherwise trial t takes the
+    Fewer than one trial is refused first, for every (d, l).  EMPTY, with
+    no star drawn, when n = 2 and d < l - 1, where the plane theorem says
+    the locus is empty.  Otherwise trial t takes the
     point-evaluation rank (algorithm B) at `stars[t]` (a `TrialStars` of
     its own by default) with the fixed `multipliers`, or with multipliers
     drawn from trial_seed(seed, t).  Specific data gives a tangent
@@ -419,13 +417,13 @@ def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
     for n >= 3) is the certificate's.  `external_facts` lists the source
     tags of the outside theorems the verdict relies on.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     value = closed_form_dimension(d, l) if n == 2 else None
     if n == 2 and value is None:
         return DimensionCertificate(d, l, fld.descriptor(), [], None, None,
                                     [], "EMPTY")
     bounds = upper_bounds(d, l, n)
-    if trials < 1:
-        raise ValueError("need at least one trial")
     stars = TrialStars(l, fld, seed, n) if stars is None else stars
     seeds = [trial_seed(seed, t) for t in range(trials)]
     dims = []

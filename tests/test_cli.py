@@ -565,3 +565,29 @@ def test_pn_contradiction_exit_status(capsys, monkeypatch):
     assert code == 3
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows and all(r["status"] == "CONTRADICTION" for r in rows)
+
+
+@pytest.mark.parametrize("d, l", [(2, 5), (5, 2)])
+def test_verify_refuses_zero_trials_on_every_row(capsys, d, l):
+    """(2, 5) is an EMPTY row, which draws nothing; the flag value is a
+    usage error there too, not only where a star is drawn."""
+    code, out, err = run_cli(capsys, "verify", "--d", str(d), "--l", str(l),
+                             "--trials", "0")
+    assert (code, out, err) == (2, "", "error: need at least one trial\n")
+
+
+def test_sweep_refuses_zero_trials_before_any_row(capsys, monkeypatch):
+    """The first rows of this sweep are EMPTY; none is computed."""
+    import starcurves.cli as cli_mod
+
+    real, certified = cli_mod.certify, []
+
+    def counting(*args, **kwargs):
+        certified.append(real(*args, **kwargs))
+        return certified[-1]
+
+    monkeypatch.setattr(cli_mod, "certify", counting)
+    code, out, err = run_cli(capsys, "sweep", "--dmax", "3", "--lmax", "20",
+                             "--include-empty", "--trials", "0")
+    assert (code, out, err) == (2, "", "error: need at least one trial\n")
+    assert certified == []

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ, is_prime
+
+import draws
 
 
 def test_rational_arithmetic():
@@ -44,3 +48,10 @@ def test_field_equality():
 def test_descriptors():
     assert QQ.descriptor() == {"field": "rational"}
     assert PrimeField(7).descriptor() == {"field": "prime", "prime": 7}
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(draws.FIELDS), seed=st.integers(0, 2**64),
+       count=st.one_of(st.integers(0, 2), st.integers(500, 3000)))
+def test_bulk_draws_are_single_draws(field, seed, count):
+    draws.check(field, seed, count)

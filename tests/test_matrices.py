@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ, is_prime
-from starcurves.matrices import (EchelonModP, PackedEchelonModP,
+from starcurves.matrices import (PackedEchelonModP, SparseEchelonModP,
                                  _rank_bareiss, fraction_free, rank)
 
 P = DEFAULT_PRIME
@@ -14,15 +14,16 @@ MERSENNE_89 = 2**89 - 1     # the largest prime the tests feed an echelon
 
 
 class BothEchelons:
-    """An `EchelonModP` and a `PackedEchelonModP` fed the same vectors,
-    which must agree on their size and on `full` after every `add`."""
+    """A `SparseEchelonModP` and a `PackedEchelonModP` fed the same
+    vectors, the sparse one as `{column: entry}` maps, which must agree on
+    their size and on `full` after every `add`."""
 
     def __init__(self, p, length):
-        self.listed = EchelonModP(p, length)
+        self.listed = SparseEchelonModP(p, length)
         self.packed = PackedEchelonModP(p, length)
 
     def add(self, v):
-        self.listed.add(v)
+        self.listed.add(dict(enumerate(v)))
         self.packed.add(v)
         assert len(self.packed) == len(self.listed)
         assert self.packed.full() == self.listed.full()
@@ -289,7 +290,7 @@ def test_prime_field_rank_matches_naive_elimination(case):
 @given(residue_matrices_of_prescribed_rank(
     widths=st.one_of(st.integers(1, 7), st.integers(100, 120))))
 def test_packed_echelon_matches_list_echelon(case):
-    """The packed echelon agrees with the list one after every vector, on
+    """The packed echelon agrees with the sparse one after every vector, on
     vectors of up to 120 entries and over primes up to 2^89 - 1."""
     p, rows, r = case
     echelon = BothEchelons(p, len(rows[0]))
@@ -318,13 +319,13 @@ def test_packed_echelon_slots_do_not_overflow(p, length):
 def test_tall_rank_stops_once_the_echelon_is_full(monkeypatch):
     """Rows after the echelon holds one vector per column are not read."""
     added = []
-    real = EchelonModP.add
+    real = SparseEchelonModP.add
 
     def counting(self, v):
         added.append(v)
         real(self, v)
 
-    monkeypatch.setattr(EchelonModP, "add", counting)
+    monkeypatch.setattr(SparseEchelonModP, "add", counting)
     rows = iter([[1, 0, 0], [0, 8, 0], [5, 5, 5]] + [[9, 9, 9]] * 7)
     assert rank(PrimeField(7), rows, 3) == 3
     assert len(added) == 3
@@ -344,3 +345,46 @@ def test_rank_refuses_rows_of_the_wrong_length():
     for field in (QQ, PrimeField(7)):
         with pytest.raises(ValueError, match="a row of 3 entries, not 2"):
             rank(field, [[1, 0], [0, 1, 2]], 2)
+
+
+def as_maps(rows, rng):
+    """The rows as {column: entry} maps, in a shuffled column order, with
+    some of their zero entries kept."""
+    maps = []
+    for row in rows:
+        items = [(c, x) for c, x in enumerate(row) if x or rng.random() < 0.3]
+        rng.shuffle(items)
+        maps.append(dict(items))
+    return maps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(
+    residue_matrices_of_prescribed_rank(),
+    st.builds(lambda case: (None, *case), matrices_of_prescribed_rank())),
+    rng=st.randoms(use_true_random=False))
+def test_map_rows_and_dense_rows_give_one_rank(case, rng):
+    """Over GF(p) and over Q, where the rank may fall back to Bareiss on
+    the kept maps."""
+    p, rows, _ = case
+    field = QQ if p is None else PrimeField(p)
+    ncols = len(rows[0])
+    assert rank(field, as_maps(rows, rng), ncols) == \
+        rank(field, rows, ncols) == (naive_rational_rank(rows) if p is None
+                                     else naive_rank_mod_p(rows, p))
+
+
+def test_rank_refuses_map_rows_outside_the_columns():
+    for field in (QQ, PrimeField(7)):
+        for row in ({2: 1}, {-1: 1}):
+            with pytest.raises(ValueError, match="column outside 0..1"):
+                rank(field, [{0: 1}, row], 2)
+
+
+def test_sparse_echelon_leaves_its_input_alone():
+    echelon = SparseEchelonModP(7, 3)
+    first, second = {0: 1, 2: 3}, {0: 2, 1: 1}
+    echelon.add(first)
+    echelon.add(second)
+    assert (first, second) == ({0: 1, 2: 3}, {0: 2, 1: 1})
+    assert len(echelon) == 2 and echelon.full()

@@ -671,3 +671,70 @@ def test_hilbert_echelon_reads_no_monomial_values(monkeypatch, field, n, l):
     assert star._hilbert.echelon is not None
     for t in range(l + 2):
         assert hilbert_function(star, t) == min(comb(t + n, n), comb(l, n))
+
+
+STAR_FIELDS = [GF, PrimeField(13), PrimeField(101), QQ]
+
+
+def form_through(v, rng):
+    """Coefficients of a random form that vanishes at the vector v."""
+    j = next(k for k, x in enumerate(v) if x)
+    r = [rng.randint(-50, 50) for _ in v]
+    c = [v[j] * x for x in r]
+    c[j] -= sum(a * b for a, b in zip(r, v))
+    return c
+
+
+def star_with_a_point_at_infinity(field, n, l, rng):
+    """A star whose first n forms meet at a point with last coordinate 0;
+    the other forms random."""
+    v = [rng.randint(1, 9) for _ in range(n)] + [0]
+    while True:
+        rows = [form_through(v, rng) for _ in range(n)] + [
+            [rng.randint(-50, 50) for _ in range(n + 1)]
+            for _ in range(l - n)]
+        try:
+            return build_star([LinearForm(field, r) for r in rows])
+        except ValueError:      # a zero form, or dependent forms
+            continue
+
+
+@pytest.mark.parametrize("field", STAR_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_line_columns_give_the_point_of_each_subset(field, n):
+    """Every point of a star built a line at a time (up to l - n + 1 points
+    per line) is the `intersection_point` of its n forms and lies on no
+    other form; one of the stars has a point with last coordinate 0.  Over
+    GF(13) random forms are seldom in general position past l = n + 3."""
+    rng = random.Random(f"{field!r} {n}")
+    l = n + (3 if field == PrimeField(13) else 6)
+    stars = [star_with_a_point_at_infinity(field, n, l, rng)] + [
+        random_star(l, seed, field, n) for seed in range(3)]
+    assert any(pt[-1] == 0 for pt in stars[0].points.values())
+    for star in stars:
+        for key, pt in star.points.items():
+            assert pt == intersection_point(*(star.forms[i - 1] for i in key))
+            assert [field.is_zero(f.evaluate(pt)) for f in star.forms] == \
+                [i in key for i in range(1, l + 1)]
+
+
+@pytest.mark.parametrize("field", STAR_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("dependency", ["sum", "proportional"])
+def test_line_columns_name_the_first_dependent_forms(field, n, dependency):
+    """A form that is the sum of two others, or two proportional forms
+    (for n >= 3 their line does not exist), are refused with the labels of
+    the lexicographically first n + 1 forms whose determinant is 0."""
+    rng = random.Random(f"{field!r} {n} {dependency}")
+    l = n + 4
+    rows = [[rng.randint(-50, 50) for _ in range(n + 1)] for _ in range(l)]
+    if dependency == "sum":
+        rows[-2] = [a + b for a, b in zip(rows[1], rows[3])]
+    else:
+        rows[2] = [3 * a for a in rows[1]]
+    dependent = next(
+        c for c in combinations(range(1, l + 1), n + 1) if field.is_zero(
+            field.from_int(cofactor_det([rows[i - 1] for i in c]))))
+    with pytest.raises(GenericityError) as refused:
+        build_star([LinearForm(field, r) for r in rows])
+    assert refused.value.labels == ", ".join(f"L{i}" for i in dependent)

@@ -239,15 +239,16 @@ def test_full_echelon_reads_at_most_n_l_rows(monkeypatch, n, lmax):
 
 def test_luroth_pair_reads_every_row_into_bareiss(monkeypatch):
     """At (d, l) = (4, 5) over Q the tangent rank is 9 of 10, so the echelon
-    is not full: every row is built and Bareiss decides."""
+    is not full: every row is built and Bareiss decides, on dense rows made
+    from the sparse rows the echelon kept."""
     import starcurves.matrices as matrices_mod
 
     built = counting_rows(monkeypatch)
-    shapes = []
+    given = []
     real = matrices_mod._rank_bareiss
 
     def recording(rows):
-        shapes.append((len(rows), len(rows[0])))
+        given.append([list(r) for r in rows])
         return real(rows)
 
     monkeypatch.setattr(matrices_mod, "_rank_bareiss", recording)
@@ -255,7 +256,8 @@ def test_luroth_pair_reads_every_row_into_bareiss(monkeypatch):
     mult = random_multipliers(star, 4, random.Random(0))
     assert tangent_dim_points(star, 4, mult) == 14
     assert len(built) == comb(5, 2)
-    assert shapes == [(10, 10)]
+    assert len(given) == 1 and all(len(r) == 10 for r in given[0])
+    assert sorted(given[0]) == sorted(eager_tangent_rows(star, 4, mult))
 
 
 def test_algorithm_agreement_random():
@@ -384,9 +386,15 @@ def naive_rank(field, rows):
 
 
 def eager_tangent_dim(star, d, mult):
-    """Algorithm B built whole: all C(l,n) rows of the l*n columns
-    p_s[k] * M_{s - i}(p_s), k past the first nonzero coefficient of L_i,
-    in key order, each value from the multiplier's polynomial."""
+    """Algorithm B built whole: the rank of `eager_tangent_rows`."""
+    rows, n, l = eager_tangent_rows(star, d, mult), star.n, star.l
+    return naive_rank(star.field, rows) + comb(d + n, n) - comb(l, n)
+
+
+def eager_tangent_rows(star, d, mult):
+    """All C(l,n) rows of the l*n columns p_s[k] * M_{s - i}(p_s), k past
+    the first nonzero coefficient of L_i, in key order, each value from
+    the multiplier's polynomial."""
     fld, n, l = star.field, star.n, star.l
     mdeg = d - star.generator_degree
     mult_of = {key: poly_of(fld, n + 1, mdeg, m)
@@ -402,7 +410,7 @@ def eager_tangent_dim(star, d, mult):
             row[(i - 1) * n:i * n] = [fld.mul(x, value)
                                       for k, x in enumerate(p) if k != skip]
         rows.append(row)
-    return naive_rank(fld, rows) + comb(d + n, n) - comb(l, n)
+    return rows
 
 
 def streamed_problem(n, field, extra_l, extra, seed, equal):
