@@ -8,8 +8,7 @@ from .matrices import rank
 from .polynomials import HomogeneousPoly, monomials_of_degree
 from .pnstar import conjecture_row
 from .starconfig import (GenericityError, LinearForm, StarConfiguration,
-                         build_star, hilbert_function, intersection_point,
-                         random_star)
+                         build_star, hilbert_function, random_star)
 from .tangent import (DimensionCertificate, TrialStars, build_q_forms, certify,
                       ideal_component_dim, evaluation_submatrix_rank,
                       tangent_dim_direct, tangent_dim_points,
@@ -24,7 +23,7 @@ __all__ = [
     "HomogeneousPoly", "monomials_of_degree",
     "conjecture_row",
     "GenericityError", "LinearForm", "StarConfiguration", "build_star",
-    "hilbert_function", "intersection_point", "random_star",
+    "hilbert_function", "random_star",
     "DimensionCertificate", "TrialStars", "build_q_forms", "certify",
     "ideal_component_dim", "evaluation_submatrix_rank", "tangent_dim_direct",
     "tangent_dim_points", "structured_multipliers",

@@ -2,7 +2,8 @@
 explicit computations, and run the P^n conjecture experiments.
 
 Exit status: 0 on success (all CERTIFIED/EMPTY, all reference checks
-PASS), 1 when a GAP verdict or a FAIL occurs, 2 on usage errors, 3 when
+PASS), 1 when a GAP verdict or a FAIL occurs or when `hilbert` finds a
+rank that differs from the closed formula, 2 on usage errors, 3 when
 `verify`, `sweep` or `pn` finds a lower bound above the least upper bound
 (verdict or status CONTRADICTION).  The worst outcome decides.
 """

@@ -5,9 +5,9 @@ divides, and `check_integral` refuses other input), and residues in
 ``[0, p)`` for a prime field, so 0 and 1 are written as ints and sums
 are int sums.  A ``Field`` object carries the rest: the reduction of an
 int (`from_int`), the product (`mul`), the zero test (`is_zero`), the
-random draws from a `random.Random` (`randoms`, and `random` for one)
-and a JSON-friendly `descriptor()`; containers (polynomials, matrices)
-hold a field reference and refuse to mix elements from different fields.
+random draws from a `random.Random` (`randoms`) and a JSON-friendly
+`descriptor()`; containers (polynomials, matrices) hold a field
+reference and refuse to mix elements from different fields.
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ class RationalField:
         b = self.RANDOM_BOUND
         return [x - b for x in _below(rng, 2 * b + 1, count)]
 
-    def random(self, rng):
-        return self.randoms(rng, 1)[0]
-
     def descriptor(self):
         return {"field": "rational"}
 
@@ -118,9 +115,6 @@ class PrimeField:
     def randoms(self, rng, count: int) -> list[int]:
         """`count` draws of `rng.randrange(p)`."""
         return _below(rng, self.p, count)
-
-    def random(self, rng):
-        return self.randoms(rng, 1)[0]
 
     def descriptor(self):
         return {"field": "prime", "prime": self.p}

@@ -7,8 +7,9 @@ entries, `{column: residue}`.  It serves `rank`, whose heaviest load is
 the tangent rows of `tangent.tangent_dim_points`: n*l columns, n^2 of
 them nonzero.  `PackedEchelonModP` keeps each vector as one int of
 fixed-width slots and reduces by one multiply-add of whole ints.  It
-serves the Hilbert function's dense columns (`starconfig`, which adds
-residues by `add_residues`).  Each is the faster one on its own load.
+serves the Hilbert function's dense columns (`starconfig`), whose `add`
+takes a sequence of residues in [0, p) rather than a map.  Each is the
+faster one on its own load.
 
 `rank` reads rows as `{column: value}` maps, or as sequences of `ncols`
 entries, and stops once the echelon holds one vector per column.  Over a
@@ -137,12 +138,10 @@ class PackedEchelonModP(SparseEchelonModP):
                                         for x in residues]), "little")
 
     def add(self, v: Sequence[int]) -> None:
-        self.add_residues([x % self.p for x in v])
-
-    def add_residues(self, v: Sequence[int]) -> None:
-        """`add` for a vector of residues in [0, p), packed as they are.
-        Its slots are read one by one only to find the new pivot and to
-        scale the stored vector to 1 there."""
+        """Store a vector of residues in [0, p), packed as they are,
+        reduced by the stored vectors unless it reduces to 0.  Its slots
+        are read one by one only to find the new pivot and to scale the
+        stored vector to 1 there."""
         p, mask, size = self.p, self.mask, self.size
         self.added += 1
         packed = self._pack(v)

@@ -76,11 +76,6 @@ class HomogeneousPoly:
     def one(cls, field: Field, nvars: int) -> "HomogeneousPoly":
         return cls(field, nvars, 0, {(0,) * nvars: 1})
 
-    @classmethod
-    def variable(cls, field: Field, nvars: int, index: int) -> "HomogeneousPoly":
-        expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(field, nvars, 1, {expo: 1})
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -102,9 +97,6 @@ class HomogeneousPoly:
     def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         self._check_compatible(other)
         if self.degree != other.degree:
-            if self.is_zero() or other.is_zero():
-                # tolerate adding a zero of a different declared degree
-                return other if self.is_zero() else self
             raise ValueError("cannot add homogeneous polynomials of "
                              f"degrees {self.degree} and {other.degree}")
         terms = dict(self.terms)
@@ -136,36 +128,8 @@ class HomogeneousPoly:
         return [self.terms.get(m, 0)
                 for m in monomials_of_degree(self.nvars, self.degree)]
 
-    # -- text notation -----------------------------------------------------
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in monomials_of_degree(self.nvars, self.degree):
-            if mono not in self.terms:
-                continue
-            coeff = self.terms[mono]
-            factors = [f"x{i}" + (f"^{e}" if e > 1 else "")
-                       for i, e in enumerate(mono) if e > 0]
-            body = "*".join(factors)
-            cs = str(coeff)
-            if body and cs == "1":
-                term = body
-            elif body and cs == "-1":
-                term = "-" + body
-            elif body:
-                term = f"{cs}*{body}"
-            else:
-                term = cs
-            parts.append(term)
-        out = parts[0]
-        for t in parts[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
-
     def __repr__(self):
-        return f"HomogeneousPoly({self})"
+        return f"HomogeneousPoly({self.degree}, {self.terms})"
 
 
 def poly_sum(polys: Iterable[HomogeneousPoly], field: Field, nvars: int,

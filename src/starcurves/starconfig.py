@@ -27,7 +27,7 @@ from .polynomials import monomial_values, monomials_of_degree
 
 RETRY_BUDGET = 100
 
-#: A point of P^n as its primitive integer vector (`intersection_point`).
+#: A point of P^n as its primitive integer vector (`_meets`).
 Point = tuple[int, ...]
 
 
@@ -71,25 +71,6 @@ class LinearForm:
 
     def __repr__(self):
         return f"LinearForm({self.field!r}, {list(self.coefficients)})"
-
-
-def intersection_point(*forms: LinearForm) -> Point:
-    """The common zero of n independent forms in n + 1 variables as its
-    primitive integer vector: over Q with no common factor and the last
-    nonzero entry positive; over GF(p) residues, last nonzero entry 1.
-
-    It is the last form met with the line of the others (`_line`,
-    `_meets`): the path by which `StarConfiguration` finds every point."""
-    field, n = forms[0].field, len(forms)
-    for f in forms:
-        check_same_field(field, f.field)
-        if f.nvars != n + 1:
-            raise ValueError("need n forms in n + 1 variables")
-    point = _meets(field, _line(field, forms[:-1]),
-                   [forms[-1].coefficients])[0]
-    if point is None:
-        raise GenericityError("forms are linearly dependent")
-    return point
 
 
 def _line(field: Field, forms: Sequence[LinearForm]) -> list[list[int]] | None:
@@ -166,9 +147,9 @@ class StarConfiguration:
     their C(l,n) intersection points.
 
     n is the number of variables minus one.  Points, each its primitive
-    integer vector (`intersection_point`), are keyed by sorted 1-based
-    n-subsets; the products of the forms outside each (n-1)-subset, which
-    generate the ideal, by sorted (n-1)-subsets (`generator_keys`).
+    integer vector (`_meets`), are keyed by sorted 1-based n-subsets; the
+    products of the forms outside each (n-1)-subset, which generate the
+    ideal, by sorted (n-1)-subsets (`generator_keys`).
     """
 
     def __init__(self, forms: Sequence[LinearForm]):
@@ -351,7 +332,9 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     prime, or when a rational echelon is not full.  A full per-degree rank
     also settles every higher degree: a form vanishing at every point but
     p, times a coordinate nonzero at p, is such a form of the next degree.
-    The closed formula min{C(t+2,2), C(l,2)} is used only as a test oracle.
+    The plane's closed formula min{C(t+2,2), C(l,2)} is not used here:
+    `starcurves hilbert` prints it beside each rank and exits 1 where
+    the two differ.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -423,7 +406,7 @@ class _HilbertRanks:
                 for column in last[len(last) - comb(degree + n - k - 2,
                                                     n - k - 1):]]
             for column in columns:
-                self.echelon.add_residues(column)
+                self.echelon.add(column)
             self.ranks.append((len(self.echelon), self.echelon.full()))
             self.columns = columns
             if len(self.echelon) == self.npoints:

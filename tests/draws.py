@@ -21,20 +21,20 @@ FIELDS = [PrimeField(2), PrimeField(3), PrimeField(13),
 
 
 def single_draw(field, rng: random.Random) -> int:
-    """One draw as `random` made it before `randoms`."""
+    """One draw of a field element from CPython's `randrange` or
+    `randint`: the oracle the tests draw through, never `randoms`."""
     if field == QQ:
         return rng.randint(-QQ.RANDOM_BOUND, QQ.RANDOM_BOUND)
     return rng.randrange(field.p)
 
 
 def check(field, seed: int, count: int) -> None:
-    """`count` values from `randoms`, from `random` and from single draws
-    agree, and leave their generators in one state."""
-    bulk, one, single = (random.Random(seed) for _ in range(3))
-    drawn = field.randoms(bulk, count)
-    assert drawn == [field.random(one) for _ in range(count)]
-    assert drawn == [single_draw(field, single) for _ in range(count)]
-    assert bulk.random() == one.random() == single.random()
+    """`count` values from `randoms` and from single draws agree, and
+    leave their generators in one state."""
+    bulk, single = random.Random(seed), random.Random(seed)
+    assert field.randoms(bulk, count) == [single_draw(field, single)
+                                          for _ in range(count)]
+    assert bulk.random() == single.random()
 
 
 if __name__ == "__main__":

@@ -1,13 +1,19 @@
 """The product rule for first-order perturbations of a product of forms,
 kept as an independent oracle for the tangent forms of
-`starcurves.tangent`."""
+`starcurves.tangent`, and the coordinate forms x_k it perturbs by."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from starcurves.fields import check_same_field
+from starcurves.fields import Field, check_same_field
 from starcurves.polynomials import HomogeneousPoly
+
+
+def variable(field: Field, nvars: int, k: int) -> HomogeneousPoly:
+    """The coordinate form x_k: the term map {e_k: 1}."""
+    return HomogeneousPoly(field, nvars, 1,
+                           {tuple(int(i == k) for i in range(nvars)): 1})
 
 
 def perturbation_coefficient(

@@ -17,7 +17,7 @@ def test_rational_arithmetic():
 def test_rational_elements_stay_int():
     """Every rational element the field makes is an int."""
     rng = random.Random(0)
-    for value in (QQ.from_int(-7), QQ.random(rng), QQ.mul(3, -4)):
+    for value in (QQ.from_int(-7), *QQ.randoms(rng, 3), QQ.mul(3, -4)):
         assert type(value) is int
 
 

@@ -15,16 +15,18 @@ MERSENNE_89 = 2**89 - 1     # the largest prime the tests feed an echelon
 
 class BothEchelons:
     """A `SparseEchelonModP` and a `PackedEchelonModP` fed the same
-    vectors, the sparse one as `{column: entry}` maps, which must agree on
-    their size and on `full` after every `add`."""
+    vectors, the sparse one as `{column: entry}` maps, the packed one as
+    residues in [0, p), which must agree on their size and on `full` after
+    every `add`."""
 
     def __init__(self, p, length):
+        self.p = p
         self.listed = SparseEchelonModP(p, length)
         self.packed = PackedEchelonModP(p, length)
 
     def add(self, v):
         self.listed.add(dict(enumerate(v)))
-        self.packed.add(v)
+        self.packed.add([x % self.p for x in v])
         assert len(self.packed) == len(self.listed)
         assert self.packed.full() == self.listed.full()
 

@@ -12,7 +12,8 @@ from starcurves.polynomials import (HomogeneousPoly, monomial_values,
 from starcurves.starconfig import LinearForm
 from starcurves.tangent import _linear_poly
 
-from product_rule import perturbation_coefficient
+from draws import single_draw
+from product_rule import perturbation_coefficient, variable
 
 GF7 = PrimeField(7)
 
@@ -20,7 +21,7 @@ GF7 = PrimeField(7)
 def rand_poly(field, nvars, degree, rng):
     basis = monomials_of_degree(nvars, degree)
     return HomogeneousPoly(field, nvars, degree,
-                           {m: field.random(rng) for m in basis})
+                           {m: single_draw(field, rng) for m in basis})
 
 
 # -- monomial bases ---------------------------------------------------------
@@ -49,8 +50,8 @@ def test_monomials_graded_lex_order():
 # -- arithmetic -------------------------------------------------------------
 
 def test_product_of_variables():
-    x0 = HomogeneousPoly.variable(QQ, 3, 0)
-    x1 = HomogeneousPoly.variable(QQ, 3, 1)
+    x0 = variable(QQ, 3, 0)
+    x1 = variable(QQ, 3, 1)
     assert (x0 * x1).terms == {(1, 1, 0): 1}
 
 
@@ -86,8 +87,8 @@ def test_ring_laws(seed, da, db):
 
 
 def test_evaluation_examples():
-    x0 = HomogeneousPoly.variable(QQ, 3, 0)
-    x2 = HomogeneousPoly.variable(QQ, 3, 2)
+    x0 = variable(QQ, 3, 0)
+    x2 = variable(QQ, 3, 2)
     point = [0, 0, 1]
     assert x0.evaluate(point) == 0
     assert x2.evaluate(point) == 1
@@ -101,7 +102,7 @@ def test_evaluation_is_multiplicative(seed):
     rng = random.Random(seed)
     a = rand_poly(GF7, 3, rng.randint(1, 3), rng)
     b = rand_poly(GF7, 3, rng.randint(1, 3), rng)
-    pt = [GF7.random(rng) for _ in range(3)]
+    pt = [single_draw(GF7, rng) for _ in range(3)]
     assert (a * b).evaluate(pt) == GF7.mul(a.evaluate(pt), b.evaluate(pt))
 
 
@@ -137,7 +138,7 @@ def test_evaluate_matches_term_by_term(field, nvars, degree, shape,
     elif shape == "sparse":   # a few monomials of high degree
         degree += 40
         poly = HomogeneousPoly(field, nvars, degree, {
-            random_monomial(nvars, degree, rng): field.random(rng)
+            random_monomial(nvars, degree, rng): single_draw(field, rng)
             for _ in range(rng.randint(1, 3))})
     else:
         poly = HomogeneousPoly.zero(field, nvars, degree)
@@ -147,7 +148,7 @@ def test_evaluate_matches_term_by_term(field, nvars, degree, shape,
         coords = [Fraction(rng.randint(-99, 99), rng.randint(1, 99))
                   for _ in range(nvars)]
     else:
-        coords = [field.random(rng) for _ in range(nvars)]
+        coords = [single_draw(field, rng) for _ in range(nvars)]
     value = poly.evaluate(coords)
     expected = evaluate_by_terms(poly, coords)
     assert value == expected
@@ -198,7 +199,7 @@ def test_perturbation_single_nonzero_direction():
     rng = random.Random(5)
     bases = [rand_poly(QQ, 3, 1, rng) for _ in range(5)]
     zero = HomogeneousPoly.zero(QQ, 3, 1)
-    x0 = HomogeneousPoly.variable(QQ, 3, 0)
+    x0 = variable(QQ, 3, 0)
     factors = [(b, x0 if i == 0 else zero) for i, b in enumerate(bases)]
     expected = x0 * poly_product(bases[1:], QQ, 3)
     assert perturbation_coefficient(factors) == expected
@@ -209,39 +210,22 @@ def test_perturbation_empty_list_rejected():
         perturbation_coefficient([])
 
 
-# -- text notation ----------------------------------------------------------
+# -- sums of unequal degrees and repr --------------------------------------
 
-#: str() of the ten polynomials rand_poly(QQ, 3, randint(0, 3)) draws from
-#: random.Random(12).
-PINNED_STR = [
-    "-1186*x0^3 + 7338*x0^2*x1 + 1461*x0^2*x2 - 5328*x0*x1^2 + 2505*x0*x1*x2"
-    " - 9645*x0*x2^2 + 2279*x1^3 + 5811*x1^2*x2 - 1020*x1*x2^2 + 5080*x2^3",
-    "8290*x0 - 9946*x1 - 5239*x2",
-    "2047*x0^3 - 4683*x0^2*x1 + 1130*x0^2*x2 - 3111*x0*x1^2 - 8073*x0*x1*x2"
-    " + 8881*x0*x2^2 - 3459*x1^3 - 7556*x1^2*x2 + 6827*x1*x2^2 + 1042*x2^3",
-    "-7138*x0^3 - 9391*x0^2*x1 - 8009*x0^2*x2 + 6676*x0*x1^2 - 2685*x0*x1*x2"
-    " - 7019*x0*x2^2 + 3887*x1^3 + 4540*x1^2*x2 - 6313*x1*x2^2 + 3867*x2^3",
-    "7678*x0 + 241*x1 + 8289*x2",
-    "-8318*x0 + 8191*x1 - 4390*x2",
-    "3124",
-    "9528*x0^3 + 5387*x0^2*x1 + 5622*x0^2*x2 + 9965*x0*x1^2 + 2601*x0*x1*x2"
-    " + 7732*x0*x2^2 - 9001*x1^3 - 7292*x1^2*x2 - 3713*x1*x2^2 - 1430*x2^3",
-    "1898*x0^2 + 2635*x0*x1 + 154*x0*x2 - 6270*x1^2 - 1731*x1*x2 - 2301*x2^2",
-    "1905*x0^2 + 2165*x0*x1 + 6755*x0*x2 + 8783*x1^2 + 6384*x1*x2 - 4122*x2^2",
-]
+@pytest.mark.parametrize("field", [QQ, GF7])
+def test_sum_refuses_a_zero_of_another_degree(field):
+    """A zero polynomial keeps its declared degree, so adding it to a
+    polynomial of another degree is the same mismatch as any other."""
+    x0 = variable(field, 3, 0)
+    zero = HomogeneousPoly.zero(field, 3, 2)
+    for a, b in ((x0, zero), (zero, x0),
+                 (zero, HomogeneousPoly.zero(field, 3, 1))):
+        with pytest.raises(ValueError, match="degrees (1 and 2|2 and 1)"):
+            a + b
+    assert (zero + HomogeneousPoly.zero(field, 3, 2)).degree == 2
 
 
-def test_str_notation():
-    rng = random.Random(12)
-    assert [str(rand_poly(QQ, 3, rng.randint(0, 3), rng))
-            for _ in range(10)] == PINNED_STR
-    assert str(HomogeneousPoly(QQ, 3, 2, {(1, 1, 0): -1, (0, 0, 2): 1})) == \
-        "-x0*x1 + x2^2"
-    assert str(HomogeneousPoly.zero(QQ, 3, 2)) == "0"
-
-
-def test_str_rational_coefficients():
-    p = HomogeneousPoly(QQ, 3, 2, {(2, 0, 0): Fraction(1, 2),
-                                   (0, 1, 1): Fraction(-3, 4)})
-    assert p.terms == {(2, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(-3, 4)}
-    assert str(p) == "1/2*x0^2 - 3/4*x1*x2"
+def test_repr_shows_the_degree_and_the_term_map():
+    p = HomogeneousPoly(QQ, 3, 2, {(1, 1, 0): -1, (0, 0, 2): 1})
+    assert repr(p) == "HomogeneousPoly(2, {(1, 1, 0): -1, (0, 0, 2): 1})"
+    assert repr(HomogeneousPoly.zero(GF7, 3, 4)) == "HomogeneousPoly(4, {})"

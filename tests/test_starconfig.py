@@ -16,13 +16,21 @@ from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
 from starcurves.matrices import rank
 from starcurves.polynomials import monomial_values, monomials_of_degree
 from starcurves.reference_cases import published_star
-from starcurves.starconfig import (GenericityError, LinearForm, build_star,
-                                   hilbert_function, intersection_point,
-                                   arc_bound, random_star)
+from starcurves.starconfig import (GenericityError, LinearForm,
+                                   StarConfiguration, build_star,
+                                   hilbert_function, arc_bound, random_star)
 from starcurves.tangent import generators, ideal_component_dim
+
+from draws import single_draw
 
 GF = PrimeField()
 GF3 = PrimeField(3)
+
+
+def point_of(*forms):
+    """The point where n forms in n + 1 variables meet: the one point of
+    their star, which refuses dependent forms."""
+    return StarConfiguration(forms).point_list()[0]
 
 
 def coordinate_forms(field=QQ):
@@ -66,14 +74,14 @@ def test_is_general_two_forms():
 
 def test_intersection_coordinate_lines():
     x0, x1, x2 = coordinate_forms()
-    assert intersection_point(x0, x1) == (0, 0, 1)
-    assert intersection_point(x1, x2) == (1, 0, 0)
+    assert point_of(x0, x1) == (0, 0, 1)
+    assert point_of(x1, x2) == (1, 0, 0)
 
 
 def test_intersection_derived_example():
     x0 = coordinate_forms()[0]
     plane = LinearForm(QQ, [1, 1, 1])
-    p = intersection_point(x0, plane)
+    p = point_of(x0, plane)
     # solving x0 = 0, x0 + x1 + x2 = 0 gives (0 : -1 : 1)
     assert p == (0, -1, 1)
 
@@ -83,24 +91,24 @@ def test_intersection_symmetry():
     for a in forms:
         for b in forms:
             if a is not b:
-                assert intersection_point(a, b) == intersection_point(b, a)
+                assert point_of(a, b) == point_of(b, a)
 
 
 def test_intersection_dependent_forms_rejected():
     a = LinearForm(QQ, [1, 2, 0])
     b = LinearForm(QQ, [2, 4, 0])
     with pytest.raises(GenericityError):
-        intersection_point(a, b)
+        point_of(a, b)
 
 
 def test_point_normalization():
     """The kernel (-9, -18, 0) of these forms is (1, 2, 0) over Q: no
     common factor, last nonzero entry positive; over GF(7) it is scaled to
     last nonzero entry 1."""
-    assert intersection_point(LinearForm(QQ, [0, 0, 3]),
+    assert point_of(LinearForm(QQ, [0, 0, 3]),
                               LinearForm(QQ, [-6, 3, 0])) == (1, 2, 0)
     f = PrimeField(7)
-    assert intersection_point(LinearForm(f, [0, 0, 3]),
+    assert point_of(LinearForm(f, [0, 0, 3]),
                               LinearForm(f, [1, 3, 0])) == (4, 1, 0)
 
 
@@ -150,9 +158,9 @@ def test_intersection_point_is_the_scaled_minors(case):
     minors = [field.from_int(m) for m in signed_maximal_minors(rows)]
     if not any(minors):
         with pytest.raises(GenericityError):
-            intersection_point(*forms)
+            point_of(*forms)
         return
-    v = intersection_point(*forms)
+    v = point_of(*forms)
     assert len(v) == n + 1 and all(type(x) is int for x in v)
     assert all(field.is_zero(form.evaluate(v)) for form in forms)
     last = next(x for x in reversed(v) if x)
@@ -195,8 +203,8 @@ def small_form_rows(draw):
 @example((PrimeField(5), 3, [[2, 1, 0, 0], [1, 3, 1, 0], [0, 0, 0, 1],
                              [0, 1, 0, 0]]))
 def test_build_star_is_general_position(case):
-    """`build_star` gives each n-subset the point `intersection_point`
-    gives it, or names the lexicographically first n + 1 forms whose
+    """`build_star` gives each n-subset the point of a star of its n
+    forms alone, or names the lexicographically first n + 1 forms whose
     determinant is 0 (mod p); with l = n, all l forms when their maximal
     minors all vanish."""
     field, n, rows = case
@@ -215,7 +223,7 @@ def test_build_star_is_general_position(case):
                                                  for i in dependent[0])
     else:
         assert build_star(forms).points == {
-            s: intersection_point(*(forms[i - 1] for i in s))
+            s: point_of(*(forms[i - 1] for i in s))
             for s in combinations(labels, n)}
 
 
@@ -250,7 +258,7 @@ def test_integer_coordinates_are_the_point(field, n):
     for star in stars:
         for s, p in star.points.items():
             assert all(type(x) is int for x in p)
-            assert p == intersection_point(*(star.forms[i - 1] for i in s))
+            assert p == point_of(*(star.forms[i - 1] for i in s))
             assert all(field.is_zero(star.forms[i - 1].evaluate(p))
                        for i in s)
             if isinstance(field, PrimeField):
@@ -334,7 +342,7 @@ def test_hat_products_vanish_on_configuration():
     # nonzero at a point off all lines
     rng = random.Random(7)
     while True:
-        coords = [GF.random(rng) for _ in range(3)]
+        coords = [single_draw(GF, rng) for _ in range(3)]
         if all(not GF.is_zero(f.evaluate(coords)) for f in star.forms):
             break
     for hat in generators(star):
@@ -638,13 +646,13 @@ def test_hilbert_columns_are_the_monomial_values(field, n, l):
     state = star._hilbert
     p = state.p
     added = []
-    real = state.echelon.add_residues
+    real = state.echelon.add
 
     def recording(column):
         added.append(list(column))
         real(column)
 
-    state.echelon.add_residues = recording
+    state.echelon.add = recording
     hilbert_function(star, 3 * l)
     assert state.saturated is not None and state.columns is None
     charts = starconfig._chart_values(star)
@@ -703,7 +711,7 @@ def star_with_a_point_at_infinity(field, n, l, rng):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_line_columns_give_the_point_of_each_subset(field, n):
     """Every point of a star built a line at a time (up to l - n + 1 points
-    per line) is the `intersection_point` of its n forms and lies on no
+    per line) is the point of a star of its n forms alone and lies on no
     other form; one of the stars has a point with last coordinate 0.  Over
     GF(13) random forms are seldom in general position past l = n + 3."""
     rng = random.Random(f"{field!r} {n}")
@@ -713,7 +721,7 @@ def test_line_columns_give_the_point_of_each_subset(field, n):
     assert any(pt[-1] == 0 for pt in stars[0].points.values())
     for star in stars:
         for key, pt in star.points.items():
-            assert pt == intersection_point(*(star.forms[i - 1] for i in key))
+            assert pt == point_of(*(star.forms[i - 1] for i in key))
             assert [field.is_zero(f.evaluate(pt)) for f in star.forms] == \
                 [i in key for i in range(1, l + 1)]
 

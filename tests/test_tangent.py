@@ -31,7 +31,8 @@ from starcurves.tangent import (DimensionCertificate, TrialStars,
                                 tangent_dim_points, structured_multipliers,
                                 verdict)
 
-from product_rule import perturbation_coefficient
+from draws import single_draw
+from product_rule import perturbation_coefficient, variable
 
 GF = PrimeField()
 
@@ -113,7 +114,7 @@ def test_q_forms_match_product_rule(n, field, l, extra, seed):
     polys = [poly_of(field, nvars, extra, m) for m in mult]
     for i in range(1, l + 1):
         for k in range(nvars):
-            xk = HomogeneousPoly.variable(field, nvars, k)
+            xk = variable(field, nvars, k)
             parts = [m * perturbation_coefficient(
                          [(_linear_poly(star.forms[j - 1]), xk if j == i else zero1)
                           for j in range(1, l + 1) if j not in key])
@@ -124,7 +125,7 @@ def test_q_forms_match_product_rule(n, field, l, extra, seed):
 # -- graded ideal components ------------------------------------------------
 
 def test_ideal_component_single_variable():
-    x0 = HomogeneousPoly.variable(QQ, 3, 0)
+    x0 = variable(QQ, 3, 0)
     assert ideal_component_dim([x0], 2) == 3
 
 
@@ -290,11 +291,11 @@ def test_perturbation_elements_lie_in_tangent_space():
     mult = random_multipliers(star, d, rng)
     mdeg = d - star.l + 1
     l_dirs = [HomogeneousPoly(GF, 3, 1,
-                              {m: GF.random(rng)
+                              {m: single_draw(GF, rng)
                                for m in monomials_of_degree(3, 1)})
               for _ in range(star.l)]
     m_dirs = [HomogeneousPoly(GF, 3, mdeg,
-                              {m: GF.random(rng)
+                              {m: single_draw(GF, rng)
                                for m in monomials_of_degree(3, mdeg)})
               for _ in range(star.l)]
     parts = []
@@ -714,7 +715,7 @@ def dense_poly_draw(star, d, rng):
     fld, nvars = star.field, star.n + 1
     basis = monomials_of_degree(nvars, mdeg)
     return [HomogeneousPoly(fld, nvars, mdeg,
-                            {m: fld.random(rng) for m in basis})
+                            {m: single_draw(fld, rng) for m in basis})
             for _ in star.generator_keys()]
 
 
