@@ -127,9 +127,9 @@ def run_one(d: int, l: int, fld: Field, trials: int, seed: int,
                    multipliers=multipliers)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     if verbose:
-        for t, dim in zip(cert.seeds, cert.trial_dims):
-            print(f"DEBUG (d={d}, l={l}) trial seed {t}: tangent dimension "
-                  f"{dim}", file=sys.stderr)
+        for r in cert.trials:
+            print(f"DEBUG (d={d}, l={l}) trial seed {r['seed']}: tangent "
+                  f"dimension {r['dimension']}", file=sys.stderr)
     return certificate_row(cert, fld, seed, elapsed_ms)
 
 

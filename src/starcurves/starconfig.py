@@ -26,8 +26,10 @@ from .matrices import PackedEchelonModP, fraction_free, rank
 from .polynomials import monomial_values, monomials_of_degree
 
 RETRY_BUDGET = 100
+#: The most points made canonical in one pass: longer columns cost more.
+BATCH = 1024
 
-#: A point of P^n as its primitive integer vector (`_meets`).
+#: A point of P^n as its primitive integer vector (`_canonical`).
 Point = tuple[int, ...]
 
 
@@ -73,10 +75,10 @@ class LinearForm:
         return f"LinearForm({self.field!r}, {list(self.coefficients)})"
 
 
-def _line(field: Field, forms: Sequence[LinearForm]) -> list[list[int]] | None:
+def _line(field: Field, forms: Sequence[LinearForm]) -> list[list[int]]:
     """A basis (u, w) of the common zeros of n - 1 forms in n + 1
-    variables, the line where their hyperplanes meet, or None when the
-    forms are dependent.
+    variables, the line where their hyperplanes meet, or two zero vectors
+    when the forms are dependent.
 
     `fraction_free` elimination of the coefficient rows leaves the pivot
     minor D at each pivot and 0 at the other pivots.  Each of the two free
@@ -87,10 +89,10 @@ def _line(field: Field, forms: Sequence[LinearForm]) -> list[list[int]] | None:
     p, and the vectors read off it would then not span the line."""
     p = field.p if isinstance(field, PrimeField) else None
     rows = [list(f.coefficients) for f in forms]
-    pivots = fraction_free(rows, p)
+    pivots, size = fraction_free(rows, p), len(forms) + 2
     if None in pivots:
-        return None
-    minor, size = rows[-1][pivots[-1]] if rows else 1, len(forms) + 2
+        return [[0] * size] * 2
+    minor = rows[-1][pivots[-1]] if rows else 1
     basis = []
     for free in (c for c in range(size) if c not in pivots):
         v = [0] * size
@@ -101,22 +103,11 @@ def _line(field: Field, forms: Sequence[LinearForm]) -> list[list[int]] | None:
     return basis
 
 
-def _meets(field: Field, line: list[list[int]] | None,
-           forms: Sequence[Sequence[int]]) -> list[Point | None]:
-    """Where the line spanned by (u, w) meets the hyperplane of each form L
-    (its coefficients): L(w)*u - L(u)*w, from one pass over the forms, as
-    n + 1 coordinate columns.  Each point is its primitive integer vector,
-    scaled by its last nonzero entry: over GF(p) by its inverse (one
-    `_inverses` per call), over Q by the gcd of the entries, signed as that
-    entry; None when the line lies in the hyperplane (the vector is 0),
-    and for every form when there is no line."""
-    if line is None:
-        return [None] * len(forms)
-    u, w = line
-    ab = [(sum(map(mul, c, u)), sum(map(mul, c, w))) for c in forms]
-    p = field.p if isinstance(field, PrimeField) else None
-    xs = [[b * s - a * t for a, b in ab] if p is None else
-          [(b * s - a * t) % p for a, b in ab] for s, t in zip(u, w)]
+def _canonical(p: int | None, xs: list[list[int]]) -> list[Point | None]:
+    """The points of n + 1 coordinate columns, each its primitive integer
+    vector scaled by its last nonzero entry: over GF(p) by its inverse (one
+    `_inverses` for all of them), over Q by the gcd of the entries, signed
+    as that entry; None for a vector 0."""
     last = xs[-1]
     for column in xs[-2::-1] if 0 in last else ():
         last = [y or x for x, y in zip(column, last)]
@@ -147,7 +138,7 @@ class StarConfiguration:
     their C(l,n) intersection points.
 
     n is the number of variables minus one.  Points, each its primitive
-    integer vector (`_meets`), are keyed by sorted 1-based n-subsets; the
+    integer vector (`_canonical`), are keyed by sorted 1-based n-subsets; the
     products of the forms outside each (n-1)-subset, which generate the
     ideal, by sorted (n-1)-subsets (`generator_keys`).
     """
@@ -167,16 +158,25 @@ class StarConfiguration:
             raise ValueError("ambient dimension must be at least 2")
         if self.l < self.n:
             raise ValueError(f"need at least n = {self.n} forms")
-        # Line by line: the line of each (n-1)-subset t with max(t) < l
-        # meets each later form k at the point of t + (k,), so one
-        # elimination of n - 1 rows serves l - max(t) points, in key order.
-        self.points = {}
+        # The line (u, w) of each (n-1)-subset t with max(t) < l meets each
+        # later form k in L_k(w)*u - L_k(u)*w, the point of t + (k,), or 0:
+        # one elimination of n - 1 rows serves l - max(t) points, in key
+        # order; one pass makes the columns of up to BATCH points canonical.
+        p = self.field.p if isinstance(self.field, PrimeField) else None
+        self.points, keys, columns = {}, [], [[] for _ in range(self.n + 1)]
         coefficients = [f.coefficients for f in forms]
         for t in itertools.combinations(range(1, self.l), self.n - 1):
-            line = _line(self.field, [forms[i - 1] for i in t])
-            self.points.update(zip(
-                [t + (k,) for k in range(t[-1] + 1, self.l + 1)],
-                _meets(self.field, line, coefficients[t[-1]:])))
+            u, w = _line(self.field, [forms[i - 1] for i in t])
+            ab = [(sum(map(mul, c, u)), sum(map(mul, c, w)))
+                  for c in coefficients[t[-1]:]]
+            keys += [t + (k,) for k in range(t[-1] + 1, self.l + 1)]
+            for column, x, y in zip(columns, u, w):
+                column += ([b * x - a * y for a, b in ab] if p is None else
+                           [(b * x - a * y) % p for a, b in ab])
+            if len(keys) >= BATCH:
+                self.points.update(zip(keys, _canonical(p, columns)))
+                keys, columns = [], [[] for _ in range(self.n + 1)]
+        self.points.update(zip(keys, _canonical(p, columns)))
         # General position: every n + 1 forms are independent.  That holds
         # iff every point exists and no two coincide.  If n + 1 forms are
         # dependent while their n-subsets are independent, a common zero of
@@ -434,10 +434,15 @@ def _chart_values(star: StarConfiguration) -> list[Element] | None:
 
 
 def _evaluation_rank(star: StarConfiguration, t: int) -> int:
-    """The rank of the degree-t evaluation matrix: rows are the points at
-    integer coordinates, columns the degree-t monomials."""
-    basis = monomials_of_degree(star.n + 1, t)
-    field = star.field
-    rows = ([field.from_int(v) for v in monomial_values(field, p, t, basis)]
-            for p in star.point_list())
-    return rank(field, rows, len(basis))
+    """The rank of the degree-t monomials' values at the points' integer
+    coordinates, by a `PackedEchelonModP` over GF(p), by `rank` over Q."""
+    basis, field = monomials_of_degree(star.n + 1, t), star.field
+    rows = (monomial_values(field, p, t, basis) for p in star.point_list())
+    if not isinstance(field, PrimeField):
+        return rank(field, rows, len(basis))
+    echelon = PackedEchelonModP(field.p, len(basis))
+    for row in rows:
+        echelon.add([v % field.p for v in row])
+        if len(echelon) == len(basis):
+            break
+    return len(echelon)

@@ -29,7 +29,7 @@ cross-check it against A.
 A multiplier M_T is its coefficient vector over monomials_of_degree(n + 1,
 m), m = d - (l - n + 1); only A builds polynomials, from it and from the
 forms (`generators`, `build_q_forms`).  B streams its rows into one
-`matrices.rank`, in band order (`_band_order`), and builds a point's
+`matrices.rank`, in band order (`_TangentLayout`), and builds a point's
 monomial table and multiplier values only when the rank reads its row.
 The rank stops reading once it holds l*n independent rows, which at
 random data over a large prime is after the n*l rows of the band.
@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from math import comb
-from operator import add, mul
+from operator import add, length_hint, mul
 from typing import Iterator, Sequence
 
 from .fields import Element, Field, check_integral, check_same_field
@@ -178,20 +179,32 @@ def _multiplier_values(star, d, multipliers,
     return map(at, keys)
 
 
-def _band_order(star: StarConfiguration) -> list[tuple[int, ...]]:
-    """The point keys, the band first: for each i, the n-subsets that
-    contain i inside the cyclic window {i, ..., i + n} (n*l keys once l is
-    large, one per column of the tangent matrix); then the rest in order."""
-    l, n = star.l, star.n
-    band = dict.fromkeys(
-        tuple(sorted({i, *(h % l + 1 for h in rest)})) for i in range(1, l + 1)
-        for rest in itertools.combinations(range(i, i + n), n - 1))
-    return [s for s in band if len(s) == n] + [
-        s for s in star.point_keys() if s not in band]
+class _TangentLayout:
+    """The part of algorithm B that depends on the star alone, kept on the
+    star by its first rank for every degree d: `order`, the point keys, the
+    band first (for each i, the n-subsets that contain i inside the cyclic
+    window {i, ..., i + n}, one per column once l is large), and for each
+    L_i in `pairs`, the (column, k) of each x_k * Q_i kept, all but the one
+    at the first nonzero coefficient.  It holds no reference to the star."""
+
+    def __init__(self, star: StarConfiguration):
+        l, n = star.l, star.n
+        band = dict.fromkeys(
+            tuple(sorted({i, *(h % l + 1 for h in rest)}))
+            for i in range(1, l + 1)
+            for rest in itertools.combinations(range(i, i + n), n - 1))
+        self.order = [s for s in band if len(s) == n] + [
+            s for s in star.point_keys() if s not in band]
+        self.pairs = {}
+        for i, form in enumerate(star.forms, start=1):
+            dropped = next(k for k, c in enumerate(form.coefficients) if c)
+            self.pairs[i] = list(enumerate((k for k in range(n + 1)
+                                            if k != dropped), (i - 1) * n))
 
 
 def tangent_dim_points(star: StarConfiguration, d: int,
-                       multipliers: Sequence[Multiplier]) -> int:
+                       multipliers: Sequence[Multiplier],
+                       record: dict | None = None) -> int:
     """dim_k I_d via point evaluation (algorithm B).
 
     The rank of the C(l,n) x l*n matrix with entries p_s[k] * Q_i(p_s),
@@ -202,23 +215,25 @@ def tangent_dim_points(star: StarConfiguration, d: int,
     built as p_s[k] * M_{s - i}(p_s) at integer coordinates of p_s: the
     same row up to nonzero factors, prod_{h not in s} L_h(p_s) among them.
 
-    The rows come in `_band_order`, each built only when `rank` reads it,
-    and the rank stops reading once it holds l*n independent rows.  When
-    it does not, as over Q in the Luroth case, every row is read.
+    The rows come in band order, each built from the star's
+    `_TangentLayout` only when `rank` reads it, and the rank stops reading
+    once it holds l*n independent rows.  When it does not, as over Q in
+    the Luroth case, every row is read.  Given a `record`, its
+    "rows_read" is set to the number of rows the rank read.
     """
-    values = _multiplier_values(star, d, multipliers, _band_order(star))
-    fld, width = star.field, star.n
-    pairs = {}      # i -> (column, k) of each x_k * Q_i that is kept
-    for i, form in enumerate(star.forms, start=1):
-        dropped = next(k for k, c in enumerate(form.coefficients) if c)
-        pairs[i] = list(enumerate((k for k in range(width + 1)
-                                   if k != dropped), (i - 1) * width))
+    if "_tangent_layout" not in vars(star):
+        star._tangent_layout = _TangentLayout(star)
+    layout = star._tangent_layout
+    keys, pairs = iter(layout.order), layout.pairs
 
     def row(s, ms):
         coords = star.points[s]
         return {col: coords[k] * m for i, m in ms.items()
                 for col, k in pairs[i]}
-    found = rank(fld, itertools.starmap(row, values), star.l * width)
+    values = _multiplier_values(star, d, multipliers, keys)
+    found = rank(star.field, itertools.starmap(row, values), star.l * star.n)
+    if record is not None:
+        record["rows_read"] = len(layout.order) - length_hint(keys)
     return found + comb(d + star.n, star.n) - comb(star.l, star.n)
 
 
@@ -363,14 +378,14 @@ class DimensionCertificate:
                  seeds: list[int], lower_bound: int | None,
                  theorem_value: int | None,
                  upper_bounds: list[tuple[str, int]], verdict: str,
-                 trial_dims: list[int] | None = None,
+                 trials: list[dict] | None = None,
                  external_facts: list[str] | None = None, n: int = 2):
         self.d, self.l, self.n, self.field_descriptor = \
             d, l, n, field_descriptor
         self.seeds, self.lower_bound = seeds, lower_bound
         self.theorem_value, self.upper_bounds = theorem_value, upper_bounds
         self.verdict = verdict      # CERTIFIED | GAP | CONTRADICTION | EMPTY
-        self.trial_dims = [] if trial_dims is None else trial_dims
+        self.trials = [] if trials is None else trials   # see `certify`
         self.external_facts = [] if external_facts is None else external_facts
 
     def to_json(self) -> dict:
@@ -386,6 +401,7 @@ class DimensionCertificate:
                              for s, v in self.upper_bounds],
             "external_facts": self.external_facts,
             "verdict": self.verdict,
+            "trials": self.trials,
         }
 
 
@@ -415,7 +431,10 @@ def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
     minus one is a semicontinuity lower bound.  Its `verdict` against the
     least of `upper_bounds` (for n = 2 the theorem's `theorem_value`, None
     for n >= 3) is the certificate's.  `external_facts` lists the source
-    tags of the outside theorems the verdict relies on.
+    tags of the outside theorems the verdict relies on.  `trials` holds a
+    record of each trial: "seed", tangent "dimension", "rows_read" by the
+    rank, and seconds getting the star, drawing the multipliers and
+    ranking ("star_s", "multipliers_s", "rank_s").
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -426,19 +445,25 @@ def certify(d: int, l: int, fld: Field, trials: int = 3, seed: int = 0,
     bounds = upper_bounds(d, l, n)
     stars = TrialStars(l, fld, seed, n) if stars is None else stars
     seeds = [trial_seed(seed, t) for t in range(trials)]
-    dims = []
+    records = []
     for t, ts in enumerate(seeds):
+        start = time.perf_counter()
         star = stars[t]
         if (star.l, star.n, star.field) != (l, n, fld):
             raise ValueError(f"trial {t} has l = {star.l} hyperplanes in "
                              f"P^{star.n} over {star.field!r}, not l = {l} "
                              f"in P^{n} over {fld!r}")
+        drawn = time.perf_counter()
         mult = multipliers if multipliers is not None else \
             random_multipliers(star, d, random.Random(ts ^ 0x5EED))
-        dims.append(tangent_dim_points(star, d, mult))
-    lower = max(dims) - 1
+        ranked, record = time.perf_counter(), {"seed": ts}
+        record["dimension"] = tangent_dim_points(star, d, mult, record)
+        record.update(star_s=drawn - start, multipliers_s=ranked - drawn,
+                      rank_s=time.perf_counter() - ranked)
+        records.append(record)
+    lower = max(r["dimension"] for r in records) - 1
     facts = [STAR_IDEAL_SOURCE] + [s for s, _ in bounds if s == LUROTH_SOURCE]
     return DimensionCertificate(
         d, l, fld.descriptor(), seeds, lower, value, bounds,
-        verdict(lower, min(v for _, v in bounds)), trial_dims=dims,
+        verdict(lower, min(v for _, v in bounds)), trials=records,
         external_facts=facts, n=n)

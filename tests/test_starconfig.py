@@ -19,7 +19,7 @@ from starcurves.reference_cases import published_star
 from starcurves.starconfig import (GenericityError, LinearForm,
                                    StarConfiguration, build_star,
                                    hilbert_function, arc_bound, random_star)
-from starcurves.tangent import generators, ideal_component_dim
+from starcurves.tangent import certify, generators, ideal_component_dim
 
 from draws import single_draw
 
@@ -267,11 +267,14 @@ def test_integer_coordinates_are_the_point(field, n):
 
 @pytest.mark.parametrize("field", [QQ, GF])
 def test_star_freed_by_reference_counting(field):
-    """The Hilbert-function state stored on a star holds no reference back
-    to it, so the star and its echelon go with the star's last name."""
+    """The tangent layout and the Hilbert-function state stored on a star
+    hold no reference back to it, so the star, its layout and its echelon
+    go with the star's last name."""
     gc.disable()
     try:
         star = random_star(6, 0, field)
+        certify(6, 6, field, trials=1, stars=[star])
+        assert star._tangent_layout.order
         hilbert_function(star, 20)
         assert star._hilbert.echelon is not None
         dead = weakref.ref(star)
@@ -746,3 +749,101 @@ def test_line_columns_name_the_first_dependent_forms(field, n, dependency):
     with pytest.raises(GenericityError) as refused:
         build_star([LinearForm(field, r) for r in rows])
     assert refused.value.labels == ", ".join(f"L{i}" for i in dependent)
+
+
+def meets(field, line, forms):
+    """Where the line spanned by (u, w) meets the hyperplane of each form
+    (its coefficients): L(w)*u - L(u)*w, scaled by the inverse of its last
+    nonzero entry over GF(p) and by the gcd of its entries, signed as that
+    entry, over Q; None when the vector is 0, as for every form when the
+    forms of the line are dependent and `_line` gives two zero vectors.
+    The per-line build, one line and one scaling of each point at a time."""
+    u, w = line
+    out = []
+    for c in forms:
+        a, b = (sum(x * y for x, y in zip(c, v)) for v in (u, w))
+        x = [field.from_int(b * s - a * t) for s, t in zip(u, w)]
+        last = next((y for y in reversed(x) if y), None)
+        if last is None:
+            out.append(None)
+        elif isinstance(field, PrimeField):
+            out.append(tuple(y * pow(last, -1, field.p) % field.p
+                             for y in x))
+        else:
+            g = reduce(gcd, x) * (-1 if last < 0 else 1)
+            out.append(tuple(y // g for y in x))
+    return out
+
+
+def per_line_points(forms):
+    """The points of the forms' star, key by key, built a line at a time:
+    `_line` of each (n-1)-subset t with max(t) < l, then `meets` with each
+    later form.  The oracle of the one-pass build."""
+    field, l, n = forms[0].field, len(forms), forms[0].nvars - 1
+    points = {}
+    for t in combinations(range(1, l), n - 1):
+        line = starconfig._line(field, [forms[i - 1] for i in t])
+        points.update(zip([t + (k,) for k in range(t[-1] + 1, l + 1)],
+                          meets(field, line, [f.coefficients
+                                              for f in forms[t[-1]:]])))
+    return points
+
+
+@pytest.mark.parametrize("batch", [starconfig.BATCH, 4])
+@pytest.mark.parametrize("field", [PrimeField(2), GF3, PrimeField(13), GF, QQ],
+                         ids=repr)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_pass_points_match_the_per_line_build(monkeypatch, n, field,
+                                                  batch):
+    """The star's points, their key order and the labels of a
+    `GenericityError` are those of the per-line build, for random forms
+    on several seeds, some with a form made the sum of two others or a
+    multiple of another; with `batch` 4, one star's points are made
+    canonical in several passes."""
+    monkeypatch.setattr(starconfig, "BATCH", batch)
+    outcomes = set()
+    for seed in range(12):
+        rng = random.Random(f"one pass {n} {field!r} {seed}")
+        l = n + rng.randint(0, 4)
+        rows = [field.randoms(rng, n + 1) for _ in range(l)]
+        if seed % 3 == 1 and l > n:
+            rows[-1] = [a + b for a, b in zip(rows[0], rows[l // 2])]
+        elif seed % 3 == 2:
+            rows[l // 2] = [3 * a for a in rows[0]]
+        forms = [LinearForm(field, r) for r in rows
+                 if any(map(field.from_int, r))]
+        if len(forms) < max(2, n):
+            continue
+        expected = per_line_points(forms)
+        values = list(expected.values())
+        if None in values or len(set(values)) < len(values):
+            with pytest.raises(GenericityError) as refused:
+                StarConfiguration(forms)
+            assert refused.value.labels == starconfig._first_dependent(
+                forms, expected, n)
+            outcomes.add("refused")
+        else:
+            star = StarConfiguration(forms)
+            assert list(star.points.items()) == list(expected.items())
+            outcomes.add("built")
+    assert outcomes == {"refused", "built"}
+
+
+def test_evaluation_rank_packs_prime_field_rows(monkeypatch):
+    """Over GF(p) the per-degree Hilbert fallback takes the dense residue
+    rows into the packed echelon, not `rank`, and gives the rank of the
+    whole evaluation matrix; over Q it keeps `rank`."""
+    stars = [random_star(14, 0, PrimeField(13)), random_star(4, 1, GF3),
+             random_star(6, 2, PrimeField(13), 3), random_star(5, 0, QQ)]
+    expected = [[evaluation_rank(star, t) for t in range(star.l + 2)]
+                for star in stars]
+    calls = []
+
+    def spy(field, rows, ncols):
+        calls.append(field)
+        return rank(field, rows, ncols)
+
+    monkeypatch.setattr(starconfig, "rank", spy)
+    assert [[starconfig._evaluation_rank(star, t) for t in range(star.l + 2)]
+            for star in stars] == expected
+    assert calls == [QQ] * 7

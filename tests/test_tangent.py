@@ -833,3 +833,55 @@ def test_certify_contradiction_when_lower_exceeds_upper(monkeypatch):
     cert = certify(5, 6, GF, trials=1)
     assert cert.verdict == "CONTRADICTION"
     assert cert.lower_bound == 18 and cert.theorem_value == 17
+
+
+def test_tangent_layout_built_once_per_star_and_command(monkeypatch, capsys):
+    """`sweep` builds one tangent layout per trial star, l = 2..10, and
+    reuses it for every degree of that l; a second sweep in the same
+    process builds its own, as no layout outlives its star."""
+    from starcurves.cli import main
+    built, real = [], tangent_mod._TangentLayout.__init__
+
+    def counted(self, star):
+        built.append(star.l)
+        real(self, star)
+
+    monkeypatch.setattr(tangent_mod._TangentLayout, "__init__", counted)
+    argv = ["sweep", "--dmax", "13", "--lmax", "10", "--trials", "1"]
+    assert main(argv) == 0
+    assert built == list(range(2, 11))
+    assert main(argv) == 0
+    assert len(built) == 18
+    capsys.readouterr()
+
+
+def test_layout_reused_across_degrees_gives_the_eager_rank():
+    """One star ranked at its degrees out of order, each rank reading the
+    layout the first one built, equals the eager matrix."""
+    rng = random.Random("layout reuse")
+    for field, n, l in ((GF, 2, 8), (PrimeField(7), 3, 6), (QQ, 2, 5)):
+        star = random_star(l, 3, field, n)
+        degrees = list(range(star.generator_degree, star.generator_degree + 5))
+        rng.shuffle(degrees)
+        for d in degrees:
+            mult = random_multipliers(star, d, rng)
+            assert tangent_dim_points(star, d, mult) == \
+                eager_tangent_dim(star, d, mult)
+
+
+def test_certificate_keeps_a_record_per_trial():
+    """Each trial's record holds its seed, tangent dimension, the rows the
+    rank read and the seconds of each phase, and `to_json` writes them:
+    the band's l*n rows at random data, every row in the Luroth case."""
+    cert = certify(9, 7, GF, trials=2, seed=5)
+    records = cert.to_json()["trials"]
+    assert [r["seed"] for r in records] == cert.seeds
+    assert max(r["dimension"] for r in records) - 1 == cert.lower_bound
+    assert [r["rows_read"] for r in records] == [14, 14]
+    for r in records:
+        assert set(r) == {"seed", "dimension", "rows_read", "star_s",
+                          "multipliers_s", "rank_s"}
+        assert min(r["star_s"], r["multipliers_s"], r["rank_s"]) >= 0
+    json.dumps(records)
+    assert certify(4, 5, QQ, trials=1).trials[0]["rows_read"] == comb(5, 2)
+    assert certify(2, 5, GF).trials == []
