@@ -6,10 +6,10 @@ of two forms.  `SparseEchelonModP` keeps each vector as its nonzero
 entries, `{column: residue}`.  It serves `rank`, whose heaviest load is
 the tangent rows of `tangent.tangent_dim_points`: n*l columns, n^2 of
 them nonzero.  `PackedEchelonModP` keeps each vector as one int of
-fixed-width slots and reduces by one multiply-add of whole ints.  It
-serves the Hilbert function's dense columns (`starconfig`), whose `add`
-takes a sequence of residues in [0, p) rather than a map.  Each is the
-faster one on its own load.
+fixed-width slots and reduces, pivots and scales by operations on whole
+ints, none per slot.  It serves the Hilbert function's dense columns
+(`starconfig`), whose `add` takes residues in [0, p) rather than a map.
+Each is the faster one on its own load.
 
 `rank` reads rows as `{column: value}` maps, or as sequences of `ncols`
 entries, and stops once the echelon holds one vector per column.  Over a
@@ -115,21 +115,30 @@ class SparseEchelonModP:
 
 class PackedEchelonModP(SparseEchelonModP):
     """The echelon of dense vectors, each packed into one int: entry i in
-    the little-endian byte slot i, wide enough for (p-1) + length*(p-1)^2.
+    the little-endian slot i of `size` bytes, below 2^k for k the bit
+    length of max((p-1)^2, (p-1) + length*(p-1)^2).
 
     Stored vectors hold residues in [0, p), are 1 at their pivot and 0
     before it and at every earlier pivot.  A vector is packed from its
     residues, and each stored vector T with c = (entry at T's pivot) mod p
     nonzero adds (p - c)*T to it: one multiply-add of whole ints.  Each of
     at most `length` such steps adds at most (p - 1)^2 to a slot, so no
-    slot carries into the next and each stays the plain sum of its entry's
-    terms."""
+    slot carries into the next.  `_mod` then reduces all slots at once in
+    slots of `wide` bytes, at least 2k - bit_length(p) + 2 bits, which
+    hold a slot a < 2^k times mu = floor(2^k / p) with no carry: shifted
+    by k and masked, each holds the Barrett quotient q, a - q*p is in
+    [0, 2p), and one masked subtraction of p leaves a mod p."""
 
     def __init__(self, p: int, length: int):
         super().__init__(p, length)
-        bound = (p - 1) + length * (p - 1) ** 2
-        self.size = (bound.bit_length() + 7) // 8    # bytes per slot
-        self.mask = (1 << 8 * self.size) - 1
+        bound = max((p - 1) ** 2, (p - 1) + length * (p - 1) ** 2)
+        self.k = k = bound.bit_length()
+        self.size, self.wide = (k + 7) // 8, (2 * k - p.bit_length() + 9) // 8
+        self.mask, self.mu = (1 << 8 * self.size) - 1, (1 << k) // p
+        top = 1 << p.bit_length()
+        self.quotients, self.tops, self.offsets = (   # in every wide slot
+            int.from_bytes(x.to_bytes(self.wide, "little") * length, "little")
+            for x in ((1 << 8 * self.wide - k) - 1, top, top - p))
         self.basis: list[tuple[int, int]] = []   # (pivot bit offset, vector)
 
     def _pack(self, residues: Iterable[int]) -> int:
@@ -137,26 +146,38 @@ class PackedEchelonModP(SparseEchelonModP):
         return int.from_bytes(b"".join([x.to_bytes(size, "little")
                                         for x in residues]), "little")
 
+    def _respace(self, x: int, source: int, target: int) -> int:
+        """x's slots of `source` bytes, below 2^(8*size), in `target`."""
+        data = x.to_bytes(source * self.length, "little")
+        out = bytearray(target * self.length)
+        for j in range(self.size):
+            out[j::target] = data[j::source]
+        return int.from_bytes(out, "little")
+
+    def _mod(self, x: int) -> int:
+        """Every wide slot of x, below 2^k, reduced mod p."""
+        x -= ((x * self.mu) >> self.k & self.quotients) * self.p
+        return x - ((x + self.offsets & self.tops)
+                    >> self.p.bit_length()) * self.p
+
     def add(self, v: Sequence[int]) -> None:
         """Store a vector of residues in [0, p), packed as they are,
-        reduced by the stored vectors unless it reduces to 0.  Its slots
-        are read one by one only to find the new pivot and to scale the
-        stored vector to 1 there."""
-        p, mask, size = self.p, self.mask, self.size
+        reduced by the stored vectors and mod p unless that leaves 0,
+        scaled to 1 at its pivot, its lowest nonzero slot, and reduced mod
+        p again: scaled slots are below (p-1)^2 < 2^k."""
+        p, mask, size, wide = self.p, self.mask, self.size, self.wide
         self.added += 1
         packed = self._pack(v)
         for offset, stored in self.basis:
             c = (packed >> offset & mask) % p
             if c:
                 packed += (p - c) * stored
-        data = packed.to_bytes(size * self.length, "little")
-        entries = [int.from_bytes(data[i:i + size], "little")
-                   for i in range(0, len(data), size)]
-        piv = next((i for i, x in enumerate(entries) if x % p), None)
-        if piv is not None:
-            scale = pow(entries[piv], -1, p)
-            self.basis.append((8 * size * piv, self._pack(
-                [x * scale % p for x in entries])))
+        packed = self._mod(self._respace(packed, size, wide))
+        if packed:
+            piv = ((packed & -packed).bit_length() - 1) // (8 * wide)
+            scale = pow(packed >> 8 * wide * piv & (1 << 8 * wide) - 1, -1, p)
+            self.basis.append((8 * size * piv, self._respace(
+                self._mod(packed * scale), wide, size)))
 
 
 def fraction_free(rows: list[list[int]],

@@ -319,11 +319,11 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     is ever raised to its powers.  One mod-p echelon stored on the star
     takes them degree by degree, each column a vector of C(l, n)
     residues, mostly nonzero; HF(t) is its size after degree t.  The
-    echelon is a `PackedEchelonModP`, which reduces such long dense
-    columns by one multiply-add of whole ints.  Once that size is the
-    number of points, every later degree has it too (rank <= #rows) and
-    builds no column.  s = 0 gives c = x_n, which serves unless a point
-    lies on x_n = 0.
+    echelon is a `PackedEchelonModP`, which reduces, pivots and scales
+    such long dense columns by operations on whole ints, none per entry.
+    Once that size is the number of points, every later degree has it too
+    (rank <= #rows) and builds no column.  s = 0 gives c = x_n, which
+    serves unless a point lies on x_n = 0.
 
     Over Q the echelon runs mod `DEFAULT_PRIME` and gives the rational
     rank when it is full (`SparseEchelonModP.full`).  The whole per-degree

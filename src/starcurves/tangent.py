@@ -28,11 +28,11 @@ cross-check it against A.
 
 A multiplier M_T is its coefficient vector over monomials_of_degree(n + 1,
 m), m = d - (l - n + 1); only A builds polynomials, from it and from the
-forms (`generators`, `build_q_forms`).  B streams its rows into one
-`matrices.rank`, in band order (`_TangentLayout`), and builds a point's
-monomial table and multiplier values only when the rank reads its row.
-The rank stops reading once it holds l*n independent rows, which at
-random data over a large prime is after the n*l rows of the band.
+forms (`generators`, `build_q_forms`).  B streams its rows (over Q,
+mod the default prime first) into `matrices.rank` in band order
+(`_TangentLayout`), building a point's monomials and multiplier values
+only when the rank reads its row.  It stops once it holds l*n independent
+rows: at random data over a large prime, after the band's n*l rows.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from math import comb
 from operator import add, length_hint, mul
 from typing import Iterator, Sequence
 
-from .fields import Element, Field, check_integral, check_same_field
+from .fields import (DEFAULT_PRIME, Element, Field, PrimeField,
+                     check_integral, check_same_field)
 from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                        closed_form_dimension, upper_bounds)
 from .matrices import rank
@@ -56,6 +57,8 @@ from .starconfig import (RETRY_BUDGET, GenericityError, LinearForm,
 
 #: A multiplier M_T: its coefficient vector over monomials_of_degree(n + 1, m).
 Multiplier = Sequence[Element]
+
+RESIDUES = PrimeField(DEFAULT_PRIME)   # ranks rational tangent rows first
 
 
 def _multiplier_degree(star: StarConfiguration, d: int,
@@ -161,15 +164,15 @@ def tangent_dim_direct(star: StarConfiguration, d: int,
 # ---------------------------------------------------------------------------
 # algorithm B: the values of the multipliers at the points
 
-def _multiplier_values(star, d, multipliers,
-                       keys) -> Iterator[tuple[tuple, dict]]:
-    """(s, {i: M_{s - i}(p_s)}) at the integer vector of p_s for each key
-    s in `keys`, computed when the iterator reaches s, once the multipliers
-    pass the checks against d.  Each M_T(p_s) is the dot product of one
-    table of the point's monomial values with the coefficient vector of
-    M_T; over Q, integer coefficients keep every sum in ints."""
+def _multiplier_values(star, d, multipliers, keys,
+                       fld: Field) -> Iterator[tuple[tuple, dict]]:
+    """(s, {i: M_{s - i}(p_s)}) in `fld` at the integer vector of p_s for
+    each key s in `keys`, computed when the iterator reaches s, once the
+    multipliers pass the checks against d.  Each M_T(p_s) is the dot
+    product of one table of the point's monomial values with the vector
+    of M_T; over Q, integer coefficients keep every sum in ints."""
     mdeg = _multiplier_degree(star, d, multipliers)
-    fld, basis = star.field, monomials_of_degree(star.n + 1, mdeg)
+    basis = monomials_of_degree(star.n + 1, mdeg)
     vectors = dict(zip(star.generator_keys(), multipliers))
 
     def at(s):
@@ -218,22 +221,22 @@ def tangent_dim_points(star: StarConfiguration, d: int,
     The rows come in band order, each built from the star's
     `_TangentLayout` only when `rank` reads it, and the rank stops reading
     once it holds l*n independent rows.  When it does not, as over Q in
-    the Luroth case, every row is read.  Given a `record`, its
-    "rows_read" is set to the number of rows the rank read.
+    the Luroth case, every row is read (`_rank_at_points`).  Given a
+    `record`, its "rows_read" is set to the number of rows the rank read.
     """
     if "_tangent_layout" not in vars(star):
         star._tangent_layout = _TangentLayout(star)
     layout = star._tangent_layout
-    keys, pairs = iter(layout.order), layout.pairs
+    pairs = layout.pairs
 
     def row(s, ms):
         coords = star.points[s]
         return {col: coords[k] * m for i, m in ms.items()
                 for col, k in pairs[i]}
-    values = _multiplier_values(star, d, multipliers, keys)
-    found = rank(star.field, itertools.starmap(row, values), star.l * star.n)
+    found, read = _rank_at_points(star, d, multipliers, layout.order, row,
+                                  star.l * star.n)
     if record is not None:
-        record["rows_read"] = len(layout.order) - length_hint(keys)
+        record["rows_read"] = read
     return found + comb(d + star.n, star.n) - comb(star.l, star.n)
 
 
@@ -257,12 +260,28 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
     for r, t in columns:
         if not (1 <= r <= star.l and 1 <= t <= star.l):
             raise KeyError(f"unknown column label ({r}, {t})")
-    values = _multiplier_values(star, d, multipliers, keys)
-    fld = star.field
-    rows = ({c: star.forms[r - 1].evaluate(star.points[s]) * ms[t]
-             for c, (r, t) in enumerate(columns) if t in ms}
-            for s, ms in values)
-    return rank(fld, rows, len(columns))
+
+    def row(s, ms):
+        return {c: star.forms[r - 1].evaluate(star.points[s]) * ms[t]
+                for c, (r, t) in enumerate(columns) if t in ms}
+    return _rank_at_points(star, d, multipliers, keys, row, len(columns))[0]
+
+
+def _rank_at_points(star, d, multipliers, keys, row, ncols) -> tuple[int, int]:
+    """The rank of the rows row(s, {i: M_{s - i}(p_s)}) for s in `keys`,
+    each built when `rank` reads it, and the number of rows it read.  Over
+    Q they are ranked mod the default prime first (`RESIDUES`): an echelon
+    of min(rows read, ncols) vectors is the rational rank, and a shorter
+    one builds every row again as exact ints for Bareiss over Q."""
+    fld = star.field if isinstance(star.field, PrimeField) else RESIDUES
+    pending = iter(keys)
+    values = _multiplier_values(star, d, multipliers, pending, fld)
+    found = rank(fld, itertools.starmap(row, values), ncols)
+    read = len(keys) - length_hint(pending)
+    if fld is not star.field and found < min(read, ncols):
+        values = _multiplier_values(star, d, multipliers, keys, star.field)
+        found = rank(star.field, itertools.starmap(row, values), ncols)
+    return found, read
 
 
 # ---------------------------------------------------------------------------

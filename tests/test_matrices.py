@@ -16,8 +16,8 @@ MERSENNE_89 = 2**89 - 1     # the largest prime the tests feed an echelon
 class BothEchelons:
     """A `SparseEchelonModP` and a `PackedEchelonModP` fed the same
     vectors, the sparse one as `{column: entry}` maps, the packed one as
-    residues in [0, p), which must agree on their size and on `full` after
-    every `add`."""
+    residues in [0, p), which must agree on their size, their pivot
+    columns and `full` after every `add`."""
 
     def __init__(self, p, length):
         self.p = p
@@ -28,6 +28,9 @@ class BothEchelons:
         self.listed.add(dict(enumerate(v)))
         self.packed.add([x % self.p for x in v])
         assert len(self.packed) == len(self.listed)
+        bits = 8 * self.packed.size
+        assert sorted(self.listed.basis) == sorted(
+            offset // bits for offset, _ in self.packed.basis)
         assert self.packed.full() == self.listed.full()
 
     def __len__(self):
@@ -301,14 +304,16 @@ def test_packed_echelon_matches_list_echelon(case):
     assert len(echelon) <= r
 
 
-@pytest.mark.parametrize("p", [2, 7, P, MERSENNE_89])
+@pytest.mark.parametrize("p", [2, 3, 7, 13, P, 2**61 - 1, MERSENNE_89])
 @pytest.mark.parametrize("length", [1, 2, 9, 130])
 def test_packed_echelon_slots_do_not_overflow(p, length):
     """The largest slot values: a full basis of vectors 1 at their pivot
     and p - 1 after it, then a vector that reads c = 1 at every pivot, so
     that each stored vector adds (p - 1)*(p - 1) to every later slot, and
     the vector with every entry p - 1.  Both reduce to 0 on the full
-    basis."""
+    basis.  So do the first stored vector again and p - 1 times it, which
+    leave every slot a nonzero multiple of p before the slots are reduced
+    mod p."""
     echelon = BothEchelons(p, length)
     for k in range(length):
         echelon.add([0] * k + [1] + [p - 1] * (length - k - 1))
@@ -316,6 +321,19 @@ def test_packed_echelon_slots_do_not_overflow(p, length):
     echelon.add([(1 - k) % p for k in range(length)])
     echelon.add([p - 1] * length)
     assert len(echelon) == length and echelon.full()
+
+    packed, reduced = echelon.packed, []
+    real = packed._mod
+    packed._mod = lambda x: reduced.append(x) or real(x)
+    first = [1] + [p - 1] * (length - 1)
+    for v in (first, [(p - 1) * x % p for x in first]):
+        echelon.add(v)
+        slots = reduced[0].to_bytes(packed.wide * length, "little")
+        assert all(x and x % p == 0 for x in (
+            int.from_bytes(slots[i:i + packed.wide], "little")
+            for i in range(0, len(slots), packed.wide)))
+        reduced.clear()
+    assert len(echelon) == length
 
 
 def test_tall_rank_stops_once_the_echelon_is_full(monkeypatch):

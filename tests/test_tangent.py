@@ -218,30 +218,50 @@ def counting_rows(monkeypatch):
 
 @pytest.mark.parametrize("n, lmax", [(2, 15), (3, 12), (4, 10)])
 def test_full_echelon_reads_at_most_n_l_rows(monkeypatch, n, lmax):
-    """Over the default prime, a tangent rank of l*n is read from at most
-    n*l rows, the band; a smaller rank reads every row."""
+    """A tangent rank of l*n is read from at most n*l rows, the band, each
+    built once; a smaller rank reads every row.  Over Q the rows are
+    ranked mod the default prime first: a full rank there never reaches
+    Bareiss, and a short one builds every row again as exact ints."""
+    import starcurves.matrices as matrices_mod
+
     built = counting_rows(monkeypatch)
-    full = 0
-    for l in range(n, lmax + 1):
-        star = random_star(l, l, GF, n)
-        for d in range(l - n + 1, l + 4):
-            mult = random_multipliers(star, d,
-                                      random.Random(f"multipliers {d}"))
-            built.clear()
-            found = tangent_dim_points(star, d, mult) - comb(d + n, n) + \
-                comb(l, n)
-            if found == l * n:
-                full += 1
-                assert len(built) <= n * l, (l, d)
-            else:
-                assert len(built) == comb(l, n), (l, d)
-    assert full >= 10
+    bareiss = []
+    real = matrices_mod._rank_bareiss
+
+    def counting(rows):
+        bareiss.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(matrices_mod, "_rank_bareiss", counting)
+    for field in (GF, QQ):
+        full = short = 0
+        for l in range(n, lmax + 1):
+            star = random_star(l, l, field, n)
+            for d in range(l - n + 1, l + 4):
+                mult = random_multipliers(star, d,
+                                          random.Random(f"multipliers {d}"))
+                built.clear()
+                bareiss.clear()
+                found = tangent_dim_points(star, d, mult) - \
+                    comb(d + n, n) + comb(l, n)
+                if found == l * n:
+                    full += 1
+                    assert len(built) <= n * l and not bareiss, (l, d)
+                elif field == QQ and found < comb(l, n):
+                    short += 1      # the Luroth pair (4, 5)
+                    assert len(built) == 2 * comb(l, n), (l, d)
+                    assert bareiss == [comb(l, n)], (l, d)
+                else:
+                    assert len(built) == comb(l, n) and not bareiss, (l, d)
+        assert full >= 10
+        assert short == (field == QQ and n == 2)
 
 
 def test_luroth_pair_reads_every_row_into_bareiss(monkeypatch):
     """At (d, l) = (4, 5) over Q the tangent rank is 9 of 10, so the echelon
-    is not full: every row is built and Bareiss decides, on dense rows made
-    from the sparse rows the echelon kept."""
+    is not full: every row is built mod the default prime, then every row
+    again as exact ints, and Bareiss decides, on dense rows made from the
+    sparse exact rows."""
     import starcurves.matrices as matrices_mod
 
     built = counting_rows(monkeypatch)
@@ -256,7 +276,7 @@ def test_luroth_pair_reads_every_row_into_bareiss(monkeypatch):
     star = random_star(5, 0, QQ)
     mult = random_multipliers(star, 4, random.Random(0))
     assert tangent_dim_points(star, 4, mult) == 14
-    assert len(built) == comb(5, 2)
+    assert len(built) == 2 * comb(5, 2)
     assert len(given) == 1 and all(len(r) == 10 for r in given[0])
     assert sorted(given[0]) == sorted(eager_tangent_rows(star, 4, mult))
 
@@ -522,7 +542,7 @@ def test_tangent_values_match_q_forms(problem):
     other Q_j."""
     star, d, mult = problem
     fld = star.field
-    values = dict(_multiplier_values(star, d, mult, star.point_keys()))
+    values = dict(_multiplier_values(star, d, mult, star.point_keys(), fld))
     assert list(values) == star.point_keys()
     q = build_q_forms(star, d, mult)
     for s, x in star.points.items():
@@ -578,7 +598,8 @@ def test_multiplier_values_match_term_by_term_evaluation(problem):
     mdeg = d - star.generator_degree
     mult_of = {key: poly_of(star.field, star.n + 1, mdeg, m)
                for key, m in zip(star.generator_keys(), mult)}
-    values = dict(_multiplier_values(star, d, mult, star.point_keys()))
+    values = dict(_multiplier_values(star, d, mult, star.point_keys(),
+                                     star.field))
     assert list(values) == star.point_keys()
     for s, p in star.points.items():
         assert set(values[s]) == set(s)
