@@ -3,9 +3,10 @@ explicit computations, and run the P^n conjecture experiments.
 
 Exit status: 0 on success (all CERTIFIED/EMPTY, all reference checks
 PASS), 1 when a GAP verdict or a FAIL occurs or when `hilbert` finds a
-rank that differs from the closed formula, 2 on usage errors, 3 when
-`verify`, `sweep` or `pn` finds a lower bound above the least upper bound
-(verdict or status CONTRADICTION).  The worst outcome decides.
+rank that differs from the closed formula, 2 on usage errors or when
+memory runs out, 3 when `verify`, `sweep` or `pn` finds a lower bound
+above the least upper bound (verdict or status CONTRADICTION).  The worst
+outcome decides.
 """
 
 from __future__ import annotations
@@ -294,10 +295,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory at this size; try a smaller d or l",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

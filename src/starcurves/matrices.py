@@ -17,9 +17,7 @@ prime field the rank is the echelon's size.  Over Q the entries are ints,
 read mod the fixed prime `DEFAULT_PRIME`; a full echelon
 (`SparseEchelonModP.full`) gives the rational rank, and the exact
 forward-only fraction-free elimination of every row (`_rank_bareiss`)
-decides otherwise.  Its Gauss-Jordan form, `fraction_free`, gives
-`starconfig` the line where n - 1 hyperplanes of P^n meet, over Q and,
-run mod p, over GF(p).
+decides otherwise.
 """
 
 from __future__ import annotations
@@ -180,40 +178,12 @@ class PackedEchelonModP(SparseEchelonModP):
                 self._mod(packed * scale), wide, size)))
 
 
-def fraction_free(rows: list[list[int]],
-                  p: int | None = None) -> list[int | None]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place, in
-    row order: each row takes its first nonzero entry as pivot and clears
-    that column in every other row.  Returns each row's pivot column, or
-    None for a row that became 0.  Every division is exact (Sylvester's
-    identity), and each pivot row ends with the last pivot minor at its
-    pivot.  Given a prime p, the rows hold residues mod p and stay so:
-    a pivot is nonzero mod p, and each division multiplies by an inverse
-    mod p, so the same holds of the minors mod p."""
-    prev, pivots = 1, []
-    for top in rows:
-        col = next((c for c, x in enumerate(top) if x), None)
-        pivots.append(col)
-        if col is None:
-            continue
-        inverse = None if p is None else pow(prev, -1, p)
-        for r in rows:
-            if r is not top:
-                a, b = top[col], r[col]
-                if p is None:
-                    r[:] = [(x * a - b * y) // prev for x, y in zip(r, top)]
-                else:
-                    r[:] = [(x * a - b * y) * inverse % p
-                            for x, y in zip(r, top)]
-        prev = top[col]
-    return pivots
-
-
 def _rank_bareiss(m: list[list[int]]) -> int:
     """The rank of the integer rows `m`, by forward-only fraction-free
     elimination (Bareiss), in place: each pivot clears its column in the
     rows below it only, which is all a rank needs.  Every division is
-    exact, as in `fraction_free`."""
+    exact, by Sylvester's identity: after k pivots each entry below them
+    is, up to sign, a (k+1) x (k+1) minor of `m`."""
     prev, top = 1, 0
     for col in range(len(m[0]) if m else 0):
         piv = next((i for i in range(top, len(m)) if m[i][col]), None)

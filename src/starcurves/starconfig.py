@@ -17,12 +17,12 @@ import itertools
 import random
 from functools import cached_property
 from math import comb, gcd
-from operator import mul
+from operator import mul, ne
 from typing import Sequence
 
 from .fields import (DEFAULT_PRIME, Element, Field, PrimeField, check_integral,
                      check_same_field)
-from .matrices import PackedEchelonModP, fraction_free, rank
+from .matrices import PackedEchelonModP, rank
 from .polynomials import monomial_values, monomials_of_degree
 
 RETRY_BUDGET = 100
@@ -75,32 +75,29 @@ class LinearForm:
         return f"LinearForm({self.field!r}, {list(self.coefficients)})"
 
 
-def _line(field: Field, forms: Sequence[LinearForm]) -> list[list[int]]:
-    """A basis (u, w) of the common zeros of n - 1 forms in n + 1
-    variables, the line where their hyperplanes meet, or two zero vectors
-    when the forms are dependent.
-
-    `fraction_free` elimination of the coefficient rows leaves the pivot
-    minor D at each pivot and 0 at the other pivots.  Each of the two free
-    columns f gives a kernel vector: D at f, 0 at the other free column,
-    and minus each row's entry in column f at that row's pivot.  Over
-    GF(p) the elimination runs mod p: a pivot minor of the residues taken
-    over the integers can be 0 mod p while the forms are independent mod
-    p, and the vectors read off it would then not span the line."""
-    p = field.p if isinstance(field, PrimeField) else None
-    rows = [list(f.coefficients) for f in forms]
-    pivots, size = fraction_free(rows, p), len(forms) + 2
-    if None in pivots:
-        return [[0] * size] * 2
-    minor = rows[-1][pivots[-1]] if rows else 1
-    basis = []
-    for free in (c for c in range(size) if c not in pivots):
-        v = [0] * size
-        v[free] = minor
-        for row, col in zip(rows, pivots):
-            v[col] = -row[free]
-        basis.append(v)
-    return basis
+def _narrow(p: int | None, basis: list[list[int]], pivot: int,
+            form: Sequence[int]) -> tuple[list[list[int]], int]:
+    """A basis of the common zeros of some forms and one more, from a basis
+    of those of the first ones and its pivot: with b0 the first vector at
+    which the form's value a is nonzero (mod p over GF(p)), a*b - form(b)*b0
+    for every other b, in order, and the pivot a; zero vectors if the form
+    vanishes on the whole basis, so depends on the others.  Over GF(p) the
+    vectors are reduced mod p; over Q each is divided by the last pivot,
+    exactly (Sylvester's identity): from e_0..e_n, r forms give r x r
+    minors (Gauss-Jordan's kernel), not entries of degree 2^r - 1."""
+    values = [sum(map(mul, form, b)) for b in basis]
+    if p is not None:
+        values = [v % p for v in values]
+    j = next(itertools.compress(itertools.count(), values), None)
+    if j is None:
+        return [[0] * len(form)] * (len(basis) - 1), pivot
+    a, b0 = values.pop(j), basis[j]
+    others = zip(basis[:j] + basis[j + 1:], values)
+    if p is None:
+        return [[(a * x - v * y) // pivot for x, y in zip(b, b0)]
+                for b, v in others], a
+    return [[(a * x - v * y) % p for x, y in zip(b, b0)]
+            for b, v in others], a
 
 
 def _canonical(p: int | None, xs: list[list[int]]) -> list[Point | None]:
@@ -158,15 +155,23 @@ class StarConfiguration:
             raise ValueError("ambient dimension must be at least 2")
         if self.l < self.n:
             raise ValueError(f"need at least n = {self.n} forms")
-        # The line (u, w) of each (n-1)-subset t with max(t) < l meets each
-        # later form k in L_k(w)*u - L_k(u)*w, the point of t + (k,), or 0:
-        # one elimination of n - 1 rows serves l - max(t) points, in key
-        # order; one pass makes the columns of up to BATCH points canonical.
+        # A stack holds the kernels of the prefixes of the (n-1)-subset t
+        # (max(t) < l), from e_0..e_n, one `_narrow` per depth, each kept
+        # while the next subsets share it (`last` starts as (0,), which
+        # shares no prefix).  t's line (u, w) meets each later form k in
+        # L_k(w)*u - L_k(u)*w (that step up to sign and division), the point
+        # of t + (k,), or 0, in key order.
         p = self.field.p if isinstance(self.field, PrimeField) else None
         self.points, keys, columns = {}, [], [[] for _ in range(self.n + 1)]
         coefficients = [f.coefficients for f in forms]
+        kernels, last = [([[int(i == j) for j in range(self.n + 1)]
+                           for i in range(self.n + 1)], 1)], (0,)
         for t in itertools.combinations(range(1, self.l), self.n - 1):
-            u, w = _line(self.field, [forms[i - 1] for i in t])
+            r = next(itertools.compress(itertools.count(), map(ne, t, last)))
+            del kernels[r + 1:]
+            for i in t[r:]:
+                kernels.append(_narrow(p, *kernels[-1], coefficients[i - 1]))
+            (u, w), last = kernels[-1][0], t
             ab = [(sum(map(mul, c, u)), sum(map(mul, c, w)))
                   for c in coefficients[t[-1]:]]
             keys += [t + (k,) for k in range(t[-1] + 1, self.l + 1)]

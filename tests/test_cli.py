@@ -72,6 +72,20 @@ def test_verify_gap_exit_status(capsys, monkeypatch):
     assert code == 1
 
 
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    """Running out of memory, as the dense multiplier draw of
+    `verify --d 100000 --l 3` does, exits 2 with one `error:` line that
+    names the cause and suggests a smaller size, not a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(tangent_mod, "random_multipliers", exhausted)
+    code, out, err = run_cli(capsys, "verify", "--d", "4", "--l", "5",
+                             "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory at this size; try a smaller d or l\n"
+
+
 def test_sweep_csv_deterministic(capsys):
     args = ("sweep", "--dmax", "4", "--lmax", "4", "--trials", "1",
             "--seed", "7", "--format", "csv")

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ, is_prime
 from starcurves.matrices import (PackedEchelonModP, SparseEchelonModP,
-                                 _rank_bareiss, fraction_free, rank)
+                                 _rank_bareiss, rank)
+
+from gauss_jordan import fraction_free
 
 P = DEFAULT_PRIME
 MERSENNE_89 = 2**89 - 1     # the largest prime the tests feed an echelon

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import comb, gcd
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -22,6 +23,7 @@ from starcurves.starconfig import (GenericityError, LinearForm,
 from starcurves.tangent import certify, generators, ideal_component_dim
 
 from draws import single_draw
+from gauss_jordan import kernel
 
 GF = PrimeField()
 GF3 = PrimeField(3)
@@ -173,15 +175,45 @@ def test_intersection_point_is_the_scaled_minors(case):
 
 
 def test_line_is_taken_mod_p():
-    """Eliminating (2,1,0,0) and (1,3,1,0) over the integers leaves the
-    pivot minor 5, so over GF(5) a line read off integer minors does not
-    span the common zeros, and would call these general forms dependent."""
+    """The minor of (2,1,0,0) and (1,3,1,0) in their first two columns is
+    5, so over GF(5) a pivot picked from values not reduced mod 5 is 0, and
+    the line narrowed by it, or read off integer minors, does not span the
+    common zeros and would call these general forms dependent."""
     f = PrimeField(5)
     forms = [LinearForm(f, c) for c in ((2, 1, 0, 0), (1, 3, 1, 0),
                                         (0, 0, 0, 1), (0, 1, 0, 0))]
     assert build_star(forms).points == {
         (1, 2, 3): (2, 1, 0, 0), (1, 2, 4): (0, 0, 0, 1),
         (1, 3, 4): (0, 0, 1, 0), (2, 3, 4): (4, 0, 1, 0)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_narrowed_kernels_are_the_gauss_jordan_minors(n):
+    """Over Q, the kernel of r forms narrowed one form at a time from
+    e_0..e_n is, vector by vector, the one Gauss-Jordan reads off their
+    rows: r x r minors, not multiples of them, since each step divides by
+    the last pivot.  Coefficients reach 10^6; half the cases have zero
+    entries, so the pivot is not always the first vector; in every other
+    case one form is a combination of the earlier ones, vanishes on their
+    whole kernel and gives zero vectors, as does every later form."""
+    rng = random.Random(f"narrow {n}")
+    identity = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    for case in range(24):
+        sparse = case % 4 >= 2
+        rows = [[0 if sparse and rng.random() < 0.5 else
+                 rng.randint(-10**6, 10**6) for _ in range(n + 1)]
+                for _ in range(n)]
+        dependent = rng.randrange(1, n) if case % 2 else n
+        if dependent < n:
+            scales = [rng.choice([-9, -1, 1, 9]) for _ in range(dependent)]
+            rows[dependent] = [sum(map(mul, scales, column))
+                               for column in zip(*rows[:dependent])]
+        basis, pivot = identity, 1
+        for r in range(1, n + 1):
+            basis, pivot = starconfig._narrow(None, basis, pivot, rows[r - 1])
+            assert basis == kernel(QQ, rows[:r], n + 1)
+            if r > dependent:
+                assert basis == [[0] * (n + 1)] * (n + 1 - r)
 
 
 @st.composite
@@ -756,7 +788,7 @@ def meets(field, line, forms):
     (its coefficients): L(w)*u - L(u)*w, scaled by the inverse of its last
     nonzero entry over GF(p) and by the gcd of its entries, signed as that
     entry, over Q; None when the vector is 0, as for every form when the
-    forms of the line are dependent and `_line` gives two zero vectors.
+    forms of the line are dependent and `kernel` gives two zero vectors.
     The per-line build, one line and one scaling of each point at a time."""
     u, w = line
     out = []
@@ -777,12 +809,12 @@ def meets(field, line, forms):
 
 def per_line_points(forms):
     """The points of the forms' star, key by key, built a line at a time:
-    `_line` of each (n-1)-subset t with max(t) < l, then `meets` with each
-    later form.  The oracle of the one-pass build."""
+    the Gauss-Jordan `kernel` of each (n-1)-subset t with max(t) < l, then
+    `meets` with each later form.  The oracle of the one-pass build."""
     field, l, n = forms[0].field, len(forms), forms[0].nvars - 1
     points = {}
     for t in combinations(range(1, l), n - 1):
-        line = starconfig._line(field, [forms[i - 1] for i in t])
+        line = kernel(field, [forms[i - 1].coefficients for i in t], n + 1)
         points.update(zip([t + (k,) for k in range(t[-1] + 1, l + 1)],
                           meets(field, line, [f.coefficients
                                               for f in forms[t[-1]:]])))
@@ -792,17 +824,18 @@ def per_line_points(forms):
 @pytest.mark.parametrize("batch", [starconfig.BATCH, 4])
 @pytest.mark.parametrize("field", [PrimeField(2), GF3, PrimeField(13), GF, QQ],
                          ids=repr)
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_one_pass_points_match_the_per_line_build(monkeypatch, n, field,
                                                   batch):
     """The star's points, their key order and the labels of a
     `GenericityError` are those of the per-line build, for random forms
     on several seeds, some with a form made the sum of two others or a
     multiple of another; with `batch` 4, one star's points are made
-    canonical in several passes."""
+    canonical in several passes.  Subsets share the kernels of prefixes
+    of up to n - 2 forms, so n = 5 shares prefixes of 3 forms."""
     monkeypatch.setattr(starconfig, "BATCH", batch)
     outcomes = set()
-    for seed in range(12):
+    for seed in range(36):
         rng = random.Random(f"one pass {n} {field!r} {seed}")
         l = n + rng.randint(0, 4)
         rows = [field.randoms(rng, n + 1) for _ in range(l)]
