@@ -21,7 +21,7 @@ import time
 from functools import cache
 from math import comb
 
-from .fields import DEFAULT_PRIME, PrimeField, QQ, Field, is_prime
+from .fields import DEFAULT_PRIME, PrimeField, QQ, Field
 from .pnstar import conjecture_row
 from .reference_cases import (block_matrix_rank, luroth_case_dimension,
                               published_star, six_line_matrix_rank)
@@ -60,9 +60,10 @@ def field_from_args(args) -> Field:
             prime = int(env)
         except ValueError:
             usage_error(f"STARCONFIG_PRIME must be an integer, got {env!r}")
-    if not is_prime(prime):
+    try:
+        return PrimeField(prime)
+    except ValueError:
         usage_error(f"{prime} is not prime")
-    return PrimeField(prime)
 
 
 def field_label(fld: Field) -> str:

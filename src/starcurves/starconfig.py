@@ -100,6 +100,20 @@ def _narrow(p: int | None, basis: list[list[int]], pivot: int,
             for b, v in others], a
 
 
+def _first_kernel(form: Sequence[int]) -> tuple[list[list[int]], int]:
+    """`_narrow` from e_0..e_n and pivot 1, where the form's values are its
+    coefficients c: a*e_b - c_b*e_j for b != j, a = c_j the first nonzero;
+    over GF(p), where c is reduced, its entries are -c_b, not -c_b mod p."""
+    j = next(itertools.compress(itertools.count(), form))
+    a, basis = form[j], []
+    for b, c in enumerate(form):
+        if b != j:
+            v = [0] * len(form)
+            v[b], v[j] = a, -c
+            basis.append(v)
+    return basis, a
+
+
 def _canonical(p: int | None, xs: list[list[int]]) -> list[Point | None]:
     """The points of n + 1 coordinate columns, each its primitive integer
     vector scaled by its last nonzero entry: over GF(p) by its inverse (one
@@ -156,20 +170,21 @@ class StarConfiguration:
         if self.l < self.n:
             raise ValueError(f"need at least n = {self.n} forms")
         # A stack holds the kernels of the prefixes of the (n-1)-subset t
-        # (max(t) < l), from e_0..e_n, one `_narrow` per depth, each kept
-        # while the next subsets share it (`last` starts as (0,), which
-        # shares no prefix).  t's line (u, w) meets each later form k in
-        # L_k(w)*u - L_k(u)*w (that step up to sign and division), the point
-        # of t + (k,), or 0, in key order.
+        # (max(t) < l), the first read off its form, then one `_narrow` per
+        # depth, each kept while the next subsets share it (`last` starts
+        # as (0,), which shares no prefix).  t's line (u, w) meets each
+        # later form k in L_k(w)*u - L_k(u)*w (that step up to sign and
+        # division), the point of t + (k,), or 0, in key order.
         p = self.field.p if isinstance(self.field, PrimeField) else None
         self.points, keys, columns = {}, [], [[] for _ in range(self.n + 1)]
         coefficients = [f.coefficients for f in forms]
-        kernels, last = [([[int(i == j) for j in range(self.n + 1)]
-                           for i in range(self.n + 1)], 1)], (0,)
+        kernels, last = [], (0,)
         for t in itertools.combinations(range(1, self.l), self.n - 1):
             r = next(itertools.compress(itertools.count(), map(ne, t, last)))
-            del kernels[r + 1:]
-            for i in t[r:]:
+            del kernels[r:]
+            if not kernels:
+                kernels.append(_first_kernel(coefficients[t[0] - 1]))
+            for i in t[len(kernels):]:
                 kernels.append(_narrow(p, *kernels[-1], coefficients[i - 1]))
             (u, w), last = kernels[-1][0], t
             ab = [(sum(map(mul, c, u)), sum(map(mul, c, w)))

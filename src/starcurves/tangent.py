@@ -29,10 +29,11 @@ cross-check it against A.
 A multiplier M_T is its coefficient vector over monomials_of_degree(n + 1,
 m), m = d - (l - n + 1); only A builds polynomials, from it and from the
 forms (`generators`, `build_q_forms`).  B streams its rows (over Q,
-mod the default prime first) into `matrices.rank` in band order
-(`_TangentLayout`), building a point's monomials and multiplier values
-only when the rank reads its row.  It stops once it holds l*n independent
-rows: at random data over a large prime, after the band's n*l rows.
+mod the default prime first) into `matrices.rank` in band order, then
+key order (`_TangentLayout`, which keeps only the band's keys), building
+a point's monomials and multiplier values only when the rank reads its
+row.  It stops once it holds l*n independent rows: at random data over a
+large prime, after the band's n*l rows, so no other key is generated.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import itertools
 import random
 import time
 from math import comb
-from operator import add, length_hint, mul
+from operator import add, itemgetter, mul
 from typing import Iterator, Sequence
 
 from .fields import (DEFAULT_PRIME, Element, Field, PrimeField,
@@ -184,25 +185,29 @@ def _multiplier_values(star, d, multipliers, keys,
 
 class _TangentLayout:
     """The part of algorithm B that depends on the star alone, kept on the
-    star by its first rank for every degree d: `order`, the point keys, the
-    band first (for each i, the n-subsets that contain i inside the cyclic
-    window {i, ..., i + n}, one per column once l is large), and for each
-    L_i in `pairs`, the (column, k) of each x_k * Q_i kept, all but the one
-    at the first nonzero coefficient.  It holds no reference to the star."""
+    star by its first rank for every degree d: `band`, for each i the point
+    keys of the n-subsets with i in the cyclic window {i, ..., i + n}; for
+    each L_i in `pairs`, the (column, k) of each x_k * Q_i kept, all but the
+    one at the first nonzero coefficient.  It iterates over the band, then
+    the other keys in key order, made only once a rank reads past the band.
+    It keeps the star's points, not the star."""
 
     def __init__(self, star: StarConfiguration):
-        l, n = star.l, star.n
-        band = dict.fromkeys(
+        l, n, self.points = star.l, star.n, star.points
+        self.band = dict.fromkeys(s for s in (
             tuple(sorted({i, *(h % l + 1 for h in rest)}))
             for i in range(1, l + 1)
             for rest in itertools.combinations(range(i, i + n), n - 1))
-        self.order = [s for s in band if len(s) == n] + [
-            s for s in star.point_keys() if s not in band]
+            if len(s) == n)
         self.pairs = {}
         for i, form in enumerate(star.forms, start=1):
             dropped = next(k for k, c in enumerate(form.coefficients) if c)
             self.pairs[i] = list(enumerate((k for k in range(n + 1)
                                             if k != dropped), (i - 1) * n))
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return itertools.chain(self.band, (s for s in self.points
+                                           if s not in self.band))
 
 
 def tangent_dim_points(star: StarConfiguration, d: int,
@@ -233,7 +238,7 @@ def tangent_dim_points(star: StarConfiguration, d: int,
         coords = star.points[s]
         return {col: coords[k] * m for i, m in ms.items()
                 for col, k in pairs[i]}
-    found, read = _rank_at_points(star, d, multipliers, layout.order, row,
+    found, read = _rank_at_points(star, d, multipliers, layout, row,
                                   star.l * star.n)
     if record is not None:
         record["rows_read"] = read
@@ -274,10 +279,11 @@ def _rank_at_points(star, d, multipliers, keys, row, ncols) -> tuple[int, int]:
     of min(rows read, ncols) vectors is the rational rank, and a shorter
     one builds every row again as exact ints for Bareiss over Q."""
     fld = star.field if isinstance(star.field, PrimeField) else RESIDUES
-    pending = iter(keys)
-    values = _multiplier_values(star, d, multipliers, pending, fld)
+    taken = itertools.count()    # one step per key the rank reads
+    values = _multiplier_values(star, d, multipliers,
+                                map(itemgetter(0), zip(keys, taken)), fld)
     found = rank(fld, itertools.starmap(row, values), ncols)
-    read = len(keys) - length_hint(pending)
+    read = next(taken)
     if fld is not star.field and found < min(read, ncols):
         values = _multiplier_values(star, d, multipliers, keys, star.field)
         found = rank(star.field, itertools.starmap(row, values), ncols)
@@ -359,8 +365,9 @@ def random_multipliers(star: StarConfiguration, d: int,
     mdeg = d - star.generator_degree
     if mdeg < 0:
         raise ValueError("need d >= l - n + 1")
-    fld, size = star.field, comb(mdeg + star.n, star.n)
-    return [fld.randoms(rng, size) for _ in star.generator_keys()]
+    size = comb(mdeg + star.n, star.n)
+    draws = star.field.randoms(rng, size * comb(star.l, star.n - 1))
+    return [draws[i:i + size] for i in range(0, len(draws), size)]
 
 
 # ---------------------------------------------------------------------------

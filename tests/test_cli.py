@@ -464,6 +464,30 @@ def test_env_prime_not_an_integer(capsys, monkeypatch, value):
                        f"{value!r}\n")
 
 
+@pytest.mark.parametrize("value, code", [("1073741827", 0), ("4", 2)])
+def test_env_prime_tested_once(capsys, monkeypatch, value, code):
+    """The prime, here from the environment, goes through Miller-Rabin once,
+    in `PrimeField`, whose refusal of a composite is the usage error."""
+    import starcurves.cli as cli_mod
+    import starcurves.fields as fields_mod
+    calls, real = [], fields_mod.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(fields_mod, "is_prime", counted)
+    # `cli` holds no name of its own for it; one imported by name counts too
+    monkeypatch.setattr(cli_mod, "is_prime", counted, raising=False)
+    monkeypatch.setenv("STARCONFIG_PRIME", value)
+    try:
+        assert main(["verify", "--d", "2", "--l", "3", "--trials", "1"]) == 0
+    except SystemExit as exc:
+        assert exc.code == code
+        assert capsys.readouterr().err == f"error: {value} is not prime\n"
+    assert calls == [int(value)]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run_cli(capsys, "verify", "--d", "2", "--l", "3",

@@ -187,31 +187,65 @@ def test_line_is_taken_mod_p():
         (1, 3, 4): (0, 0, 1, 0), (2, 3, 4): (4, 0, 1, 0)}
 
 
+def up_to_one_scalar(p, vectors, expected):
+    """Whether `vectors` are c times `expected` mod p, entry by entry, for
+    one c nonzero mod p (any c when both are 0)."""
+    got = [x for v in vectors for x in v]
+    want = [x % p for v in expected for x in v]
+    c = next((x * pow(y, -1, p) % p for x, y in zip(got, want) if y), None)
+    if c is None:
+        return len(got) == len(want) and not any(got)
+    return c != 0 and got == [c * y % p for y in want]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_narrowed_kernels_are_the_gauss_jordan_minors(n):
-    """Over Q, the kernel of r forms narrowed one form at a time from
-    e_0..e_n is, vector by vector, the one Gauss-Jordan reads off their
-    rows: r x r minors, not multiples of them, since each step divides by
-    the last pivot.  Coefficients reach 10^6; half the cases have zero
-    entries, so the pivot is not always the first vector; in every other
-    case one form is a combination of the earlier ones, vanishes on their
-    whole kernel and gives zero vectors, as does every later form."""
-    rng = random.Random(f"narrow {n}")
-    identity = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    """The kernel of r forms as the star builds it, the first read off one
+    form (`_first_kernel`), the next narrowed one form at a time, is vector
+    by vector the one Gauss-Jordan reads off their rows: over Q the r x r
+    minors, not multiples of them, since each step divides by the last
+    pivot; over GF(p), where no step divides, those minors times one
+    nonzero scalar mod p, the first kernel the minors themselves mod p.
+    Coefficients reach 10^6 before reduction; half the cases have zero
+    entries, and in half the first form's leading coefficients are 0, so
+    no pivot need be the first vector; in every other case one form is a
+    combination of the earlier ones, vanishes on their whole kernel and
+    gives zero vectors, as does every later form."""
+    for field in (QQ, GF, PrimeField(2), GF3):
+        check_narrowed_kernels(n, field)
+
+
+def check_narrowed_kernels(n, field):
+    """The cases of `test_narrowed_kernels_are_the_gauss_jordan_minors`
+    over one field."""
+    p = field.p if isinstance(field, PrimeField) else None
+    rng = random.Random(f"narrow {n} {field!r}")
     for case in range(24):
         sparse = case % 4 >= 2
         rows = [[0 if sparse and rng.random() < 0.5 else
-                 rng.randint(-10**6, 10**6) for _ in range(n + 1)]
-                for _ in range(n)]
+                 field.from_int(rng.randint(-10**6, 10**6))
+                 for _ in range(n + 1)] for _ in range(n)]
+        if case % 8 >= 4:
+            zeros = rng.randint(1, n)
+            rows[0][:zeros] = [0] * zeros
+        if not any(rows[0]):     # a star's form is never 0
+            rows[0][-1] = 1
         dependent = rng.randrange(1, n) if case % 2 else n
         if dependent < n:
             scales = [rng.choice([-9, -1, 1, 9]) for _ in range(dependent)]
-            rows[dependent] = [sum(map(mul, scales, column))
+            rows[dependent] = [field.from_int(sum(map(mul, scales, column)))
                                for column in zip(*rows[:dependent])]
-        basis, pivot = identity, 1
+        basis, pivot = starconfig._first_kernel(rows[0])
         for r in range(1, n + 1):
-            basis, pivot = starconfig._narrow(None, basis, pivot, rows[r - 1])
-            assert basis == kernel(QQ, rows[:r], n + 1)
+            if r > 1:
+                basis, pivot = starconfig._narrow(p, basis, pivot,
+                                                  rows[r - 1])
+            expected = kernel(field, rows[:r], n + 1)
+            if p is None or r == 1:
+                assert [list(map(field.from_int, v)) for v in basis] == [
+                    list(map(field.from_int, v)) for v in expected]
+            else:
+                assert up_to_one_scalar(p, basis, expected)
             if r > dependent:
                 assert basis == [[0] * (n + 1)] * (n + 1 - r)
 
@@ -306,7 +340,7 @@ def test_star_freed_by_reference_counting(field):
     try:
         star = random_star(6, 0, field)
         certify(6, 6, field, trials=1, stars=[star])
-        assert star._tangent_layout.order
+        assert star._tangent_layout.band
         hilbert_function(star, 20)
         assert star._hilbert.echelon is not None
         dead = weakref.ref(star)
@@ -824,7 +858,7 @@ def per_line_points(forms):
 @pytest.mark.parametrize("batch", [starconfig.BATCH, 4])
 @pytest.mark.parametrize("field", [PrimeField(2), GF3, PrimeField(13), GF, QQ],
                          ids=repr)
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_one_pass_points_match_the_per_line_build(monkeypatch, n, field,
                                                   batch):
     """The star's points, their key order and the labels of a
@@ -832,13 +866,19 @@ def test_one_pass_points_match_the_per_line_build(monkeypatch, n, field,
     on several seeds, some with a form made the sum of two others or a
     multiple of another; with `batch` 4, one star's points are made
     canonical in several passes.  Subsets share the kernels of prefixes
-    of up to n - 2 forms, so n = 5 shares prefixes of 3 forms."""
+    of up to n - 2 forms, so n = 5 shares prefixes of 3 forms.  On odd
+    seeds the first forms, whose kernels the star reads off their
+    coefficients, have leading coefficients 0, so the pivot of that
+    first kernel is not at index 0."""
     monkeypatch.setattr(starconfig, "BATCH", batch)
     outcomes = set()
     for seed in range(36):
         rng = random.Random(f"one pass {n} {field!r} {seed}")
         l = n + rng.randint(0, 4)
         rows = [field.randoms(rng, n + 1) for _ in range(l)]
+        for row in rows[:l - n + 1] if seed % 2 else ():
+            zeros = rng.randint(1, n - 1)
+            row[:zeros] = [0] * zeros
         if seed % 3 == 1 and l > n:
             rows[-1] = [a + b for a, b in zip(rows[0], rows[l // 2])]
         elif seed % 3 == 2:

@@ -2,6 +2,7 @@ import ast
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from starcurves.tangent import (DimensionCertificate, TrialStars,
                                 evaluation_submatrix_rank,
                                 random_multipliers, tangent_dim_direct,
                                 tangent_dim_points, structured_multipliers,
-                                verdict)
+                                trial_seed, verdict)
 
 from draws import single_draw
 from product_rule import perturbation_coefficient, variable
@@ -876,18 +877,81 @@ def test_tangent_layout_built_once_per_star_and_command(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_layout_reused_across_degrees_gives_the_eager_rank():
+def eager_order(star):
+    """Every point key in the order the rank reads them, the whole list
+    built up front: the band, for each i the n-subsets of the cyclic
+    window {i, ..., i + n} that contain i, each once; then the others in
+    key order."""
+    l, n, band = star.l, star.n, []
+    for i in range(1, l + 1):
+        for rest in combinations(range(i, i + n), n - 1):
+            s = tuple(sorted({i, *(h % l + 1 for h in rest)}))
+            if len(s) == n and s not in band:
+                band.append(s)
+    return band + [s for s in star.point_keys() if s not in band]
+
+
+def keys_read(monkeypatch):
+    """A list that gets, for each pass of `_multiplier_values`, the list
+    of the point keys that pass reads, in order."""
+    passes, real = [], tangent_mod._multiplier_values
+
+    def spy(star, d, multipliers, keys, fld):
+        taken = []
+        passes.append(taken)
+
+        def take(s):
+            taken.append(s)
+            return s
+        return real(star, d, multipliers, map(take, keys), fld)
+
+    monkeypatch.setattr(tangent_mod, "_multiplier_values", spy)
+    return passes
+
+
+def test_layout_reused_across_degrees_gives_the_eager_rank(monkeypatch):
     """One star ranked at its degrees out of order, each rank reading the
-    layout the first one built, equals the eager matrix."""
+    layout the first one built, equals the eager matrix, and reads a
+    prefix of the eager key order: past the band at low degrees over
+    GF(5) and in the Luroth case (4, 5) over Q."""
+    passes = keys_read(monkeypatch)
     rng = random.Random("layout reuse")
-    for field, n, l in ((GF, 2, 8), (PrimeField(7), 3, 6), (QQ, 2, 5)):
+    for field, n, l in ((GF, 2, 8), (PrimeField(7), 3, 6), (QQ, 2, 5),
+                        (PrimeField(5), 2, 6), (GF, 4, 7)):
         star = random_star(l, 3, field, n)
+        order = eager_order(star)
         degrees = list(range(star.generator_degree, star.generator_degree + 5))
         rng.shuffle(degrees)
         for d in degrees:
             mult = random_multipliers(star, d, rng)
-            assert tangent_dim_points(star, d, mult) == \
+            record = {}
+            del passes[:]
+            assert tangent_dim_points(star, d, mult, record) == \
                 eager_tangent_dim(star, d, mult)
+            assert passes[0] == order[:record["rows_read"]]
+            assert all(p == order for p in passes[1:])
+
+
+@pytest.mark.parametrize("d, l, field, n, seed, read", [
+    (4, 5, QQ, 2, 0, comb(5, 2)),      # the Luroth case: a short rank
+    (5, 6, PrimeField(5), 2, 6, 15),   # a short band rank over GF(5)
+    (7, 7, GF, 3, 1, 7 * 3),
+    (9, 9, GF, 4, 2, 9 * 4),
+])
+def test_rows_past_the_band_come_in_key_order(monkeypatch, d, l, field, n,
+                                              seed, read):
+    """The layout keeps only the band; the rows the rank reads past it
+    come in key order, as when the whole order was built up front, and
+    `rows_read` counts them: all C(5, 2) rows in the Luroth case, whose
+    rank mod p is short, so an exact pass over Q reads every row again;
+    past the band's 12 rows on one GF(5) star; and the band's l*n rows at
+    n = 3 and n = 4 over a large prime."""
+    passes = keys_read(monkeypatch)
+    cert = certify(d, l, field, trials=1, seed=seed, n=n)
+    order = eager_order(random_star(l, trial_seed(seed, 0), field, n))
+    assert cert.trials[0]["rows_read"] == read
+    assert passes[0] == order[:read]
+    assert passes[1:] == ([order] if field == QQ else [])
 
 
 def test_certificate_keeps_a_record_per_trial():
