@@ -18,7 +18,7 @@ import random
 from functools import cached_property
 from math import comb, gcd
 from operator import mul, ne
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .fields import (DEFAULT_PRIME, Element, Field, PrimeField, check_integral,
                      check_same_field)
@@ -224,8 +224,10 @@ class StarConfiguration:
         return list(itertools.combinations(range(1, self.l + 1), self.n - 1))
 
     @cached_property
-    def _hilbert(self) -> "_HilbertRanks":
-        return _HilbertRanks(self)
+    def _hilbert(self) -> tuple[list[int], Iterator[int]]:
+        """The Hilbert function values found so far, and the generator
+        of the next ones (`hilbert_function`)."""
+        return [], _hilbert_values(self.field, self.n, self.point_list())
 
     def __repr__(self):
         return (f"StarConfiguration(n={self.n}, l={self.l}, "
@@ -329,135 +331,104 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     """HF(X, t): the rank of the evaluation matrix of the points of `star`
     at the degree-t monomials.
 
-    Take a chart form c = x_n + s*x_{n-1} + ... + s^n*x_0 nonzero at every
-    point (`_chart_values`); x_0..x_{n-1}, c are coordinates too.  At
+    The star keeps the values found so far and the `_hilbert_values`
+    generator that finds the next ones, in degree order.  A call reads
+    every lower degree first, and none past saturation, the first degree
+    whose value is the number of points: every later degree has it too,
+    since a form vanishing at every point but p, times a coordinate
+    nonzero at p, is such a form of the next degree.
+
+    Take a chart form c = x_n + s*x_{n-1} + ... + s^n*x_0 nonzero mod p at
+    every point (`_chart_values`); x_0..x_{n-1}, c are coordinates too.  At
     points scaled to c = 1, c*m and m have the same column, so the
     degree-(t-1) columns are among those of degree t, and degree t adds
     only the degree-t monomials in x_0..x_{n-1}, valued at the affine
     coordinates x_k / c.  Each such column is x_k times a column of degree
-    t - 1, entry by entry mod p (`_HilbertRanks._extend`), so no monomial
-    is ever raised to its powers.  One mod-p echelon stored on the star
-    takes them degree by degree, each column a vector of C(l, n)
-    residues, mostly nonzero; HF(t) is its size after degree t.  The
-    echelon is a `PackedEchelonModP`, which reduces, pivots and scales
-    such long dense columns by operations on whole ints, none per entry.
-    Once that size is the number of points, every later degree has it too
-    (rank <= #rows) and builds no column.  s = 0 gives c = x_n, which
-    serves unless a point lies on x_n = 0.
+    t - 1, entry by entry mod p, so no monomial is ever raised to its
+    powers.  One mod-p echelon takes them degree by degree, each column a
+    vector of C(l, n) residues, mostly nonzero; HF(t) is its size after
+    degree t.  The echelon is a `PackedEchelonModP`, which reduces, pivots
+    and scales such long dense columns by operations on whole ints, none
+    per entry.
 
     Over Q the echelon runs mod `DEFAULT_PRIME` and gives the rational
     rank when it is full (`SparseEchelonModP.full`).  The whole per-degree
-    matrix (`_evaluation_rank`) decides when no chart form exists (over a
-    small field), when a rational point has a chart value divisible by the
-    prime, or when a rational echelon is not full.  A full per-degree rank
-    also settles every higher degree: a form vanishing at every point but
-    p, times a coordinate nonzero at p, is such a form of the next degree.
-    The plane's closed formula min{C(t+2,2), C(l,2)} is not used here:
-    `starcurves hilbert` prints it beside each rank and exits 1 where
-    the two differ.
+    matrix (`_evaluation_rank`) decides when no chart form is nonzero mod
+    p at every point (over a small field), or when a rational echelon is
+    not full.  The plane's closed formula min{C(t+2,2), C(l,2)} is not
+    used here: `starcurves hilbert` prints it beside each rank and exits 1
+    where the two differ.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    return star._hilbert.rank(star, t)
+    values, pending = star._hilbert
+    values += itertools.islice(pending, max(0, t + 1 - len(values)))
+    return values[min(t, len(values) - 1)]
 
 
-class _HilbertRanks:
-    """The degree-by-degree state behind `hilbert_function` for one star:
-    the affine coordinates mod p, one column per variable x_0..x_{n-1};
-    the echelon; and the columns of the last degree it took, from which
-    the next degree's are built, dropped once the echelon is full.
+def _hilbert_values(field: Field, n: int,
+                    points: list[Point]) -> Iterator[int]:
+    """HF(0), HF(1), ... of the points, up to the first value that is
+    their number (`hilbert_function`).  It holds the points, not their
+    star, so reference counting frees the star that holds it.
 
-    It keeps no reference to the star, which holds it, so reference
-    counting frees both when the star's last name goes."""
-
-    def __init__(self, star: StarConfiguration):
-        self.n = star.n
-        self.npoints = len(star.points)
-        self.saturated: int | None = None   # least degree known to be full
-        self.ranks: list[tuple[int, bool]] = []  # (size, full) per degree
-        field = star.field
-        self.exact = isinstance(field, PrimeField)
-        self.p = p = field.p if self.exact else DEFAULT_PRIME
-        self.echelon = None
-        charts = _chart_values(star)
-        if charts is None or any(c % p == 0 for c in charts):
-            return
+    The degree-t columns are those of the degree-t monomials in
+    x_0..x_{n-1}, in `monomials_of_degree` order.  The ones whose first
+    variable is x_k are x_k times the degree-(t - 1) monomials in
+    x_k..x_{n-1}, which are the last C(t + n - k - 2, n - k - 1) columns
+    of degree t - 1, in order: one product of residues per entry.  In the
+    plane that is x times each column of degree t - 1, then y times the
+    last one."""
+    exact = isinstance(field, PrimeField)
+    p = field.p if exact else DEFAULT_PRIME
+    charts = _chart_values(points, n, p)
+    if charts is not None:
         # X_k / C(X) mod p at the integer coordinates X, one column per
-        # k < n.  These are primitive, so no X_k / C(X) has a denominator
-        # divisible by p unless p | C(X): p | C(X) and p | X_k for k < n
-        # give p | X_n.
+        # k < n, where C(X) is nonzero mod p.
         inverses = _inverses(charts, p)
-        self.affine = [[x * c % p for x, c in zip(xs, inverses)]
-                       for xs in list(zip(*star.point_list()))[:-1]]
-        self.columns = [[1] * self.npoints]   # the last degree's columns
-        self.echelon = PackedEchelonModP(p, self.npoints)
-
-    def rank(self, star: StarConfiguration, t: int) -> int:
-        """HF(star, t), for the star this state was built from."""
-        if self.echelon is not None:
-            self._extend(t)
-        if self.saturated is not None and t >= self.saturated:
-            return self.npoints
-        if self.echelon is not None:
-            size, full = self.ranks[t]
-            if self.exact or full:
-                return size
-        found = _evaluation_rank(star, t)
-        if found == self.npoints:   # and t is below any degree known full
-            self.saturated, self.columns = t, None
-        return found
-
-    def _extend(self, t: int) -> None:
-        """Add the columns of each degree up to t, stopping once full.
-
-        The degree-t columns are those of the degree-t monomials in
-        x_0..x_{n-1}, in `monomials_of_degree` order.  The ones whose first
-        variable is x_k are x_k times the degree-(t - 1) monomials in
-        x_k..x_{n-1}, which are the last C(t + n - k - 2, n - k - 1)
-        columns of degree t - 1, in order: one product of residues per
-        entry.  In the plane that is x times each column of degree t - 1,
-        then y times the last one."""
-        p, n = self.p, self.n
-        while len(self.ranks) <= t and self.saturated is None:
-            degree, last = len(self.ranks), self.columns
-            columns = last if degree == 0 else [
+        affine = [[x * c % p for x, c in zip(xs, inverses)]
+                  for xs in list(zip(*points))[:-1]]
+        echelon = PackedEchelonModP(p, len(points))
+    for t in itertools.count():
+        if charts is not None:
+            columns = [[1] * len(points)] if t == 0 else [
                 [a * b % p for a, b in zip(x, column)]
-                for k, x in enumerate(self.affine)
-                for column in last[len(last) - comb(degree + n - k - 2,
-                                                    n - k - 1):]]
+                for k, x in enumerate(affine)
+                for column in columns[len(columns) - comb(t + n - k - 2,
+                                                          n - k - 1):]]
             for column in columns:
-                self.echelon.add(column)
-            self.ranks.append((len(self.echelon), self.echelon.full()))
-            self.columns = columns
-            if len(self.echelon) == self.npoints:
-                self.saturated, self.columns = degree, None
+                echelon.add(column)
+        if charts is not None and (exact or echelon.full()):
+            value = len(echelon)
+        else:
+            value = _evaluation_rank(field, n, points, t)
+        yield value
+        if value == len(points):
+            return
 
 
-def _chart_values(star: StarConfiguration) -> list[Element] | None:
-    """The values at the points' integer coordinates, in point-key order,
-    of the first chart form x_n + s*x_{n-1} + s^2*x_{n-2} + ... + s^n*x_0
-    (s = 0, 1, 2, ...) that vanishes at none of them, or None.
+def _chart_values(points: list[Point], n: int, p: int) -> list[int] | None:
+    """The residues mod p, at the points' integer coordinates, of the first
+    chart form x_n + s*x_{n-1} + s^2*x_{n-2} + ... + s^n*x_0 (s = 0, 1,
+    2, ...) that is nonzero mod p at all of them, or None.
 
-    At a point the form is a nonzero polynomial of degree <= n in s, so
-    it has at most n roots, and one of n * #points + 1 values of s works
-    whenever the field has that many."""
-    field, n, points = star.field, star.n, star.point_list()
-    tries = n * len(points) + 1
-    if isinstance(field, PrimeField):
-        tries = min(tries, field.p)
-    for s in range(tries):
-        chart = LinearForm(field, [s ** (n - k) for k in range(n + 1)])
-        values = [chart.evaluate(pt) for pt in points]
-        if not any(map(field.is_zero, values)):
+    A point is primitive, so nonzero mod p, and the form's value there is
+    a nonzero polynomial of degree <= n in s mod p, with at most n roots:
+    one of n * #points + 1 values of s works whenever p is that large."""
+    for s in range(min(n * len(points) + 1, p)):
+        chart = [pow(s, n - k, p) for k in range(n + 1)]
+        values = [sum(map(mul, chart, pt)) % p for pt in points]
+        if all(values):
             return values
     return None
 
 
-def _evaluation_rank(star: StarConfiguration, t: int) -> int:
+def _evaluation_rank(field: Field, n: int, points: list[Point],
+                     t: int) -> int:
     """The rank of the degree-t monomials' values at the points' integer
     coordinates, by a `PackedEchelonModP` over GF(p), by `rank` over Q."""
-    basis, field = monomials_of_degree(star.n + 1, t), star.field
-    rows = (monomial_values(field, p, t, basis) for p in star.point_list())
+    basis = monomials_of_degree(n + 1, t)
+    rows = (monomial_values(field, pt, t, basis) for pt in points)
     if not isinstance(field, PrimeField):
         return rank(field, rows, len(basis))
     echelon = PackedEchelonModP(field.p, len(basis))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from starcurves import polynomials, starconfig
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
-from starcurves.matrices import rank
+from starcurves.matrices import PackedEchelonModP, rank
 from starcurves.polynomials import monomial_values, monomials_of_degree
 from starcurves.reference_cases import published_star
 from starcurves.starconfig import (GenericityError, LinearForm,
@@ -332,17 +332,18 @@ def test_integer_coordinates_are_the_point(field, n):
 
 
 @pytest.mark.parametrize("field", [QQ, GF])
-def test_star_freed_by_reference_counting(field):
-    """The tangent layout and the Hilbert-function state stored on a star
-    hold no reference back to it, so the star, its layout and its echelon
-    go with the star's last name."""
+def test_star_freed_by_reference_counting(monkeypatch, field):
+    """The tangent layout and the Hilbert-function generator stored on a
+    star hold no reference back to it, so the star, its layout and the
+    generator, suspended below saturation with its echelon, go with the
+    star's last name."""
     gc.disable()
     try:
         star = random_star(6, 0, field)
         certify(6, 6, field, trials=1, stars=[star])
         assert star._tangent_layout.band
-        hilbert_function(star, 20)
-        assert star._hilbert.echelon is not None
+        added = echelon_spy(monkeypatch)
+        assert hilbert_function(star, 1) == 3 and len(added) == 3
         dead = weakref.ref(star)
         del star
         assert dead() is None
@@ -571,9 +572,9 @@ def star_with(field, n, l, first_forms):
 
 
 def drawn_star(field, n, l, seed, kind):
-    """A random star in P^n, or one with a point the echelon cannot take:
-    on the hyperplane x_n = 0, or (over Q) with a coordinate whose
-    denominator is the default prime."""
+    """A random star in P^n, or one with a point where the chart form x_n
+    vanishes: on the hyperplane x_n = 0, or (over Q) with a coordinate
+    whose denominator is the default prime, so x_n = 0 mod p."""
     try:
         forms = random_star(l, seed, field, n).forms
         if kind == "at infinity":
@@ -606,6 +607,8 @@ stars = st.builds(
          degrees=range(7, -1, -1), residue_prime=DEFAULT_PRIME)
 @example(star=build_star(chartless_forms()), degrees=range(8),
          residue_prime=DEFAULT_PRIME)
+@example(star=star_with(QQ, 2, 6, denominator_forms(2)),
+         degrees=[5, 0, 7, 2, 1, 6, 3, 4], residue_prime=DEFAULT_PRIME)
 def test_hilbert_function_matches_evaluation_rank(star, degrees,
                                                   residue_prime):
     """Degrees in random order, so the stored echelon is extended and then
@@ -616,23 +619,65 @@ def test_hilbert_function_matches_evaluation_rank(star, degrees,
             assert hilbert_function(star, t) == evaluation_rank(star, t)
 
 
-def test_hilbert_function_fallbacks():
-    """Stars whose points the echelon cannot take still get exact ranks."""
-    for star in (build_star(chartless_forms()),
-                 star_with(QQ, 2, 6, denominator_forms(2)),
-                 star_with(QQ, 3, 6, denominator_forms(3))):
-        assert star._hilbert.echelon is None
-        assert [hilbert_function(star, t) for t in range(6)] == \
-            [evaluation_rank(star, t) for t in range(6)]
+def echelon_spy(monkeypatch):
+    """The columns every `PackedEchelonModP` takes from now on."""
+    real, added = PackedEchelonModP.add, []
+
+    def recording(echelon, column):
+        added.append(list(column))
+        real(echelon, column)
+
+    monkeypatch.setattr(PackedEchelonModP, "add", recording)
+    return added
+
+
+def evaluation_rank_spy(monkeypatch):
+    """The degrees at which the per-degree matrix is ranked from now on."""
+    real, degrees = starconfig._evaluation_rank, []
+
+    def spy(field, n, points, t):
+        degrees.append(t)
+        return real(field, n, points, t)
+
+    monkeypatch.setattr(starconfig, "_evaluation_rank", spy)
+    return degrees
+
+
+def refuse_evaluation_rank(monkeypatch):
+    def refuse(field, n, points, t):
+        raise AssertionError("per-degree evaluation matrix built")
+
+    monkeypatch.setattr(starconfig, "_evaluation_rank", refuse)
+
+
+def test_hilbert_function_fallbacks(monkeypatch):
+    """A star with no chart form nonzero at every point still gets exact
+    ranks, from the per-degree matrix of each degree up to saturation."""
+    star = build_star(chartless_forms())
+    degrees = evaluation_rank_spy(monkeypatch)
+    assert [hilbert_function(star, t) for t in range(6)] == \
+        [evaluation_rank(star, t) for t in range(6)] == [1, 3, 6, 6, 6, 6]
+    assert degrees == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_point_divisible_by_the_prime_takes_a_later_chart(monkeypatch, n):
+    """A rational point whose x_n is divisible by the residue prime moves
+    the echelon to a later chart form, nonzero mod p at every point, and
+    sends no degree to the per-degree matrix."""
+    star = star_with(QQ, n, 6, denominator_forms(n))
+    assert any(pt[-1] % DEFAULT_PRIME == 0 for pt in star.point_list())
+    added = echelon_spy(monkeypatch)
+    refuse_evaluation_rank(monkeypatch)
+    assert [hilbert_function(star, t) for t in range(7)] == \
+        [evaluation_rank(star, t) for t in range(7)]
+    assert added
 
 
 def test_points_on_last_hyperplane_take_the_echelon(monkeypatch):
     """A point on x_n = 0 moves the echelon to another chart form instead
     of sending the star to the per-degree matrix."""
-    def refuse(star, t):
-        raise AssertionError("per-degree evaluation matrix built")
-
-    monkeypatch.setattr(starconfig, "_evaluation_rank", refuse)
+    refuse_evaluation_rank(monkeypatch)
     stars = [random_star(20, 0, PrimeField(1009)),
              build_star(coordinate_forms()), build_star(coordinate_forms(GF)),
              star_with(QQ, 3, 6, [last_coordinate_form(QQ, 3)])]
@@ -650,26 +695,19 @@ def test_rational_echelon_short_mod_p_falls_back(monkeypatch):
     matrix must decide."""
     star = build_star([LinearForm(QQ, [1, i, -i * i])
                        for i in range(1, 8)])
-    real, fallbacks = starconfig._evaluation_rank, []
-
-    def spy(star, t):
-        fallbacks.append(t)
-        return real(star, t)
-
     monkeypatch.setattr(starconfig, "DEFAULT_PRIME", 5)
-    monkeypatch.setattr(starconfig, "_evaluation_rank", spy)
+    added = echelon_spy(monkeypatch)
+    fallbacks = evaluation_rank_spy(monkeypatch)
     assert [hilbert_function(star, t) for t in range(8)] == \
         [min(comb(t + 2, 2), 21) for t in range(8)]
-    assert star._hilbert.echelon is not None and fallbacks
+    assert len(added[0]) == 21 and fallbacks
 
 
 def refuse_monomials_above(monkeypatch, top):
-    real = polynomials.monomials_of_degree
-
     def guarded(nvars, degree):
         if degree > top:
             raise AssertionError(f"monomial basis of degree {degree} built")
-        return real(nvars, degree)
+        return monomials_of_degree(nvars, degree)
 
     monkeypatch.setattr(polynomials, "monomials_of_degree", guarded)
     monkeypatch.setattr(starconfig, "monomials_of_degree", guarded)
@@ -679,16 +717,24 @@ def refuse_monomials_above(monkeypatch, top):
 @pytest.mark.parametrize("n", [2, 3])
 def test_hilbert_function_builds_no_basis_past_saturation(monkeypatch, field,
                                                            n):
-    l = 6
-    stars = [random_star(l, 3, field, n),
-             star_with(field, n, l, [last_coordinate_form(field, n)])]
-    refuse_monomials_above(monkeypatch, l + 1)
+    """A first call at a huge degree reads the lower degrees in order and
+    stops at saturation, also on a star with no chart form, whose every
+    degree takes the per-degree matrix: in the plane 14 lines over GF(13),
+    in P^3 the random star over GF(11)."""
+    stars = [random_star(6, 3, field, n),
+             star_with(field, n, 6, [last_coordinate_form(field, n)])]
+    chartless = None
+    if n == 2:
+        chartless = random_star(14, 0, PrimeField(13))
+        stars.append(chartless)
+    elif field == PrimeField(11):
+        chartless = stars[0]
+    if chartless is not None:
+        assert starconfig._chart_values(chartless.point_list(), n,
+                                        chartless.field.p) is None
     for star in stars:
-        if star._hilbert.echelon is None:
-            # the per-degree fallback learns saturation in order
-            for t in range(l + 2):
-                hilbert_function(star, t)
-        assert hilbert_function(star, 10_000) == comb(l, n)
+        refuse_monomials_above(monkeypatch, star.l + 1)
+        assert hilbert_function(star, 10_000) == comb(star.l, star.n)
 
 
 def test_rational_hilbert_function_needs_no_bareiss(monkeypatch):
@@ -707,28 +753,23 @@ def test_rational_hilbert_function_needs_no_bareiss(monkeypatch):
 
 @pytest.mark.parametrize("field", [GF, QQ])
 @pytest.mark.parametrize("n, l", [(2, 7), (3, 6), (4, 6)])
-def test_hilbert_columns_are_the_monomial_values(field, n, l):
+def test_hilbert_columns_are_the_monomial_values(monkeypatch, field, n, l):
     """The echelon takes, degree by degree up to saturation, the residues
     of the degree-t monomials in x_0..x_{n-1} at the affine points, in
-    `monomials_of_degree` order, as `monomial_values` gives them."""
+    `monomials_of_degree` order, as `monomial_values` gives them, and no
+    column after saturation."""
     star = random_star(l, 1, field, n)
-    state = star._hilbert
-    p = state.p
-    added = []
-    real = state.echelon.add
-
-    def recording(column):
-        added.append(list(column))
-        real(column)
-
-    state.echelon.add = recording
+    p = field.p if field is GF else DEFAULT_PRIME
+    added = echelon_spy(monkeypatch)
     hilbert_function(star, 3 * l)
-    assert state.saturated is not None and state.columns is None
-    charts = starconfig._chart_values(star)
+    saturated = next(t for t in range(3 * l)
+                     if hilbert_function(star, t) == comb(l, n))
+    hilbert_function(star, 4 * l)
+    charts = starconfig._chart_values(star.point_list(), n, p)
     affine = [[x * pow(c, -1, p) % p for x in pt[:-1]]
               for pt, c in zip(star.point_list(), charts)]
     expected = []
-    for t in range(state.saturated + 1):
+    for t in range(saturated + 1):
         monos = monomials_of_degree(n, t)
         rows = [monomial_values(PrimeField(p), coords, t, monos)
                 for coords in affine]
@@ -745,9 +786,10 @@ def test_hilbert_echelon_reads_no_monomial_values(monkeypatch, field, n, l):
     star = random_star(l, 0, field, n)
     monkeypatch.setattr(polynomials, "monomial_values", refuse)
     monkeypatch.setattr(starconfig, "monomial_values", refuse)
-    assert star._hilbert.echelon is not None
+    added = echelon_spy(monkeypatch)
     for t in range(l + 2):
         assert hilbert_function(star, t) == min(comb(t + n, n), comb(l, n))
+    assert len(added) >= comb(l, n)
 
 
 STAR_FIELDS = [GF, PrimeField(13), PrimeField(101), QQ]
@@ -917,6 +959,7 @@ def test_evaluation_rank_packs_prime_field_rows(monkeypatch):
         return rank(field, rows, ncols)
 
     monkeypatch.setattr(starconfig, "rank", spy)
-    assert [[starconfig._evaluation_rank(star, t) for t in range(star.l + 2)]
-            for star in stars] == expected
+    assert [[starconfig._evaluation_rank(star.field, star.n,
+                                         star.point_list(), t)
+             for t in range(star.l + 2)] for star in stars] == expected
     assert calls == [QQ] * 7
