@@ -143,6 +143,6 @@ def check_same_field(a: Field, b: Field) -> None:
 def check_integral(field: Field, values: Iterable, what: str) -> None:
     """Refuse values over Q that are not ints."""
     if isinstance(field, RationalField) and not all(
-            isinstance(v, int) for v in values):
+            map(isinstance, values, repeat(int))):
         raise ValueError(f"{what} over Q must be ints; scale them by the "
                          "lcm of their denominators")

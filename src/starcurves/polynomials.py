@@ -9,9 +9,8 @@ still carries a declared degree, so degrees always add under products.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
-from math import prod
-from operator import getitem, mul
+from itertools import accumulate, chain, repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 from .fields import Element, Field, check_same_field
@@ -22,26 +21,40 @@ Monomial = tuple  # exponent vector, one entry per variable
 @lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
     """All exponent vectors of total degree `degree`, graded-lex order
-    (x0 > x1 > ...).  Length is C(degree + nvars - 1, nvars - 1)."""
+    (x0 > x1 > ...): the rows of `exponent_columns`.  Length is
+    C(degree + nvars - 1, nvars - 1)."""
+    return tuple(zip(*exponent_columns(nvars, degree)))
+
+
+@lru_cache(maxsize=None)
+def exponent_columns(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The degree-`degree` monomials in graded-lex order by variable: column
+    k holds the exponents of x_k.  For x_0 = degree, ..., 0 in turn, a
+    block of the cached columns of the other variables at the rest."""
     if nvars < 1:
         raise ValueError("need at least one variable")
-    if nvars == 1:
-        return ((degree,),)
-    out = []
-    for e0 in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - e0):
-            out.append((e0,) + rest)
-    return tuple(out)
+    if nvars < 3:               # one monomial per exponent of x_0
+        up = tuple(range(degree + 1))
+        return ((degree,),) if nvars == 1 else (up[::-1], up)
+    rests = list(map(exponent_columns, repeat(nvars - 1), range(degree + 1)))
+    first = map(repeat, range(degree, -1, -1), map(len, next(zip(*rests))))
+    return tuple(map(tuple, map(chain.from_iterable, (first, *zip(*rests)))))
 
 
 def monomial_values(field: Field, coords: Sequence[Element], degree: int,
-                    monomials: Iterable[Monomial]) -> list[Element]:
-    """Values at `coords` of monomials of total degree at most `degree`,
-    from one table of coordinate powers.  GF(p) values are left unreduced;
-    the table starts at the integer 1, so integer coordinates give ints."""
-    powers = [list(accumulate([x] * degree, field.mul, initial=1))
-              for x in coords]
-    return [prod(map(getitem, powers, mono)) for mono in monomials]
+                    columns: Sequence[Sequence[int]]) -> list[Element]:
+    """Values at `coords` of monomials of degree at most `degree`, given as
+    exponent columns: each coordinate's table of powers read at its column,
+    multiplied by chained maps.  GF(p) values are left unreduced; tables
+    start at the integer 1, so integer coordinates give ints."""
+    if not degree:              # at most one monomial, of value 1
+        return [1] * len(columns[0]) if columns else []
+    values = ()
+    for x, column in zip(coords, columns):
+        powers = list(accumulate([x] * degree, field.mul, initial=1))
+        factor = map(powers.__getitem__, column)
+        values = map(mul, values, factor) if values else factor
+    return list(values)
 
 
 class HomogeneousPoly:
@@ -120,7 +133,8 @@ class HomogeneousPoly:
         """Exact value at the given affine representative."""
         if len(coords) != self.nvars:
             raise ValueError("coordinate dimension mismatch")
-        values = monomial_values(self.field, coords, self.degree, self.terms)
+        values = monomial_values(self.field, coords, self.degree,
+                                 tuple(zip(*self.terms)))
         return self.field.from_int(sum(map(mul, self.terms.values(), values)))
 
     def coefficient_vector(self) -> list[Element]:

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 from .fields import (DEFAULT_PRIME, Element, Field, PrimeField, check_integral,
                      check_same_field)
 from .matrices import PackedEchelonModP, rank
-from .polynomials import monomial_values, monomials_of_degree
+from .polynomials import exponent_columns, monomial_values
 
 RETRY_BUDGET = 100
 #: The most points made canonical in one pass: longer columns cost more.
@@ -427,13 +427,13 @@ def _evaluation_rank(field: Field, n: int, points: list[Point],
                      t: int) -> int:
     """The rank of the degree-t monomials' values at the points' integer
     coordinates, by a `PackedEchelonModP` over GF(p), by `rank` over Q."""
-    basis = monomials_of_degree(n + 1, t)
-    rows = (monomial_values(field, pt, t, basis) for pt in points)
+    columns = exponent_columns(n + 1, t)
+    rows = (monomial_values(field, pt, t, columns) for pt in points)
     if not isinstance(field, PrimeField):
-        return rank(field, rows, len(basis))
-    echelon = PackedEchelonModP(field.p, len(basis))
+        return rank(field, rows, len(columns[0]))
+    echelon = PackedEchelonModP(field.p, len(columns[0]))
     for row in rows:
         echelon.add([v % field.p for v in row])
-        if len(echelon) == len(basis):
+        if len(echelon) == len(columns[0]):
             break
     return len(echelon)

@@ -30,10 +30,11 @@ A multiplier M_T is its coefficient vector over monomials_of_degree(n + 1,
 m), m = d - (l - n + 1); only A builds polynomials, from it and from the
 forms (`generators`, `build_q_forms`).  B streams its rows (over Q,
 mod the default prime first) into `matrices.rank` in band order, then
-key order (`_TangentLayout`, which keeps only the band's keys), building
-a point's monomials and multiplier values only when the rank reads its
-row.  It stops once it holds l*n independent rows: at random data over a
-large prime, after the band's n*l rows, so no other key is generated.
+key order (`_TangentLayout`, which keeps only the band's keys), taking a
+point's monomial values (at the cached exponent columns of degree m) and
+multiplier values only when the rank reads its row.  It stops once it
+holds l*n independent rows: at random data over a large prime, after
+the band's n*l rows, so no other key is generated.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .fields import (DEFAULT_PRIME, Element, Field, PrimeField,
 from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                        closed_form_dimension, upper_bounds)
 from .matrices import rank
-from .polynomials import (HomogeneousPoly, monomial_values, monomials_of_degree,
-                          poly_product, poly_sum)
+from .polynomials import (HomogeneousPoly, exponent_columns, monomial_values,
+                          monomials_of_degree, poly_product, poly_sum)
 from .starconfig import (RETRY_BUDGET, GenericityError, LinearForm,
                          StarConfiguration, random_star)
 
@@ -170,14 +171,15 @@ def _multiplier_values(star, d, multipliers, keys,
     """(s, {i: M_{s - i}(p_s)}) in `fld` at the integer vector of p_s for
     each key s in `keys`, computed when the iterator reaches s, once the
     multipliers pass the checks against d.  Each M_T(p_s) is the dot
-    product of one table of the point's monomial values with the vector
-    of M_T; over Q, integer coefficients keep every sum in ints."""
+    product of the point's monomial values at the exponent columns of
+    degree m with the vector of M_T; over Q, integer coefficients keep
+    every sum in ints."""
     mdeg = _multiplier_degree(star, d, multipliers)
-    basis = monomials_of_degree(star.n + 1, mdeg)
+    columns = exponent_columns(star.n + 1, mdeg)
     vectors = dict(zip(star.generator_keys(), multipliers))
 
     def at(s):
-        monos = monomial_values(fld, star.points[s], mdeg, basis)
+        monos = monomial_values(fld, star.points[s], mdeg, columns)
         return s, {i: fld.from_int(sum(map(mul, vectors[s[:k] + s[k + 1:]],
                                            monos))) for k, i in enumerate(s)}
     return map(at, keys)

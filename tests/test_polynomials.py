@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starcurves.fields import PrimeField, QQ
-from starcurves.polynomials import (HomogeneousPoly, monomial_values,
-                                    monomials_of_degree, poly_product)
+from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
+from starcurves.polynomials import (HomogeneousPoly, exponent_columns,
+                                    monomial_values, monomials_of_degree,
+                                    poly_product)
 from starcurves.starconfig import LinearForm
 from starcurves.tangent import _linear_poly
 
 from draws import single_draw
+from per_monomial import graded_lex_basis, per_monomial_values
 from product_rule import perturbation_coefficient, variable
 
 GF7 = PrimeField(7)
@@ -156,11 +158,49 @@ def test_evaluate_matches_term_by_term(field, nvars, degree, shape,
 
 
 def test_monomial_values_of_integer_coordinates_are_integers():
-    values = monomial_values(QQ, [2, 3, 5], 2, monomials_of_degree(3, 2))
+    values = monomial_values(QQ, [2, 3, 5], 2, exponent_columns(3, 2))
     assert values == [4, 6, 10, 9, 15, 25]
     assert all(type(v) is int for v in values)
     # residues of GF(7) are multiplied but not reduced
-    assert monomial_values(GF7, [3, 5], 2, [(1, 1)]) == [15]
+    assert monomial_values(GF7, [3, 5], 2, [(1,), (1,)]) == [15]
+
+
+KERNEL_FIELDS = [QQ, PrimeField(2), PrimeField(13), PrimeField(DEFAULT_PRIME),
+                 PrimeField(2**61 - 1)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_monomial_values_match_the_per_monomial_product(field, nvars):
+    """The exponent-column kernel gives the per-monomial products, value
+    for value and type for type: over full bases of degree 0..12 (and 64
+    in up to three variables), random sparse lists in any order, and the
+    empty list, at random points with zero coordinates among them; and
+    the columns are the transposed basis, which is the graded-lex one
+    built a tuple at a time."""
+    rng = random.Random(nvars)
+    for degree in [*range(13), *([64] if nvars <= 3 else [])]:
+        basis = monomials_of_degree(nvars, degree)
+        assert basis == graded_lex_basis(nvars, degree)
+        assert exponent_columns(nvars, degree) == tuple(zip(*basis))
+        sparse = [rng.choice(basis) for _ in range(rng.randrange(1, 6))]
+        for monos in (basis, sparse, []):
+            coords = [single_draw(field, rng) for _ in range(nvars)]
+            if degree % 3 == 1:
+                coords[rng.randrange(nvars)] = 0
+            got = monomial_values(field, coords, degree,
+                                  tuple(zip(*monos)))
+            expected = per_monomial_values(field, coords, degree, monos)
+            assert got == expected
+            assert list(map(type, got)) == list(map(type, expected))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@pytest.mark.parametrize("nvars, degree", [(1, 0), (3, 0), (3, 2), (5, 4)])
+def test_zero_polynomial_evaluates_to_zero(field, nvars, degree):
+    rng = random.Random(degree)
+    coords = [single_draw(field, rng) for _ in range(nvars)]
+    assert HomogeneousPoly.zero(field, nvars, degree).evaluate(coords) == 0
 
 
 def test_coefficient_vector_roundtrip():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from starcurves import polynomials, starconfig
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
 from starcurves.matrices import PackedEchelonModP, rank
-from starcurves.polynomials import monomial_values, monomials_of_degree
+from starcurves.polynomials import (exponent_columns, monomial_values,
+                                    monomials_of_degree)
 from starcurves.reference_cases import published_star
 from starcurves.starconfig import (GenericityError, LinearForm,
                                    StarConfiguration, build_star,
@@ -704,13 +705,21 @@ def test_rational_echelon_short_mod_p_falls_back(monkeypatch):
 
 
 def refuse_monomials_above(monkeypatch, top):
-    def guarded(nvars, degree):
-        if degree > top:
-            raise AssertionError(f"monomial basis of degree {degree} built")
-        return monomials_of_degree(nvars, degree)
+    """Refuse a monomial basis, or its exponent columns, past degree `top`."""
+    def guard(build):
+        def guarded(nvars, degree):
+            if degree > top:
+                raise AssertionError(f"monomial basis of degree {degree} "
+                                     "built")
+            return build(nvars, degree)
+        return guarded
 
-    monkeypatch.setattr(polynomials, "monomials_of_degree", guarded)
-    monkeypatch.setattr(starconfig, "monomials_of_degree", guarded)
+    monkeypatch.setattr(polynomials, "monomials_of_degree",
+                        guard(monomials_of_degree))
+    monkeypatch.setattr(polynomials, "exponent_columns",
+                        guard(exponent_columns))
+    monkeypatch.setattr(starconfig, "exponent_columns",
+                        guard(exponent_columns))
 
 
 @pytest.mark.parametrize("field", [GF, PrimeField(11), QQ])
@@ -770,8 +779,8 @@ def test_hilbert_columns_are_the_monomial_values(monkeypatch, field, n, l):
               for pt, c in zip(star.point_list(), charts)]
     expected = []
     for t in range(saturated + 1):
-        monos = monomials_of_degree(n, t)
-        rows = [monomial_values(PrimeField(p), coords, t, monos)
+        columns = exponent_columns(n, t)
+        rows = [monomial_values(PrimeField(p), coords, t, columns)
                 for coords in affine]
         expected += [[v % p for v in column] for column in zip(*rows)]
     assert added == expected

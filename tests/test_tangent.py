@@ -205,13 +205,13 @@ def test_rational_tangent_rank_needs_no_bareiss(monkeypatch):
 
 def counting_rows(monkeypatch):
     """A list that grows by one per tangent row built: each row takes one
-    table of monomial values."""
+    table of monomial values, read through the exponent columns."""
     built = []
     real = tangent_mod.monomial_values
 
-    def counting(field, coords, degree, monomials):
+    def counting(field, coords, degree, columns):
         built.append(coords)
-        return real(field, coords, degree, monomials)
+        return real(field, coords, degree, columns)
 
     monkeypatch.setattr(tangent_mod, "monomial_values", counting)
     return built
@@ -280,6 +280,29 @@ def test_luroth_pair_reads_every_row_into_bareiss(monkeypatch):
     assert len(built) == 2 * comb(5, 2)
     assert len(given) == 1 and all(len(r) == 10 for r in given[0])
     assert sorted(given[0]) == sorted(eager_tangent_rows(star, 4, mult))
+
+
+@pytest.mark.parametrize("field", [GF, QQ])
+def test_tangent_rows_build_no_monomial_basis(monkeypatch, field):
+    """A pass at (d, l) = (200, 3) reads its multipliers through cached
+    exponent columns: no tuple of monomials is built at the row degree
+    m = 198, where the basis has 19,900 of them."""
+    import starcurves.polynomials as polynomials_mod
+
+    degrees = []
+    real = polynomials_mod.monomials_of_degree
+
+    def recording(nvars, degree):
+        degrees.append(degree)
+        return real(nvars, degree)
+
+    monkeypatch.setattr(polynomials_mod, "monomials_of_degree", recording)
+    monkeypatch.setattr(tangent_mod, "monomials_of_degree", recording)
+    star = random_star(3, 0, field)
+    mult = random_multipliers(star, 200, random.Random(0))
+    assert tangent_dim_points(star, 200, mult) == \
+        closed_form_dimension(200, 3) + 1
+    assert 198 not in degrees
 
 
 def test_algorithm_agreement_random():
