@@ -3,62 +3,73 @@
 Every rank is read from a mod-p echelon: vectors added one at a time and
 kept in echelon form, behind one interface (`add`, `len`, `full`), in one
 of two forms.  `SparseEchelonModP` keeps each vector as its nonzero
-entries, `{column: residue}`.  It serves `rank`, whose heaviest load is
-the tangent rows of `tangent.tangent_dim_points`: n*l columns, n^2 of
-them nonzero.  `PackedEchelonModP` keeps each vector as one int of
-fixed-width slots and reduces, pivots and scales by operations on whole
-ints, none per slot.  It serves the Hilbert function's dense columns
-(`starconfig`), whose `add` takes residues in [0, p) rather than a map.
-Each is the faster one on its own load.
-
-`rank` reads rows as `{column: value}` maps, or as sequences of `ncols`
-entries, and stops once the echelon holds one vector per column.  Over a
-prime field the rank is the echelon's size.  Over Q the entries are ints,
-read mod the fixed prime `DEFAULT_PRIME`; a full echelon
-(`SparseEchelonModP.full`) gives the rational rank, and the exact
-forward-only fraction-free elimination of every row (`_rank_bareiss`)
-decides otherwise.
+entries, `{column: residue}`.  It takes the rows of `rank` that are maps,
+whose heaviest load is the tangent rows of `tangent.tangent_dim_points`:
+n*l columns, n^2 of them nonzero.  `PackedEchelonModP` keeps each vector
+as one int of fixed-width slots and reduces, pivots and scales by
+operations on whole ints, none per slot.  It takes the rows of `rank`
+that are sequences, and the Hilbert function's columns (`starconfig`).
+Each is the faster one on its own load.  `rank` is the one rank rule:
+over a prime field the echelon's size; over Q that of the residues, if
+full (`SparseEchelonModP.full`), and otherwise the exact forward-only
+fraction-free elimination (`_rank_bareiss`).
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .fields import (DEFAULT_PRIME, Element, Field, FieldMismatchError,
-                     PrimeField, RationalField, check_integral)
+from .fields import (DEFAULT_PRIME, Field, FieldMismatchError, PrimeField,
+                     RationalField, check_integral)
+
+RESIDUES = PrimeField(DEFAULT_PRIME)   # the first pass of a rank over Q
 
 
-def rank(field: Field, rows: Iterable[dict[int, Element] | Sequence[Element]],
-         ncols: int) -> int:
-    """The rank of the matrix with these rows of `ncols` columns.  Rows
-    go into one `SparseEchelonModP` until it holds `ncols` vectors, and
-    the rest are not read.  Over Q a row with a non-int entry is refused
-    as it is read, and the rows read are kept, as maps, for
-    `_rank_bareiss`."""
-    if isinstance(field, PrimeField):
-        p, kept = field.p, None
-    elif isinstance(field, RationalField):
-        p, kept = DEFAULT_PRIME, []
-    else:
+def rank(field: Field, rows: Callable[[Field], Iterable], ncols: int) -> int:
+    """The rank of the matrix of `ncols` columns whose rows `rows(f)` gives
+    afresh over the field f: ints congruent mod p to the exact entries over
+    GF(p), the exact ints over Q.  Map rows go into a `SparseEchelonModP`,
+    sequences into a `PackedEchelonModP`, until it holds `ncols` vectors.
+    Over Q it reads `rows(RESIDUES)`, and only when that echelon is not
+    full every row of `rows(field)`, for `_rank_bareiss`."""
+    if not isinstance(field, (PrimeField, RationalField)):
         raise FieldMismatchError(f"unsupported field {field!r}")
-    echelon = SparseEchelonModP(p, ncols)
-    for row in rows:
-        if not isinstance(row, dict):
-            if len(row) != ncols:
-                raise ValueError(f"a row of {len(row)} entries, not {ncols}")
-            row = {c: x for c, x in enumerate(row) if x}
-        elif row and not (0 <= min(row) and max(row) < ncols):
-            raise ValueError(f"a row with a column outside 0..{ncols - 1}")
-        if kept is not None:
-            check_integral(field, row.values(), "matrix entries")
-            kept.append(row)
-        echelon.add(row)
+    residues = field if isinstance(field, PrimeField) else RESIDUES
+    read = _checked(field, rows(residues), ncols)
+    first = next(read, None)
+    if first is None:
+        return 0
+    p, sparse = residues.p, isinstance(first, dict)
+    echelon = (SparseEchelonModP if sparse else PackedEchelonModP)(p, ncols)
+    for row in chain((first,), read):
+        echelon.add(row if sparse else [x % p for x in row])
         if len(echelon) == ncols:
             break
-    if kept is None or echelon.full():
+    if residues is field or echelon.full():
         return len(echelon)
-    return _rank_bareiss([[r.get(c, 0) for c in range(ncols)] for r in kept])
+    return _rank_bareiss([
+        [r.get(c, 0) for c in range(ncols)] if isinstance(r, dict) else
+        list(r) for r in _checked(field, rows(field), ncols)])
+
+
+def _checked(field: Field, rows: Iterable, ncols: int) -> Iterator:
+    """The rows, refused as read unless of the first row's form (a map into
+    0..ncols - 1 or a sequence of `ncols` entries), with ints over Q."""
+    forms, rational = set(), isinstance(field, RationalField)
+    for row in rows:
+        forms.add(sparse := isinstance(row, dict))
+        if len(forms) > 1:
+            raise ValueError("maps and sequences as rows of one matrix")
+        if not sparse and len(row) != ncols:
+            raise ValueError(f"a row of {len(row)} entries, not {ncols}")
+        if sparse and row and not (0 <= min(row) and max(row) < ncols):
+            raise ValueError(f"a row with a column outside 0..{ncols - 1}")
+        if rational:
+            check_integral(field, row.values() if sparse else row,
+                           "matrix entries")
+        yield row
 
 
 class SparseEchelonModP:

@@ -20,9 +20,9 @@ from math import comb, gcd
 from operator import mul, ne
 from typing import Iterator, Sequence
 
-from .fields import (DEFAULT_PRIME, Element, Field, PrimeField, check_integral,
+from .fields import (Element, Field, PrimeField, check_integral,
                      check_same_field)
-from .matrices import PackedEchelonModP, rank
+from .matrices import RESIDUES, PackedEchelonModP, rank
 from .polynomials import exponent_columns, monomial_values
 
 RETRY_BUDGET = 100
@@ -321,7 +321,7 @@ def _curve_forms(l: int, n: int, field: PrimeField,
         rows.append([1] * size)
     while True:
         a = [field.randoms(rng, size) for _ in range(size)]
-        if rank(field, a, size) == size:
+        if rank(field, lambda _: a, size) == size:
             break
     return [LinearForm(field, [sum(r[i] * a[i][j] for i in range(size))
                                for j in range(size)]) for r in rows[:l]]
@@ -351,13 +351,13 @@ def hilbert_function(star: StarConfiguration, t: int) -> int:
     and scales such long dense columns by operations on whole ints, none
     per entry.
 
-    Over Q the echelon runs mod `DEFAULT_PRIME` and gives the rational
-    rank when it is full (`SparseEchelonModP.full`).  The whole per-degree
-    matrix (`_evaluation_rank`) decides when no chart form is nonzero mod
-    p at every point (over a small field), or when a rational echelon is
-    not full.  The plane's closed formula min{C(t+2,2), C(l,2)} is not
-    used here: `starcurves hilbert` prints it beside each rank and exits 1
-    where the two differ.
+    Over Q the echelon runs mod the prime of `RESIDUES` and gives the
+    rational rank when it is full (`SparseEchelonModP.full`).  The whole
+    per-degree matrix (`_evaluation_rank`) decides when no chart form is
+    nonzero mod p at every point (over a small field), or when a rational
+    echelon is not full.  The plane's closed formula min{C(t+2,2), C(l,2)}
+    is not used here: `starcurves hilbert` prints it beside each rank and
+    exits 1 where the two differ.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -380,7 +380,7 @@ def _hilbert_values(field: Field, n: int,
     plane that is x times each column of degree t - 1, then y times the
     last one."""
     exact = isinstance(field, PrimeField)
-    p = field.p if exact else DEFAULT_PRIME
+    p = field.p if exact else RESIDUES.p
     charts = _chart_values(points, n, p)
     if charts is not None:
         # X_k / C(X) mod p at the integer coordinates X, one column per
@@ -425,15 +425,9 @@ def _chart_values(points: list[Point], n: int, p: int) -> list[int] | None:
 
 def _evaluation_rank(field: Field, n: int, points: list[Point],
                      t: int) -> int:
-    """The rank of the degree-t monomials' values at the points' integer
-    coordinates, by a `PackedEchelonModP` over GF(p), by `rank` over Q."""
+    """The rank (`matrices.rank`) of the degree-t monomials' values at the
+    points' integer coordinates, a dense row per point: over Q, residues
+    first."""
     columns = exponent_columns(n + 1, t)
-    rows = (monomial_values(field, pt, t, columns) for pt in points)
-    if not isinstance(field, PrimeField):
-        return rank(field, rows, len(columns[0]))
-    echelon = PackedEchelonModP(field.p, len(columns[0]))
-    for row in rows:
-        echelon.add([v % field.p for v in row])
-        if len(echelon) == len(columns[0]):
-            break
-    return len(echelon)
+    return rank(field, lambda fld: (monomial_values(fld, pt, t, columns)
+                                    for pt in points), len(columns[0]))

@@ -29,7 +29,7 @@ cross-check it against A.
 A multiplier M_T is its coefficient vector over monomials_of_degree(n + 1,
 m), m = d - (l - n + 1); only A builds polynomials, from it and from the
 forms (`generators`, `build_q_forms`).  B streams its rows (over Q,
-mod the default prime first) into `matrices.rank` in band order, then
+residues first) into `matrices.rank` in band order, then
 key order (`_TangentLayout`, which keeps only the band's keys), taking a
 point's monomial values (at the cached exponent columns of degree m) and
 multiplier values only when the rank reads its row.  It stops once it
@@ -46,8 +46,7 @@ from math import comb
 from operator import add, itemgetter, mul
 from typing import Iterator, Sequence
 
-from .fields import (DEFAULT_PRIME, Element, Field, PrimeField,
-                     check_integral, check_same_field)
+from .fields import Element, Field, check_integral, check_same_field
 from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                        closed_form_dimension, upper_bounds)
 from .matrices import rank
@@ -59,8 +58,6 @@ from .starconfig import (RETRY_BUDGET, GenericityError, LinearForm,
 
 #: A multiplier M_T: its coefficient vector over monomials_of_degree(n + 1, m).
 Multiplier = Sequence[Element]
-
-RESIDUES = PrimeField(DEFAULT_PRIME)   # ranks rational tangent rows first
 
 
 def _multiplier_degree(star: StarConfiguration, d: int,
@@ -151,9 +148,9 @@ def ideal_component_dim(polys: Sequence[HomogeneousPoly], d: int) -> int:
     def row(g, mono):
         return {index[tuple(map(add, mono, gm))]: c
                 for gm, c in g.terms.items()}
-    return rank(fld, (row(g, mono) for g in gens if g.degree <= d
-                      for mono in monomials_of_degree(nvars, d - g.degree)),
-                len(basis))
+    return rank(fld, lambda _: (
+        row(g, mono) for g in gens if g.degree <= d
+        for mono in monomials_of_degree(nvars, d - g.degree)), len(basis))
 
 
 def tangent_dim_direct(star: StarConfiguration, d: int,
@@ -229,7 +226,7 @@ def tangent_dim_points(star: StarConfiguration, d: int,
     `_TangentLayout` only when `rank` reads it, and the rank stops reading
     once it holds l*n independent rows.  When it does not, as over Q in
     the Luroth case, every row is read (`_rank_at_points`).  Given a
-    `record`, its "rows_read" is set to the number of rows the rank read.
+    `record`, its "rows_read" is the number of rows the rank first read.
     """
     if "_tangent_layout" not in vars(star):
         star._tangent_layout = _TangentLayout(star)
@@ -275,21 +272,18 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
 
 
 def _rank_at_points(star, d, multipliers, keys, row, ncols) -> tuple[int, int]:
-    """The rank of the rows row(s, {i: M_{s - i}(p_s)}) for s in `keys`,
-    each built when `rank` reads it, and the number of rows it read.  Over
-    Q they are ranked mod the default prime first (`RESIDUES`): an echelon
-    of min(rows read, ncols) vectors is the rational rank, and a shorter
-    one builds every row again as exact ints for Bareiss over Q."""
-    fld = star.field if isinstance(star.field, PrimeField) else RESIDUES
-    taken = itertools.count()    # one step per key the rank reads
-    values = _multiplier_values(star, d, multipliers,
-                                map(itemgetter(0), zip(keys, taken)), fld)
-    found = rank(fld, itertools.starmap(row, values), ncols)
-    read = next(taken)
-    if fld is not star.field and found < min(read, ncols):
-        values = _multiplier_values(star, d, multipliers, keys, star.field)
-        found = rank(star.field, itertools.starmap(row, values), ncols)
-    return found, read
+    """The rank (`matrices.rank`) of the rows row(s, {i: M_{s - i}(p_s)})
+    for s in `keys`, each built in the field the rank asks for when it is
+    read, and the number of rows its first pass read: over Q, residues; a
+    short echelon there, as in the Luroth case, builds every exact row."""
+    counts = []     # one per pass: one step per key the rank reads
+
+    def rows(fld):
+        counts.append(itertools.count())
+        taken = map(itemgetter(0), zip(keys, counts[-1]))
+        return itertools.starmap(row, _multiplier_values(
+            star, d, multipliers, taken, fld))
+    return rank(star.field, rows, ncols), next(counts[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ, is_prime
-from starcurves.matrices import (PackedEchelonModP, SparseEchelonModP,
-                                 _rank_bareiss, rank)
+from starcurves.matrices import (RESIDUES, PackedEchelonModP,
+                                 SparseEchelonModP, _rank_bareiss, rank)
 
 from gauss_jordan import fraction_free
 
@@ -81,7 +81,7 @@ def naive_rank_mod_p(rows, p):
 
 
 def matrix_rank(field, rows):
-    return rank(field, rows, len(rows[0]))
+    return rank(field, lambda _: rows, len(rows[0]))
 
 
 def qrank(rows):
@@ -97,8 +97,9 @@ def test_all_ones_rank():
 
 
 def test_empty_matrix_rank():
-    assert rank(QQ, [], 4) == 0
-    assert rank(QQ, [[], [], []], 0) == 0
+    assert rank(QQ, lambda _: [], 4) == 0
+    assert rank(QQ, lambda _: [[], [], []], 0) == 0
+    assert rank(QQ, lambda _: [{}, {}], 0) == 0
 
 
 def test_rank_equals_transpose_rank():
@@ -339,19 +340,28 @@ def test_packed_echelon_slots_do_not_overflow(p, length):
 
 
 def test_tall_rank_stops_once_the_echelon_is_full(monkeypatch):
-    """Rows after the echelon holds one vector per column are not read."""
+    """Rows after the echelon holds one vector per column are not read,
+    and the rows go into the echelon of their form: maps into the sparse
+    one as they are, sequences into the packed one as residues."""
     added = []
-    real = SparseEchelonModP.add
+    real = {form: form.add for form in (SparseEchelonModP, PackedEchelonModP)}
 
     def counting(self, v):
-        added.append(v)
-        real(self, v)
+        added.append((type(self), v))
+        real[type(self)](self, v)
 
-    monkeypatch.setattr(SparseEchelonModP, "add", counting)
-    rows = iter([[1, 0, 0], [0, 8, 0], [5, 5, 5]] + [[9, 9, 9]] * 7)
-    assert rank(PrimeField(7), rows, 3) == 3
-    assert len(added) == 3
-    assert list(rows) == [[9, 9, 9]] * 7     # the rest is never read
+    for form in real:
+        monkeypatch.setattr(form, "add", counting)
+    dense = [[1, 0, 0], [0, 8, 0], [5, 5, -2]] + [[9, 9, 9]] * 7
+    for field, p in ((PrimeField(7), 7), (QQ, P)):
+        for read in (dense, [dict(enumerate(r)) for r in dense]):
+            added.clear()
+            rows = iter(read)
+            assert rank(field, lambda _: rows, 3) == 3
+            assert added == [(SparseEchelonModP, r) if isinstance(r, dict)
+                             else (PackedEchelonModP, [x % p for x in r])
+                             for r in read[:3]]
+            assert list(rows) == read[3:]     # the rest is never read
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, Fraction(2, 1)])
@@ -360,13 +370,13 @@ def test_rational_rank_refuses_non_int_entries(bad):
     row or a later one, with the one message for non-int input."""
     for rows in ([[bad, 1], [1, 0]], [[1, 0], [bad, 1]]):
         with pytest.raises(ValueError, match="lcm of their denominators"):
-            rank(QQ, rows, 2)
+            rank(QQ, lambda _: rows, 2)
 
 
 def test_rank_refuses_rows_of_the_wrong_length():
     for field in (QQ, PrimeField(7)):
         with pytest.raises(ValueError, match="a row of 3 entries, not 2"):
-            rank(field, [[1, 0], [0, 1, 2]], 2)
+            rank(field, lambda _: [[1, 0], [0, 1, 2]], 2)
 
 
 def as_maps(rows, rng):
@@ -391,8 +401,9 @@ def test_map_rows_and_dense_rows_give_one_rank(case, rng):
     p, rows, _ = case
     field = QQ if p is None else PrimeField(p)
     ncols = len(rows[0])
-    assert rank(field, as_maps(rows, rng), ncols) == \
-        rank(field, rows, ncols) == (naive_rational_rank(rows) if p is None
+    maps = as_maps(rows, rng)
+    assert rank(field, lambda _: maps, ncols) == \
+        matrix_rank(field, rows) == (naive_rational_rank(rows) if p is None
                                      else naive_rank_mod_p(rows, p))
 
 
@@ -400,7 +411,38 @@ def test_rank_refuses_map_rows_outside_the_columns():
     for field in (QQ, PrimeField(7)):
         for row in ({2: 1}, {-1: 1}):
             with pytest.raises(ValueError, match="column outside 0..1"):
-                rank(field, [{0: 1}, row], 2)
+                rank(field, lambda _: [{0: 1}, row], 2)
+
+
+def test_rank_refuses_maps_and_sequences_in_one_matrix():
+    """A row unlike the first is refused, either way round: a map read as
+    a sequence would give the packed echelon its keys."""
+    for field in (QQ, PrimeField(7)):
+        for rows in ([{0: 1}, [0, 1]], [[1, 0], {1: 1}],
+                     [[0, 1], [0, 2], {0: 1}]):
+            with pytest.raises(ValueError, match="maps and sequences"):
+                rank(field, lambda _: rows, 2)
+
+
+@pytest.mark.parametrize("rows, asked", [
+    ([[1, 2], [3, 4]], [P]),                   # full mod P: no exact pass
+    ([[P, 1], [0, 1]], [P, None]),             # short mod P: one exact pass
+    ([[1, 2], [2, 4], [3, 6]], [P, None]),     # short over Q as well
+])
+def test_rational_rank_asks_for_residues_then_exact_rows(rows, asked):
+    """Over Q the rows are asked for mod the residue prime first, and as
+    exact ints only when that echelon is not full; over GF(p) once."""
+    fields = []
+
+    def given(fld):
+        fields.append(getattr(fld, "p", None))
+        return iter([[x % fld.p for x in r] for r in rows]
+                    if fld is RESIDUES else rows)
+    assert rank(QQ, given, 2) == naive_rational_rank(rows)
+    assert fields == asked and RESIDUES == PrimeField(P)
+    fields.clear()
+    assert rank(PrimeField(7), given, 2) == naive_rank_mod_p(rows, 7)
+    assert fields == [7]
 
 
 def test_sparse_echelon_leaves_its_input_alone():

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from starcurves import polynomials, starconfig
+from starcurves import matrices, polynomials, starconfig
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
-from starcurves.matrices import PackedEchelonModP, rank
+from starcurves.matrices import (PackedEchelonModP, SparseEchelonModP,
+                                 rank)
 from starcurves.polynomials import (exponent_columns, monomial_values,
                                     monomials_of_degree)
 from starcurves.reference_cases import published_star
@@ -536,7 +537,7 @@ def evaluation_rank(star, t):
     rows = [[reduce(f.mul, map(pow, p, mono), 1)
              for mono in monomials_of_degree(star.n + 1, t)]
             for p in star.point_list()]
-    return rank(f, rows, len(rows[0]))
+    return rank(f, lambda _: rows, len(rows[0]))
 
 
 def last_coordinate_form(field, n):
@@ -615,7 +616,8 @@ def test_hilbert_function_matches_evaluation_rank(star, degrees,
     """Degrees in random order, so the stored echelon is extended and then
     read back out of order.  Over Q the echelon may run mod a small prime,
     where its rank often falls short and the per-degree matrix decides."""
-    with mock.patch.object(starconfig, "DEFAULT_PRIME", residue_prime):
+    residues = PrimeField(residue_prime)
+    with mock.patch.object(starconfig, "RESIDUES", residues):
         for t in degrees:
             assert hilbert_function(star, t) == evaluation_rank(star, t)
 
@@ -689,14 +691,19 @@ def test_points_on_last_hyperplane_take_the_echelon(monkeypatch):
             [min(comb(t + n, n), npoints) for t in range(star.l + 3)]
 
 
+def conic_tangents():
+    """Tangents x_0 + i*x_1 - i^2*x_2 to a conic, i = 1..7, over Q: they
+    meet at (-ij : i+j : 1), so i and i + 5 give points equal mod 5."""
+    return build_star([LinearForm(QQ, [1, i, -i * i]) for i in range(1, 8)])
+
+
 def test_rational_echelon_short_mod_p_falls_back(monkeypatch):
     """Tangents x_0 + i*x_1 - i^2*x_2 to a conic meet at (-ij : i+j : 1),
     so i and i + 5 give rows that agree mod 5: run mod 5, the echelon of
     l = 7 tangents falls short of full rank, and the per-degree rational
     matrix must decide."""
-    star = build_star([LinearForm(QQ, [1, i, -i * i])
-                       for i in range(1, 8)])
-    monkeypatch.setattr(starconfig, "DEFAULT_PRIME", 5)
+    star = conic_tangents()
+    monkeypatch.setattr(starconfig, "RESIDUES", PrimeField(5))
     added = echelon_spy(monkeypatch)
     fallbacks = evaluation_rank_spy(monkeypatch)
     assert [hilbert_function(star, t) for t in range(8)] == \
@@ -954,21 +961,59 @@ def test_one_pass_points_match_the_per_line_build(monkeypatch, n, field,
 
 
 def test_evaluation_rank_packs_prime_field_rows(monkeypatch):
-    """Over GF(p) the per-degree Hilbert fallback takes the dense residue
-    rows into the packed echelon, not `rank`, and gives the rank of the
-    whole evaluation matrix; over Q it keeps `rank`."""
+    """The per-degree Hilbert fallback is one `rank` per degree over every
+    field, whose dense rows go into the packed echelon, and it gives the
+    rank of the whole evaluation matrix."""
     stars = [random_star(14, 0, PrimeField(13)), random_star(4, 1, GF3),
              random_star(6, 2, PrimeField(13), 3), random_star(5, 0, QQ)]
     expected = [[evaluation_rank(star, t) for t in range(star.l + 2)]
                 for star in stars]
-    calls = []
+    calls, made = [], []
 
     def spy(field, rows, ncols):
         calls.append(field)
         return rank(field, rows, ncols)
 
+    def init(echelon, p, length):
+        made.append(type(echelon))
+        real(echelon, p, length)
+
+    real = SparseEchelonModP.__init__
     monkeypatch.setattr(starconfig, "rank", spy)
+    monkeypatch.setattr(SparseEchelonModP, "__init__", init)
     assert [[starconfig._evaluation_rank(star.field, star.n,
                                          star.point_list(), t)
              for t in range(star.l + 2)] for star in stars] == expected
-    assert calls == [QQ] * 7
+    assert calls == [star.field for star in stars
+                     for _ in range(star.l + 2)]
+    assert made == [PackedEchelonModP] * len(calls)
+
+
+@pytest.mark.parametrize("residue_prime", [DEFAULT_PRIME, 5])
+def test_rational_evaluation_rank_reads_residues_first(monkeypatch,
+                                                       residue_prime):
+    """Over Q the per-degree matrix is read mod the residue prime first:
+    no exact monomial value is built unless that echelon is short, and
+    then only after every residue row.  Mod 5 the conic tangents' points
+    come in equal pairs, so the echelon falls short at high degree."""
+    points = conic_tangents().point_list()
+    residues = PrimeField(residue_prime)
+    monkeypatch.setattr(matrices, "RESIDUES", residues)
+    fields, real = [], starconfig.monomial_values
+
+    def spy(field, coords, degree, columns):
+        fields.append(field)
+        return real(field, coords, degree, columns)
+
+    monkeypatch.setattr(starconfig, "monomial_values", spy)
+    exact = []
+    for t in range(8):
+        fields.clear()
+        assert starconfig._evaluation_rank(QQ, 2, points, t) == \
+            min(comb(t + 2, 2), 21)
+        read = fields.count(residues)
+        assert fields[:read] == [residues] * read
+        if fields[read:]:
+            assert fields[read:] == [QQ] * 21 and read == 21
+            exact.append(t)
+    assert bool(exact) == (residue_prime == 5)

@@ -260,23 +260,33 @@ def test_full_echelon_reads_at_most_n_l_rows(monkeypatch, n, lmax):
 
 def test_luroth_pair_reads_every_row_into_bareiss(monkeypatch):
     """At (d, l) = (4, 5) over Q the tangent rank is 9 of 10, so the echelon
-    is not full: every row is built mod the default prime, then every row
-    again as exact ints, and Bareiss decides, on dense rows made from the
-    sparse exact rows."""
+    is not full: every row is built mod the default prime into one mod-p
+    echelon of 10 columns, then every row again as exact ints, which go
+    straight to Bareiss, on dense rows made from the sparse exact rows.
+    The record counts the rows of the first pass."""
     import starcurves.matrices as matrices_mod
 
     built = counting_rows(monkeypatch)
-    given = []
+    given, echelons = [], []
     real = matrices_mod._rank_bareiss
+    real_init = matrices_mod.SparseEchelonModP.__init__
 
     def recording(rows):
         given.append([list(r) for r in rows])
         return real(rows)
 
+    def init(echelon, p, length):
+        echelons.append((p, length))
+        real_init(echelon, p, length)
+
     monkeypatch.setattr(matrices_mod, "_rank_bareiss", recording)
+    monkeypatch.setattr(matrices_mod.SparseEchelonModP, "__init__", init)
     star = random_star(5, 0, QQ)
     mult = random_multipliers(star, 4, random.Random(0))
-    assert tangent_dim_points(star, 4, mult) == 14
+    record = {}
+    assert tangent_dim_points(star, 4, mult, record) == 14
+    assert record == {"rows_read": comb(5, 2)}
+    assert echelons == [(DEFAULT_PRIME, 10)]
     assert len(built) == 2 * comb(5, 2)
     assert len(given) == 1 and all(len(r) == 10 for r in given[0])
     assert sorted(given[0]) == sorted(eager_tangent_rows(star, 4, mult))
@@ -361,7 +371,7 @@ def test_perturbation_elements_lie_in_tangent_space():
                      for gm, c in g.terms.items()}
             rows.append(HomogeneousPoly(GF, 3, d, shift).coefficient_vector())
     rows.append(tangent_vector.coefficient_vector())
-    assert rank(GF, rows, len(basis)) == base_rank
+    assert rank(GF, lambda _: rows, len(basis)) == base_rank
 
 
 def drawn_problem(n, field, l, extra, seed, kind):
