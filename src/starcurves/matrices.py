@@ -9,10 +9,10 @@ n*l columns, n^2 of them nonzero.  `PackedEchelonModP` keeps each vector
 as one int of fixed-width slots and reduces, pivots and scales by
 operations on whole ints, none per slot.  It takes the rows of `rank`
 that are sequences, and the Hilbert function's columns (`starconfig`).
-Each is the faster one on its own load.  `rank` is the one rank rule:
-over a prime field the echelon's size; over Q that of the residues, if
-full (`SparseEchelonModP.full`), and otherwise the exact forward-only
-fraction-free elimination (`_rank_bareiss`).
+Each is the faster one on its own load.  `rank` checks each row as read
+and applies the one rank rule (`rank_of_built_rows`): over GF(p) the
+echelon's size; over Q that of the residues if `full`, else the exact
+forward-only fraction-free elimination (`_rank_bareiss`).
 """
 
 from __future__ import annotations
@@ -34,13 +34,21 @@ def rank(field: Field, rows: Callable[[Field], Iterable], ncols: int) -> int:
     sequences into a `PackedEchelonModP`, until it holds `ncols` vectors.
     Over Q it reads `rows(RESIDUES)`, and only when that echelon is not
     full every row of `rows(field)`, for `_rank_bareiss`."""
+    return rank_of_built_rows(field, lambda fld: _checked(
+        field, rows(fld), ncols), ncols)[0]
+
+
+def rank_of_built_rows(field: Field, rows: Callable[[Field], Iterable],
+                       ncols: int) -> tuple[int, int]:
+    """`rank` of rows in one form, with ints over Q, none checked, and the
+    number of rows its first pass read."""
     if not isinstance(field, (PrimeField, RationalField)):
         raise FieldMismatchError(f"unsupported field {field!r}")
     residues = field if isinstance(field, PrimeField) else RESIDUES
-    read = _checked(field, rows(residues), ncols)
+    read = iter(rows(residues))
     first = next(read, None)
     if first is None:
-        return 0
+        return 0, 0
     p, sparse = residues.p, isinstance(first, dict)
     echelon = (SparseEchelonModP if sparse else PackedEchelonModP)(p, ncols)
     for row in chain((first,), read):
@@ -48,10 +56,10 @@ def rank(field: Field, rows: Callable[[Field], Iterable], ncols: int) -> int:
         if len(echelon) == ncols:
             break
     if residues is field or echelon.full():
-        return len(echelon)
+        return len(echelon), echelon.added
     return _rank_bareiss([
         [r.get(c, 0) for c in range(ncols)] if isinstance(r, dict) else
-        list(r) for r in _checked(field, rows(field), ncols)])
+        list(r) for r in rows(field)]), echelon.added
 
 
 def _checked(field: Field, rows: Iterable, ncols: int) -> Iterator:

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
+from math import comb
 from operator import mul
 from typing import Iterable, Sequence
 
 from .fields import Element, Field, check_same_field
 
 Monomial = tuple  # exponent vector, one entry per variable
+LARGE_BASIS = 4096  # monomials, past which only the latest basis is kept
 
 
-@lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
     """All exponent vectors of total degree `degree`, graded-lex order
     (x0 > x1 > ...): the rows of `exponent_columns`.  Length is
@@ -26,11 +27,17 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
     return tuple(zip(*exponent_columns(nvars, degree)))
 
 
-@lru_cache(maxsize=None)
 def exponent_columns(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """The degree-`degree` monomials in graded-lex order by variable: column
-    k holds the exponents of x_k.  For x_0 = degree, ..., 0 in turn, a
-    block of the cached columns of the other variables at the rest."""
+    k holds the exponents of x_k.  All bases are kept but of those past
+    LARGE_BASIS, 1.1 MB near degree 300, only the latest (a sweep's)."""
+    big = nvars > 0 and comb(degree + nvars - 1, degree) > LARGE_BASIS
+    return (_latest_columns if big else _kept_columns)(nvars, degree)
+
+
+def _columns(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """`exponent_columns`: for x_0 = degree, ..., 0 in turn, a block of the
+    cached columns of the other variables at the rest."""
     if nvars < 1:
         raise ValueError("need at least one variable")
     if nvars < 3:               # one monomial per exponent of x_0
@@ -39,6 +46,10 @@ def exponent_columns(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     rests = list(map(exponent_columns, repeat(nvars - 1), range(degree + 1)))
     first = map(repeat, range(degree, -1, -1), map(len, next(zip(*rests))))
     return tuple(map(tuple, map(chain.from_iterable, (first, *zip(*rests)))))
+
+
+_kept_columns = lru_cache(maxsize=None)(_columns)
+_latest_columns = lru_cache(maxsize=1)(_columns)
 
 
 def monomial_values(field: Field, coords: Sequence[Element], degree: int,

@@ -28,13 +28,12 @@ cross-check it against A.
 
 A multiplier M_T is its coefficient vector over monomials_of_degree(n + 1,
 m), m = d - (l - n + 1); only A builds polynomials, from it and from the
-forms (`generators`, `build_q_forms`).  B streams its rows (over Q,
-residues first) into `matrices.rank` in band order, then
-key order (`_TangentLayout`, which keeps only the band's keys), taking a
-point's monomial values (at the cached exponent columns of degree m) and
-multiplier values only when the rank reads its row.  It stops once it
-holds l*n independent rows: at random data over a large prime, after
-the band's n*l rows, so no other key is generated.
+forms (`generators`, `build_q_forms`).  B builds each row (over Q,
+residues first) only when the rank reads it, from the point's monomial
+values at the cached exponent columns of degree m, in band order, then
+key order (`_TangentLayout`), and stops at l*n independent rows: at
+random data over a large prime, the band's n*l.  Rows are products of
+ints checked where they entered (forms, multipliers); no row is checked.
 """
 
 from __future__ import annotations
@@ -43,13 +42,13 @@ import itertools
 import random
 import time
 from math import comb
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .fields import Element, Field, check_integral, check_same_field
 from .formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
                        closed_form_dimension, upper_bounds)
-from .matrices import rank
+from .matrices import rank_of_built_rows
 from .polynomials import (HomogeneousPoly, exponent_columns, monomial_values,
                           monomials_of_degree, poly_product, poly_sum)
 from .starconfig import (RETRY_BUDGET, GenericityError, LinearForm,
@@ -142,15 +141,16 @@ def ideal_component_dim(polys: Sequence[HomogeneousPoly], d: int) -> int:
     nvars = gens[0].nvars
     for g in gens:
         check_same_field(g.field, fld)
+        check_integral(fld, g.terms.values(), "matrix entries")
     basis = monomials_of_degree(nvars, d)
     index = {m: i for i, m in enumerate(basis)}
 
     def row(g, mono):
         return {index[tuple(map(add, mono, gm))]: c
                 for gm, c in g.terms.items()}
-    return rank(fld, lambda _: (
+    return rank_of_built_rows(fld, lambda _: (
         row(g, mono) for g in gens if g.degree <= d
-        for mono in monomials_of_degree(nvars, d - g.degree)), len(basis))
+        for mono in monomials_of_degree(nvars, d - g.degree)), len(basis))[0]
 
 
 def tangent_dim_direct(star: StarConfiguration, d: int,
@@ -163,23 +163,29 @@ def tangent_dim_direct(star: StarConfiguration, d: int,
 # ---------------------------------------------------------------------------
 # algorithm B: the values of the multipliers at the points
 
-def _multiplier_values(star, d, multipliers, keys,
-                       fld: Field) -> Iterator[tuple[tuple, dict]]:
-    """(s, {i: M_{s - i}(p_s)}) in `fld` at the integer vector of p_s for
-    each key s in `keys`, computed when the iterator reaches s, once the
-    multipliers pass the checks against d.  Each M_T(p_s) is the dot
-    product of the point's monomial values at the exponent columns of
-    degree m with the vector of M_T; over Q, integer coefficients keep
-    every sum in ints."""
+def _rank_at_points(star, d, multipliers, keys, pairs, weights,
+                    ncols) -> tuple[int, int]:
+    """The rank of the rows {col: weights(s)[j] * M_{s - i}(p_s) for i in s,
+    (col, j) in pairs[i]} for s in `keys` and the number its first pass
+    read (`matrices.rank_of_built_rows`), each row built in the field asked
+    for when read, once the multipliers pass the checks against d: M_T(p_s)
+    is the vector of M_T dotted with the monomial values at p_s's ints."""
     mdeg = _multiplier_degree(star, d, multipliers)
     columns = exponent_columns(star.n + 1, mdeg)
     vectors = dict(zip(star.generator_keys(), multipliers))
 
-    def at(s):
-        monos = monomial_values(fld, star.points[s], mdeg, columns)
-        return s, {i: fld.from_int(sum(map(mul, vectors[s[:k] + s[k + 1:]],
-                                           monos))) for k, i in enumerate(s)}
-    return map(at, keys)
+    def rows(fld):
+        for s in keys:
+            monos = monomial_values(fld, star.points[s], mdeg, columns)
+            x, row = weights(s), {}
+            for k, i in enumerate(s):
+                m = fld.from_int(sum(map(mul, vectors[s[:k] + s[k + 1:]],
+                                         monos)))
+                for col, j in pairs[i]:
+                    row[col] = x[j] * m
+            del monos       # before the next point's table is built
+            yield row
+    return rank_of_built_rows(star.field, rows, ncols)
 
 
 class _TangentLayout:
@@ -222,23 +228,15 @@ def tangent_dim_points(star: StarConfiguration, d: int,
     built as p_s[k] * M_{s - i}(p_s) at integer coordinates of p_s: the
     same row up to nonzero factors, prod_{h not in s} L_h(p_s) among them.
 
-    The rows come in band order, each built from the star's
-    `_TangentLayout` only when `rank` reads it, and the rank stops reading
-    once it holds l*n independent rows.  When it does not, as over Q in
-    the Luroth case, every row is read (`_rank_at_points`).  Given a
-    `record`, its "rows_read" is the number of rows the rank first read.
+    Rows come in band order (`_TangentLayout`), each built when the rank
+    reads it, which stops at l*n independent rows.  A `record` gets as
+    "rows_read" the number of rows the first pass read: over Q, residues;
+    a short echelon there, as in the Luroth case, builds every exact row.
     """
-    if "_tangent_layout" not in vars(star):
-        star._tangent_layout = _TangentLayout(star)
-    layout = star._tangent_layout
-    pairs = layout.pairs
-
-    def row(s, ms):
-        coords = star.points[s]
-        return {col: coords[k] * m for i, m in ms.items()
-                for col, k in pairs[i]}
-    found, read = _rank_at_points(star, d, multipliers, layout, row,
-                                  star.l * star.n)
+    layout = vars(star).get("_tangent_layout") or _TangentLayout(star)
+    star._tangent_layout = layout
+    found, read = _rank_at_points(star, d, multipliers, layout, layout.pairs,
+                                  star.points.__getitem__, star.l * star.n)
     if record is not None:
         record["rows_read"] = read
     return found + comb(d + star.n, star.n) - comb(star.l, star.n)
@@ -252,10 +250,9 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
 
     `row_points` are 1-based point labels such as (i, j); `columns` are
     pairs (r, t) denoting the degree-d product L_r * Q_t, whose value at
-    p_s is L_r(p_s) * Q_t(p_s).  Row s is built as
-    L_r(p_s) * M_{s - t}(p_s) at integer coordinates of p_s, and 0 where
-    t is not in s: the same row up to nonzero factors, as in
-    `tangent_dim_points`.
+    p_s is L_r(p_s) * Q_t(p_s).  Row s is built as L_r(p_s) * M_{s - t}(p_s)
+    at integer coordinates of p_s, and 0 where t is not in s: the same row
+    up to nonzero factors, as in `tangent_dim_points`.
     """
     keys = [tuple(sorted(key)) for key in row_points]
     for key in keys:
@@ -264,26 +261,10 @@ def evaluation_submatrix_rank(star: StarConfiguration, d: int,
     for r, t in columns:
         if not (1 <= r <= star.l and 1 <= t <= star.l):
             raise KeyError(f"unknown column label ({r}, {t})")
-
-    def row(s, ms):
-        return {c: star.forms[r - 1].evaluate(star.points[s]) * ms[t]
-                for c, (r, t) in enumerate(columns) if t in ms}
-    return _rank_at_points(star, d, multipliers, keys, row, len(columns))[0]
-
-
-def _rank_at_points(star, d, multipliers, keys, row, ncols) -> tuple[int, int]:
-    """The rank (`matrices.rank`) of the rows row(s, {i: M_{s - i}(p_s)})
-    for s in `keys`, each built in the field the rank asks for when it is
-    read, and the number of rows its first pass read: over Q, residues; a
-    short echelon there, as in the Luroth case, builds every exact row."""
-    counts = []     # one per pass: one step per key the rank reads
-
-    def rows(fld):
-        counts.append(itertools.count())
-        taken = map(itemgetter(0), zip(keys, counts[-1]))
-        return itertools.starmap(row, _multiplier_values(
-            star, d, multipliers, taken, fld))
-    return rank(star.field, rows, ncols), next(counts[0])
+    pairs = {i: [(c, r - 1) for c, (r, t) in enumerate(columns) if t == i]
+             for i in range(1, star.l + 1)}
+    return _rank_at_points(star, d, multipliers, keys, pairs, lambda s: [
+        form.evaluate(star.points[s]) for form in star.forms], len(columns))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -367,9 +367,13 @@ def test_tall_rank_stops_once_the_echelon_is_full(monkeypatch):
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, Fraction(2, 1)])
 def test_rational_rank_refuses_non_int_entries(bad):
     """A non-int entry over Q is refused as its row is read, the first
-    row or a later one, with the one message for non-int input."""
-    for rows in ([[bad, 1], [1, 0]], [[1, 0], [bad, 1]]):
-        with pytest.raises(ValueError, match="lcm of their denominators"):
+    row or a later one, a sequence or a map, with the one message for
+    non-int input."""
+    for rows in ([[bad, 1], [1, 0]], [[1, 0], [bad, 1]],
+                 [{0: 1}, {1: bad}]):
+        with pytest.raises(ValueError, match="matrix entries over Q must be "
+                           "ints; scale them by the lcm of their "
+                           "denominators"):
             rank(QQ, lambda _: rows, 2)
 
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starcurves.fields import DEFAULT_PRIME, PrimeField, QQ
-from starcurves.polynomials import (HomogeneousPoly, exponent_columns,
+import starcurves.polynomials as polynomials_mod
+from starcurves.polynomials import (LARGE_BASIS, HomogeneousPoly,
+                                    exponent_columns,
                                     monomial_values, monomials_of_degree,
                                     poly_product)
 from starcurves.starconfig import LinearForm
@@ -193,6 +195,49 @@ def test_monomial_values_match_the_per_monomial_product(field, nvars):
             expected = per_monomial_values(field, coords, degree, monos)
             assert got == expected
             assert list(map(type, got)) == list(map(type, expected))
+
+
+def test_only_the_latest_large_basis_is_kept():
+    """A run of degrees keeps every basis of at most LARGE_BASIS monomials
+    and, of the larger ones, only the latest: each the basis a fresh build
+    gives, in three and four variables."""
+    kept, latest = polynomials_mod._kept_columns, \
+        polynomials_mod._latest_columns
+    kept.cache_clear()
+    latest.cache_clear()
+    for nvars, top in ((3, 100), (4, 36)):
+        for degree in range(top):
+            big = comb(degree + nvars - 1, degree) > LARGE_BASIS
+            assert exponent_columns(nvars, degree) == tuple(zip(*(
+                graded_lex_basis(nvars, degree))))
+            assert latest.cache_info().currsize <= 1
+            if big:
+                assert latest(nvars, degree) is exponent_columns(nvars,
+                                                                 degree)
+        assert big      # the run went past LARGE_BASIS
+    # every small basis of both runs, and the two-variable columns of
+    # degrees 0..99 the three-variable recursion reads
+    small = sum(comb(degree + nvars - 1, degree) <= LARGE_BASIS
+                for nvars, top in ((3, 100), (4, 36)) for degree in range(top))
+    assert kept.cache_info().currsize == small + 100
+
+
+def test_bench_sweep_builds_each_basis_once(capsys):
+    """The bench's plane sweep (d <= 13, l <= 10) ranks at multiplier
+    degrees 0..12, in turn for every l: each is built once, and a second
+    sweep builds none."""
+    from starcurves.cli import main
+    kept = polynomials_mod._kept_columns
+    kept.cache_clear()
+    argv = ["sweep", "--dmax", "13", "--lmax", "10", "--trials", "1"]
+    assert main(argv) == 0
+    first = kept.cache_info()
+    # the 13 three-variable bases, and the 13 two-variable ones they read
+    assert first.misses == 13 + 13
+    assert main(argv) == 0
+    assert kept.cache_info().misses == first.misses
+    assert kept.cache_info().hits > first.hits
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)

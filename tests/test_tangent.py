@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings
@@ -24,8 +25,8 @@ from starcurves.formulas import (LUROTH_SOURCE, STAR_IDEAL_SOURCE,
 from starcurves.starconfig import (GenericityError, LinearForm, build_star,
                                    random_star)
 from starcurves.tangent import (DimensionCertificate, TrialStars,
-                                _hat_product, _linear_poly,
-                                _multiplier_values, build_q_forms, certify,
+                                _hat_product, _linear_poly, _rank_at_points,
+                                build_q_forms, certify,
                                 generators, ideal_component_dim,
                                 evaluation_submatrix_rank,
                                 random_multipliers, tangent_dim_direct,
@@ -525,13 +526,51 @@ def test_rational_multipliers_refuse_non_int_coefficients():
         tangent_dim_points(star, 5, mult)
 
 
-def test_ideal_component_refuses_rational_non_int_coefficients():
-    """A generator with a Fraction coefficient over Q is refused as its
-    rows are read."""
+def test_ideal_component_refuses_rational_non_int_coefficients(monkeypatch):
+    """A generator with a Fraction coefficient over Q is refused before
+    any row is read, even after a generator of int coefficients."""
+    ranked = []
+    monkeypatch.setattr(tangent_mod, "rank_of_built_rows",
+                        lambda *args: ranked.append(args))
+    whole = HomogeneousPoly(QQ, 3, 1, {(0, 0, 1): 3})
     half = HomogeneousPoly(QQ, 3, 1, {(1, 0, 0): Fraction(1, 2),
                                       (0, 1, 0): 1})
-    with pytest.raises(ValueError, match="lcm of their denominators"):
-        ideal_component_dim([half], 2)
+    with pytest.raises(ValueError, match="matrix entries over Q must be "
+                       "ints; scale them by the lcm of their denominators"):
+        ideal_component_dim([whole, half], 2)
+    assert ranked == []
+
+
+@pytest.mark.parametrize("d, l, field", [(9, 7, GF), (9, 7, QQ),
+                                         (4, 5, QQ), (5, 4, PrimeField(7))])
+def test_certify_checks_no_row(monkeypatch, d, l, field):
+    """Tangent rows are built from ints checked where they enter (forms,
+    multipliers), so `certify` reads no row through the per-row check of
+    `matrices.rank`: over GF(p), nor over Q, where the Luroth pair (4, 5)
+    reads every row again for Bareiss.  The spy does see the rows of the
+    public `rank`."""
+    import starcurves.matrices as matrices_mod
+
+    checked, bareiss = [], []
+    real_checked, real_bareiss = matrices_mod._checked, \
+        matrices_mod._rank_bareiss
+
+    def spy(fld, rows, ncols):
+        for row in real_checked(fld, rows, ncols):
+            checked.append(row)
+            yield row
+
+    def counting(rows):
+        bareiss.append(len(rows))
+        return real_bareiss(rows)
+
+    monkeypatch.setattr(matrices_mod, "_checked", spy)
+    monkeypatch.setattr(matrices_mod, "_rank_bareiss", counting)
+    certify(d, l, field, trials=2)
+    assert checked == []
+    assert bareiss == ([comb(5, 2)] * 2 if (d, l) == (4, 5) else [])
+    assert rank(field, lambda _: [[1, 2]], 2) == 1
+    assert checked == [[1, 2]]
 
 
 def test_every_export_resolves():
@@ -568,6 +607,21 @@ def test_only_algorithm_a_imports_polynomial_objects():
         assert not names & imported, path.name
 
 
+def multiplier_values(star, d, mult):
+    """{s: {i: M_{s - i}(p_s)}} for every point key s, in the star's
+    field, read off the rows `_rank_at_points` builds with one column
+    i - 1 of weight 1 for each i, taken from the rank it hands them to."""
+    keys = star.point_keys()
+    pairs = {i: [(i - 1, 0)] for i in range(1, star.l + 1)}
+    with mock.patch.object(tangent_mod, "rank_of_built_rows",
+                           lambda fld, rows, ncols: (list(rows(fld)), 0)):
+        rows, _ = _rank_at_points(star, d, mult, keys, pairs, lambda s: [1],
+                                  star.l)
+    assert len(rows) == len(keys)
+    return {s: {c + 1: x for c, x in row.items()}
+            for s, row in zip(keys, rows)}
+
+
 @settings(max_examples=45, deadline=None)
 @given(problem=problems)
 def test_tangent_values_match_q_forms(problem):
@@ -576,7 +630,7 @@ def test_tangent_values_match_q_forms(problem):
     other Q_j."""
     star, d, mult = problem
     fld = star.field
-    values = dict(_multiplier_values(star, d, mult, star.point_keys(), fld))
+    values = multiplier_values(star, d, mult)
     assert list(values) == star.point_keys()
     q = build_q_forms(star, d, mult)
     for s, x in star.points.items():
@@ -632,8 +686,7 @@ def test_multiplier_values_match_term_by_term_evaluation(problem):
     mdeg = d - star.generator_degree
     mult_of = {key: poly_of(star.field, star.n + 1, mdeg, m)
                for key, m in zip(star.generator_keys(), mult)}
-    values = dict(_multiplier_values(star, d, mult, star.point_keys(),
-                                     star.field))
+    values = multiplier_values(star, d, mult)
     assert list(values) == star.point_keys()
     for s, p in star.points.items():
         assert set(values[s]) == set(s)
@@ -925,20 +978,20 @@ def eager_order(star):
 
 
 def keys_read(monkeypatch):
-    """A list that gets, for each pass of `_multiplier_values`, the list
-    of the point keys that pass reads, in order."""
-    passes, real = [], tangent_mod._multiplier_values
+    """A list that gets, for each pass of a tangent rank, the list of the
+    point keys its row builder takes from the star's layout, in order."""
+    passes, real = [], tangent_mod._TangentLayout.__iter__
 
-    def spy(star, d, multipliers, keys, fld):
+    def spy(layout):
         taken = []
         passes.append(taken)
 
         def take(s):
             taken.append(s)
             return s
-        return real(star, d, multipliers, map(take, keys), fld)
+        return map(take, real(layout))
 
-    monkeypatch.setattr(tangent_mod, "_multiplier_values", spy)
+    monkeypatch.setattr(tangent_mod._TangentLayout, "__iter__", spy)
     return passes
 
 
